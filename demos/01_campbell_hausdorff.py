@@ -5,7 +5,7 @@ rationals and projected onto the Lyndon bracket basis.  Letters print as
 a, b, c, ... so a = x, b = y.
 """
 
-from kvquad import bch, bch_multi, lie_to_assoc, substitute, generator, word_to_str
+from kvquad import bch, bch_multi, substitute, generator, word_to_str
 
 order = 6
 ch = bch(order)
@@ -15,7 +15,7 @@ for word, coeff in ch.sorted_items():
     print(f"  degree {len(word)}:  {str(coeff):>8}  on bracket word {word_to_str(word)}")
 
 print("\nword expansion of the degree-3 part:")
-print(" ", lie_to_assoc(ch.degree_part(3)))
+print(" ", ch.degree_part(3).expand())
 
 # associativity: composing two-letter series reproduces the three-letter one
 x, y, z = (generator(3, i, order) for i in range(3))

@@ -7,6 +7,8 @@ factorizing the Campbell-Hausdorff series, and degree-by-degree verifiers
 for the quadratic trace identities those solutions satisfy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .words import (
     ArityMismatchError,
     AssocSeries,
@@ -37,7 +39,6 @@ from .lie import (
     directional_derivative,
     generator,
     kernel_series,
-    lie_to_assoc,
     scale,
     substitute,
     substitute_many,
@@ -90,6 +91,7 @@ from .verify import (
     verify_series_identities,
     verify_theorem,
 )
-from .cli import cli_main, main
+from .cli import main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,7 +6,9 @@ Lyndon suffix, equivalently the lexicographically least proper suffix) turns
 each Lyndon word into a commutator monomial; these monomials form the
 canonical basis used for Lie series.  Expansions are cached process-wide,
 keyed by the word bytes: they only depend on the letters, not on the ambient
-alphabet size.
+alphabet size.  Right-normed bracketings, which certify Lie membership and
+split a Lie polynomial by its outer letter, share the commutator step and are
+cached only within one call.
 """
 
 from fractions import Fraction
@@ -56,6 +58,19 @@ def standard_factorization(w: bytes) -> tuple[bytes, bytes]:
     return u, v
 
 
+def commutator(left: dict, right: dict) -> dict:
+    """left * right - right * left for word-keyed coefficient maps, zeros dropped."""
+    result = {}
+    for wl, cl in left.items():
+        for wr, cr in right.items():
+            c = cl * cr
+            key = wl + wr
+            result[key] = result.get(key, 0) + c
+            key = wr + wl
+            result[key] = result.get(key, 0) - c
+    return {k: c for k, c in result.items() if c}
+
+
 def bracket_expansion(w: bytes) -> dict[bytes, int]:
     """Expansion in the word basis of the standard bracketing of a Lyndon word.
 
@@ -70,17 +85,27 @@ def bracket_expansion(w: bytes) -> dict[bytes, int]:
         result = {w: 1}
     else:
         u, v = standard_factorization(w)
-        eu, ev = bracket_expansion(u), bracket_expansion(v)
-        result: dict[bytes, int] = {}
-        for wu, cu in eu.items():
-            for wv, cv in ev.items():
-                c = cu * cv
-                key = wu + wv
-                result[key] = result.get(key, 0) + c
-                key = wv + wu
-                result[key] = result.get(key, 0) - c
-        result = {k: c for k, c in result.items() if c}
+        result = commutator(bracket_expansion(u), bracket_expansion(v))
     _expansion_cache[w] = result
+    return result
+
+
+def right_normed_expansion(w: bytes, cache: dict) -> dict[bytes, int]:
+    """Expansion in the word basis of [w_0, [w_1, [..., w_last]]], w nonempty.
+
+    On a homogeneous Lie polynomial of degree k the linear extension of this
+    map is k times the identity (Dynkin-Specht-Wever).  ``cache`` memoizes the
+    expansions of w and its suffixes; callers pass a fresh dict per call, so
+    nothing outlives one computation.
+    """
+    hit = cache.get(w)
+    if hit is not None:
+        return hit
+    if len(w) == 1:
+        result = {w: 1}
+    else:
+        result = commutator({w[:1]: 1}, right_normed_expansion(w[1:], cache))
+    cache[w] = result
     return result
 
 

@@ -13,13 +13,13 @@ produces further solutions; the flow reformulation provides an independent
 characterization used as a cross-check.
 """
 
-import math
 from fractions import Fraction
 
 from .lie import (
     LieElement,
-    RationalUnivariateSeries,
+    _exp_minus_one,
     _project_to_lie,
+    _right_normed_sides,
     apply_operator_series,
     bch,
     bracket,
@@ -30,7 +30,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
-from .words import AssocSeries, Rational, _accumulate
+from .words import AssocSeries
 
 
 class KVSolution:
@@ -87,9 +87,17 @@ class KVSolution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KVSolution":
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"solution JSON must be an object, got {type(data).__name__}")
+        missing = [key for key in ("A", "B") if key not in data]
+        if missing:
+            raise ValueError(f"solution JSON lacks {', '.join(map(repr, missing))}")
+        method = data.get("method", "unspecified")
+        if not isinstance(method, str):
+            raise ValueError("solution JSON 'method' must be a string")
         return cls(LieElement.from_json_dict(data["A"]),
-                   LieElement.from_json_dict(data["B"]),
-                   data.get("method", "unspecified"))
+                   LieElement.from_json_dict(data["B"]), method)
 
 
 def kv_rhs(order: int) -> LieElement:
@@ -98,27 +106,6 @@ def kv_rhs(order: int) -> LieElement:
         raise ValueError("order must be >= 2")
     x, y = generator(2, 0, order), generator(2, 1, order)
     return x + y - log_exp_product(2, order, (1, 0))
-
-
-def _right_nested_expansion(v: bytes, cache: dict) -> dict[bytes, int]:
-    """Word expansion of [v0, [v1, [..., v_last]]]."""
-    hit = cache.get(v)
-    if hit is not None:
-        return hit
-    if len(v) == 1:
-        result = {v: 1}
-    else:
-        inner = _right_nested_expansion(v[1:], cache)
-        head = v[:1]
-        result: dict[bytes, int] = {}
-        for w, c in inner.items():
-            key = head + w
-            result[key] = result.get(key, 0) + c
-            key = w + head
-            result[key] = result.get(key, 0) - c
-        result = {k: c for k, c in result.items() if c}
-    cache[v] = result
-    return result
 
 
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
@@ -141,17 +128,9 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     expanded = r.expand()
     if expanded.constant_term or not expanded.homogeneous_part(1).is_zero():
         raise ValueError("factorization input must start in degree two")
-    sides: list[dict[bytes, Fraction]] = [{}, {}]
-    cache: dict[bytes, dict[bytes, int]] = {}
-    for w, c in expanded.terms.items():
-        if len(w) - 1 > order:
-            continue
-        weight = Fraction(c, len(w))
-        target = sides[w[0]]
-        for v, k in _right_nested_expansion(w[1:], cache).items():
-            _accumulate(target, v, weight * k)
-    a = _project_to_lie(AssocSeries._make(2, order, sides[0]), validate=False)
-    b = _project_to_lie(AssocSeries._make(2, order, sides[1]), validate=False)
+    weighted = {w: Fraction(c, len(w)) for w, c in expanded.terms.items() if len(w) - 1 <= order}
+    a, b = (_project_to_lie(AssocSeries._make(2, order, side), validate=False)
+            for side in _right_normed_sides(weighted, 2, {}))
     return a, b
 
 
@@ -173,12 +152,6 @@ def AB_to_ab(A: LieElement, B: LieElement) -> tuple[LieElement, LieElement]:
     a = apply_operator_series(kernel_series("t/(1-exp(-t))", A.order).inverse(), 0, A)
     b = apply_operator_series(kernel_series("t/(exp(t)-1)", B.order).inverse(), 1, B)
     return a, b
-
-
-def _exp_minus_one(order: int, sign: int) -> RationalUnivariateSeries:
-    """e^t - 1 for sign +1, 1 - e^{-t} for sign -1."""
-    return RationalUnivariateSeries(
-        order, {k: Fraction(sign ** (k + 1), math.factorial(k)) for k in range(1, order + 1)})
 
 
 def kv1_residual(s: KVSolution) -> LieElement:

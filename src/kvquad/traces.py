@@ -13,19 +13,9 @@ relied on by substitution.
 """
 
 from fractions import Fraction
-from types import MappingProxyType
 
 from .lie import LieElement
-from .words import (
-    ArityMismatchError,
-    AssocSeries,
-    Rational,
-    _accumulate,
-    format_rational,
-    parse_rational,
-    word_from_str,
-    word_to_str,
-)
+from .words import ArityMismatchError, AssocSeries, _SparseSeries, _accumulate, word_to_str
 
 
 def rotations(w: bytes) -> set[bytes]:
@@ -58,163 +48,36 @@ def quad_canonical(w: bytes) -> tuple[bytes, int] | None:
     return rep, -1 if odd else 1
 
 
-class _TraceBase:
-    """Shared sparse-series mechanics of both quotients."""
-
-    __slots__ = ("arity", "order", "_terms")
-    _space = ""
-
-    def __init__(self, arity: int, order: int, terms=None):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cleaned = {}
-        for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            w = bytes(w)
-            if len(w) > order:
-                raise ValueError(f"class {word_to_str(w)!r} exceeds order {order}")
-            if any(letter >= arity for letter in w):
-                raise ValueError(f"class {word_to_str(w)!r} uses letters beyond arity {arity}")
-            self._check_canonical(w)
-            cleaned[w] = c
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _make(cls, arity, order, terms):
-        self = object.__new__(cls)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", {w: c for w, c in terms.items() if c})
-        return self
-
-    @classmethod
-    def zero(cls, arity, order):
-        return cls._make(arity, order, {})
-
-    @property
-    def terms(self):
-        return MappingProxyType(self._terms)
-
-    def coefficient(self, w: bytes) -> Fraction:
-        return self._terms.get(bytes(w), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def sorted_items(self):
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def homogeneous_part(self, degree: int):
-        return type(self)._make(
-            self.arity, self.order,
-            {w: c for w, c in self._terms.items() if len(w) == degree})
-
-    def _check_compatible(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if self.arity != other.arity:
-            raise ArityMismatchError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.arity != other.arity:
-            return False
-        n = min(self.order, other.order)
-        for w, c in self._terms.items():
-            if len(w) <= n and other._terms.get(w) != c:
-                return False
-        for w in other._terms:
-            if len(w) <= n and w not in self._terms:
-                return False
-        return True
-
-    __hash__ = None
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(out, w, c)
-        return type(self)._make(
-            self.arity, order, {w: c for w, c in out.items() if len(w) <= order})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return type(self)._make(self.arity, self.order,
-                                {w: -c for w, c in self._terms.items()})
-
-    def __mul__(self, scalar: Rational):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return type(self).zero(self.arity, self.order)
-        return type(self)._make(self.arity, self.order,
-                                {w: scalar * c for w, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_items():
-            name = f"[{word_to_str(w)}]" if w else "[1]"
-            parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"{type(self).__name__}(arity={self.arity}, order={self.order}, {self})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "order": self.order,
-            "space": self._space,
-            "terms": [{"word": word_to_str(w), "coeff": format_rational(c)}
-                      for w, c in self.sorted_items()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        if data.get("space") != cls._space:
-            raise ValueError(f"expected space {cls._space!r}, got {data.get('space')!r}")
-        terms = {word_from_str(t["word"]): parse_rational(t["coeff"])
-                 for t in data["terms"]}
-        return cls(data["arity"], data["order"], terms)
-
-
-class TraceSeries(_TraceBase):
+class TraceSeries(_SparseSeries):
     """Series of cyclic words: the quotient by the span of commutators."""
 
-    _space = "tr"
+    __slots__ = ()
+    _key_kind = "class"
+    _tag = ("space", "tr")
 
-    def _check_canonical(self, w: bytes):
+    def _check_key(self, w: bytes):
+        super()._check_key(w)
         if w != canonical_rotation(w):
             raise ValueError(f"{word_to_str(w)!r} is not a canonical rotation")
 
+    def _name(self, w: bytes) -> str:
+        return f"[{word_to_str(w)}]" if w else "[1]"
 
-class QuadTraceSeries(_TraceBase):
+
+class QuadTraceSeries(_SparseSeries):
     """Series of cyclic words modulo signed reversal.
 
     The further quotient by the (-1)-eigenspace of tau; only nonzero classes
     are representable, with their canonical orientation.
     """
 
-    _space = "trquad"
+    __slots__ = ()
+    _key_kind = "class"
+    _tag = ("space", "trquad")
+    _name = TraceSeries._name
 
-    def _check_canonical(self, w: bytes):
+    def _check_key(self, w: bytes):
+        super()._check_key(w)
         canon = quad_canonical(w)
         if canon is None:
             raise ValueError(f"{word_to_str(w)!r} denotes the zero class")

@@ -6,7 +6,8 @@ generators is stored as :class:`bytes` of letter indices, so words compare,
 hash, slice and reverse cheaply and lexicographic order on words is letterwise
 order on indices.  Series are sparse maps from words to nonzero coefficients,
 truncated at a fixed degree; every operation is pure and returns a new series
-truncated at the smaller operand order.
+truncated at the smaller operand order.  That sparse-series core is shared by
+the Lie series of :mod:`kvquad.lie` and the trace series of :mod:`kvquad.traces`.
 """
 
 from dataclasses import dataclass
@@ -51,47 +52,51 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _clean_terms(terms) -> dict[bytes, Fraction]:
-    out = {}
-    for w, c in terms.items():
-        c = Fraction(c)
-        if c:
-            out[bytes(w)] = c
-    return out
+class _SparseSeries:
+    """Immutable sparse map from words to nonzero rationals, truncated at ``order``.
 
-
-class AssocSeries:
-    """Truncated element of the free associative algebra on ``arity`` letters.
-
-    ``terms`` maps words (bytes, length <= order, letters < arity) to nonzero
-    rational coefficients.  Two series compare equal when they agree
-    coefficientwise up to the smaller of the two truncation orders.
-    Instances are immutable and safe to share.
+    The shared core of word, Lie and cyclic-trace series: subclasses decide
+    what a key denotes (a word, a Lyndon bracketing, a cyclic class) through
+    ``_check_key``, and how it prints through ``_name``.  Two series compare
+    equal when they have the same type and arity and agree coefficientwise up
+    to the smaller of the two truncation orders; binary operations truncate
+    to the smaller order.
     """
 
     __slots__ = ("arity", "order", "_terms")
+    _key_kind = "word"
+    _tag: tuple[str, str] | None = None  # (key, value) written after "order" in JSON
+    _tag_required = True
 
     def __init__(self, arity: int, order: int, terms=None):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         if order < 0:
             raise ValueError("order must be >= 0")
-        cleaned = _clean_terms(terms or {})
-        for w in cleaned:
-            if len(w) > order:
-                raise ValueError(f"word {word_to_str(w)!r} exceeds order {order}")
-            if any(letter >= arity for letter in w):
-                raise ValueError(f"word {word_to_str(w)!r} uses letters beyond arity {arity}")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
+        cleaned = {}
+        for w, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                w = bytes(w)
+                self._check_key(w)
+                cleaned[w] = c
         object.__setattr__(self, "_terms", cleaned)
 
+    def _check_key(self, w: bytes):
+        if len(w) > self.order:
+            raise ValueError(f"{self._key_kind} {word_to_str(w)!r} exceeds order {self.order}")
+        if any(letter >= self.arity for letter in w):
+            raise ValueError(
+                f"{self._key_kind} {word_to_str(w)!r} uses letters beyond arity {self.arity}")
+
     def __setattr__(self, name, value):
-        raise AttributeError("AssocSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _make(cls, arity, order, terms):
-        """Trusted constructor: drops zeros, skips word validation."""
+        """Trusted constructor: drops zeros, skips key validation."""
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
@@ -101,6 +106,153 @@ class AssocSeries:
     @classmethod
     def zero(cls, arity, order):
         return cls._make(arity, order, {})
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
+
+    def coefficient(self, w: bytes) -> Fraction:
+        return self._terms.get(bytes(w), Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def sorted_items(self):
+        """Terms sorted by (degree, word); the canonical iteration order."""
+        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def homogeneous_part(self, degree: int):
+        return type(self)._make(
+            self.arity, self.order,
+            {w: c for w, c in self._terms.items() if len(w) == degree})
+
+    def truncated(self, order: int):
+        if order >= self.order:
+            return self
+        return type(self)._make(
+            self.arity, order,
+            {w: c for w, c in self._terms.items() if len(w) <= order})
+
+    def with_arity(self, arity: int):
+        """The same series viewed over a larger alphabet."""
+        if arity < self.arity:
+            raise ValueError("cannot shrink arity")
+        return type(self)._make(arity, self.order, dict(self._terms))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.arity != other.arity:
+            return False
+        n = min(self.order, other.order)
+        for w, c in self._terms.items():
+            if len(w) <= n and other._terms.get(w) != c:
+                return False
+        for w in other._terms:
+            if len(w) <= n and w not in self._terms:
+                return False
+        return True
+
+    __hash__ = None
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self._terms)
+        order = min(self.order, other.order)
+        for w, c in other._terms.items():
+            _accumulate(out, w, c)
+        return type(self)._make(
+            self.arity, order, {w: c for w, c in out.items() if len(w) <= order})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)._make(self.arity, self.order,
+                                {w: -c for w, c in self._terms.items()})
+
+    def __mul__(self, scalar: Rational):
+        scalar = Fraction(scalar)
+        if not scalar:
+            return type(self).zero(self.arity, self.order)
+        return type(self)._make(self.arity, self.order,
+                                {w: scalar * c for w, c in self._terms.items()})
+
+    __rmul__ = __mul__
+
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self.arity != other.arity:
+            raise ArityMismatchError(f"arity mismatch: {self.arity} vs {other.arity}")
+
+    def _name(self, w: bytes) -> str | None:
+        """How a key prints; None prints the bare coefficient (the constant term)."""
+        return word_to_str(w) if w else None
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        parts = []
+        for w, c in self.sorted_items():
+            name = self._name(w)
+            if name is None:
+                parts.append(f"{c}")
+            else:
+                parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(arity={self.arity}, order={self.order}, {self})"
+
+    def to_json_dict(self) -> dict:
+        data = {"arity": self.arity, "order": self.order}
+        if self._tag is not None:
+            data[self._tag[0]] = self._tag[1]
+        data["terms"] = [{"word": word_to_str(w), "coeff": format_rational(c)}
+                         for w, c in self.sorted_items()]
+        return data
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
+        name = cls.__name__
+        if not isinstance(data, dict):
+            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
+        missing = [key for key in ("arity", "order", "terms") if key not in data]
+        if missing:
+            raise ValueError(f"{name} JSON lacks {', '.join(map(repr, missing))}")
+        for key in ("arity", "order"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{name} JSON {key!r} must be an integer")
+        if cls._tag is not None:
+            key, value = cls._tag
+            got = data.get(key, None if cls._tag_required else value)
+            if got != value:
+                raise ValueError(f"expected {key} {value!r}, got {got!r}")
+        raw = data["terms"]
+        if not isinstance(raw, list) or not all(
+                isinstance(t, dict) and isinstance(t.get("word"), str)
+                and isinstance(t.get("coeff"), str) for t in raw):
+            raise ValueError(f"{name} JSON 'terms' must be a list of objects "
+                             "with string 'word' and 'coeff'")
+        try:
+            terms = {word_from_str(t["word"]): parse_rational(t["coeff"]) for t in raw}
+        except ZeroDivisionError:
+            raise ValueError(f"{name} JSON has a coefficient with zero denominator") from None
+        return cls(data["arity"], data["order"], terms)
+
+
+class AssocSeries(_SparseSeries):
+    """Truncated element of the free associative algebra on ``arity`` letters.
+
+    ``terms`` maps words (bytes, length <= order, letters < arity) to nonzero
+    rational coefficients.  Instances are immutable and safe to share.
+    """
+
+    __slots__ = ()
+    # kept in the class's own __dict__, where perfbench/tracer.py looks it up
+    __add__ = _SparseSeries.__add__
 
     @classmethod
     def unit(cls, arity, order):
@@ -118,131 +270,19 @@ class AssocSeries:
         return cls._make(arity, order, {bytes([index]): Fraction(1)})
 
     @property
-    def terms(self):
-        return MappingProxyType(self._terms)
-
-    def coefficient(self, w: bytes) -> Fraction:
-        return self._terms.get(bytes(w), Fraction(0))
-
-    @property
     def constant_term(self) -> Fraction:
         return self._terms.get(b"", Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def sorted_items(self):
-        """Terms sorted by (degree, word); the canonical iteration order."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def homogeneous_part(self, degree: int) -> "AssocSeries":
-        return AssocSeries._make(
-            self.arity, self.order,
-            {w: c for w, c in self._terms.items() if len(w) == degree})
-
-    def truncated(self, order: int) -> "AssocSeries":
-        if order >= self.order:
-            return self
-        return AssocSeries._make(
-            self.arity, order,
-            {w: c for w, c in self._terms.items() if len(w) <= order})
-
-    def with_arity(self, arity: int) -> "AssocSeries":
-        """The same series viewed over a larger alphabet."""
-        if arity < self.arity:
-            raise ValueError("cannot shrink arity")
-        return AssocSeries._make(arity, self.order, dict(self._terms))
-
-    def __eq__(self, other):
-        if not isinstance(other, AssocSeries):
-            return NotImplemented
-        if self.arity != other.arity:
-            return False
-        n = min(self.order, other.order)
-        for w, c in self._terms.items():
-            if len(w) <= n and other._terms.get(w) != c:
-                return False
-        for w, c in other._terms.items():
-            if len(w) <= n and w not in self._terms:
-                return False
-        return True
-
-    __hash__ = None
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self._terms)
-        order = min(self.order, other.order)
-        for w, c in other._terms.items():
-            _accumulate(out, w, c)
-        return AssocSeries._make(
-            self.arity, order, {w: c for w, c in out.items() if len(w) <= order})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AssocSeries._make(self.arity, self.order,
-                                 {w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AssocSeries):
             return mul(self, other)
-        return self._scaled(other)
-
-    def __rmul__(self, scalar):
-        return self._scaled(scalar)
-
-    def _scaled(self, scalar: Rational):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return AssocSeries.zero(self.arity, self.order)
-        return AssocSeries._make(self.arity, self.order,
-                                 {w: scalar * c for w, c in self._terms.items()})
-
-    def _check_compatible(self, other):
-        if not isinstance(other, AssocSeries):
-            raise TypeError(f"expected AssocSeries, got {type(other).__name__}")
-        if self.arity != other.arity:
-            raise ArityMismatchError(
-                f"arity mismatch: {self.arity} vs {other.arity}")
+        return _SparseSeries.__mul__(self, other)
 
     def _by_degree(self):
         buckets: dict[int, list] = {}
         for w, c in self._terms.items():
             buckets.setdefault(len(w), []).append((w, c))
         return buckets
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_items():
-            name = word_to_str(w) if w else "1"
-            if c == 1 and w:
-                parts.append(name)
-            elif c == -1 and w:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}" if w else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"AssocSeries(arity={self.arity}, order={self.order}, {self})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "order": self.order,
-            "terms": [{"word": word_to_str(w), "coeff": format_rational(c)}
-                      for w, c in self.sorted_items()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AssocSeries":
-        terms = {word_from_str(t["word"]): parse_rational(t["coeff"])
-                 for t in data["terms"]}
-        return cls(data["arity"], data["order"], terms)
 
 
 def _accumulate(d: dict, w: bytes, c: Fraction):

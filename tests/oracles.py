@@ -147,3 +147,25 @@ def bernoulli_kernel(order: int) -> list[Fraction]:
 def to_word_dict(series) -> dict:
     """Library series (bytes keys) -> oracle form (tuple keys)."""
     return {tuple(w): Fraction(c) for w, c in series.terms.items()}
+
+
+def left_normed_map(poly: dict) -> dict:
+    """Linear extension of :func:`left_nested` to a tuple-keyed polynomial."""
+    out: dict[Word, Fraction] = {}
+    for w, c in poly.items():
+        for v, k in left_nested(w).items():
+            out[v] = out.get(v, Fraction(0)) + c * k
+    return {v: c for v, c in out.items() if c}
+
+
+def first_non_lie_degree(poly: dict) -> int | None:
+    """Least degree k whose homogeneous part P is not a Lie polynomial.
+
+    By the Dynkin-Specht-Wever theorem P is Lie exactly when the left-normed
+    bracketing map sends it to k * P.  None when every part is Lie.
+    """
+    for k in sorted({len(w) for w in poly}):
+        part = {w: c for w, c in poly.items() if len(w) == k}
+        if left_normed_map(part) != oscale(part, k):
+            return k
+    return None

@@ -97,3 +97,30 @@ def test_missing_solution_file(capsys):
     code, _, err = run(capsys, "verify", "--suite", "series", "--solution", "/nonexistent.json")
     assert code == 2
     assert "error" in err
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solution_without_component_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "3", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    del data["A"]
+    out_file.write_text(json.dumps(data))
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "series",
+                                "--solution", str(out_file)))
+
+
+def test_solution_json_list_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    out_file.write_text("[1, 2]")
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "series",
+                                "--solution", str(out_file)))
+
+
+def test_verify_without_any_check_is_usage_error(capsys):
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "homo", "--order", "1"))

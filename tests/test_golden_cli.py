@@ -1,0 +1,28 @@
+"""Byte-exact CLI output.
+
+The SHA-256 digests pin the complete stdout of two representative runs, so a
+changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
+number format or summary line fails here.  Update a digest only together with
+an intended, documented output change.
+"""
+
+import hashlib
+
+import pytest
+
+from kvquad.cli import main
+
+GOLDEN = [
+    (("solve-kv", "--order", "8"), 0,
+     "d92ec80e516b70eacd2ac763a34a02e3ac6cf9d425c0f711792089f2e1e50719"),
+    (("verify", "--order", "6", "--json"), 0,
+     "ff99cc39f16e37e50e3db68fe35d4cbecc5ea5241924771607dd39d7d8e80a49"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_cli_stdout_bytes(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -21,7 +21,6 @@ from kvquad import (
     generator,
     is_lyndon,
     kernel_series,
-    lie_to_assoc,
     log,
     lyndon_words,
     scale,
@@ -74,17 +73,17 @@ def test_standard_factorization():
 # --- embedding and projection -----------------------------------------------
 
 def test_embed_generator():
-    assert lie_to_assoc(X) == AssocSeries.letter(2, 0, 6)
+    assert X.expand() == AssocSeries.letter(2, 0, 6)
 
 
 def test_embed_bracket_word():
-    assert lie_to_assoc(lyndon(2, {"ab": 1})) == AssocSeries(
+    assert lyndon(2, {"ab": 1}).expand() == AssocSeries(
         2, 2, {word_from_str("ab"): 1, word_from_str("ba"): -1})
 
 
 def test_embed_nested_bracket():
     # [x, [x, y]] expanded by hand: xxy - 2 xyx + yxx
-    got = lie_to_assoc(lyndon(3, {"aab": 1}))
+    got = lyndon(3, {"aab": 1}).expand()
     assert got == AssocSeries(2, 3, {
         word_from_str("aab"): 1, word_from_str("aba"): -2, word_from_str("baa"): 1})
 
@@ -115,7 +114,7 @@ def test_projection_roundtrip_random():
     rng = random.Random(201)
     for _ in range(25):
         a = random_lie_element(rng, rng.choice([2, 3]), 6)
-        assert assoc_to_lie(lie_to_assoc(a)) == a
+        assert assoc_to_lie(a.expand()) == a
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -134,8 +133,8 @@ def test_bracket_matches_commutator_of_expansions():
     for _ in range(10):
         a = random_lie_element(rng, 2, 5)
         b = random_lie_element(rng, 2, 5)
-        ea, eb = lie_to_assoc(a), lie_to_assoc(b)
-        assert lie_to_assoc(bracket(a, b)) == ea * eb - eb * ea
+        ea, eb = a.expand(), b.expand()
+        assert bracket(a, b).expand() == ea * eb - eb * ea
 
 
 # --- Campbell-Hausdorff -----------------------------------------------------
@@ -147,7 +146,7 @@ def test_bch_low_degrees():
 
 
 def test_bch_against_dynkin_summation_oracle():
-    assert to_word_dict(lie_to_assoc(bch(5))) == dynkin_bch(5)
+    assert to_word_dict(bch(5).expand()) == dynkin_bch(5)
 
 
 def test_bch_unit_argument():
@@ -338,7 +337,7 @@ def test_directional_derivative_on_words():
     x = AssocSeries.letter(2, 0, 6)
     xy = AssocSeries.from_word(2, 6, b"\x00\x01")
     z = generator(3, 2, 6)  # fresh letter in the extended alphabet
-    assert directional_derivative(x, 0, z) == lie_to_assoc(z)
+    assert directional_derivative(x, 0, z) == z.expand()
     got = directional_derivative(xy, 0, z)
     assert got == AssocSeries(3, 6, {word_from_str("cb"): 1})
 
@@ -350,7 +349,7 @@ def test_directional_derivative_matches_partial_adjoint():
     z = generator(3, 2, 6)
     got = directional_derivative(xy, 0, z)
     assert got == LieElement(3, 6, {word_from_str("bc"): -1})  # [z, y] = -[y, z]
-    partial = decompose(lie_to_assoc(xy)).partials[0].with_arity(3)
+    partial = decompose(xy.expand()).partials[0].with_arity(3)
     assert got == ad_apply(partial, z)
 
 
@@ -362,7 +361,7 @@ def test_directional_derivative_equals_adjoint_of_partial_random():
             a = random_lie_element(rng, arity, 6)
             for i in range(arity):
                 lhs = directional_derivative(a, i, fresh)
-                partial = decompose(lie_to_assoc(a)).partials[i].with_arity(arity + 1)
+                partial = decompose(a.expand()).partials[i].with_arity(arity + 1)
                 assert lhs == ad_apply(partial, fresh)
 
 
@@ -371,7 +370,7 @@ def test_dynkin_idempotent_on_lie_parts():
     rng = random.Random(211)
     for _ in range(20):
         a = random_lie_element(rng, rng.choice([2, 3]), 6)
-        expansion = to_word_dict(lie_to_assoc(a))
+        expansion = to_word_dict(a.expand())
         for k in range(1, 7):
             part = {w: c for w, c in expansion.items() if len(w) == k}
             image = {}

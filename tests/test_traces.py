@@ -10,7 +10,6 @@ from kvquad import (
     bracket,
     canonical_rotation,
     generator,
-    lie_to_assoc,
     quad_canonical,
     substitute,
     tau,
@@ -127,7 +126,7 @@ def test_tr_quad_kills_odd_powers_of_lie_elements():
     rng = random.Random(304)
     for _ in range(20):
         arity = rng.choice([2, 3])
-        alpha = lie_to_assoc(random_lie_element(rng, arity, 8, terms=4))
+        alpha = random_lie_element(rng, arity, 8, terms=4).expand()
         power = AssocSeries.unit(arity, 8)
         for k in range(1, 8):
             power = power * alpha
@@ -160,7 +159,7 @@ def test_trace_substitute_representative_independence():
     # reversal, of a representative projects to the same quad class series
     rng = random.Random(305)
     args = (random_lie_element(rng, 2, 6, terms=3), random_lie_element(rng, 2, 6, terms=3))
-    expansions = [lie_to_assoc(a) for a in args]
+    expansions = [a.expand() for a in args]
 
     def substituted(word):
         product = AssocSeries.unit(2, 6)
