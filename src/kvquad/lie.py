@@ -455,43 +455,76 @@ def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> Asso
     return result
 
 
-def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
-    """Sum of phi_k (ad of generator index)^k applied to a."""
+def _ad_words(letter: bytes, terms, order: int) -> dict[bytes, Fraction]:
+    """ad of one letter in the word basis: letter*w - w*letter, words beyond ``order`` dropped."""
+    out: dict[bytes, Fraction] = {}
+    for w, c in terms.items():
+        if len(w) < order:
+            _accumulate(out, letter + w, c)
+            _accumulate(out, w + letter, -c)
+    return out
+
+
+def _operator_series_words(phi: RationalUnivariateSeries, index: int,
+                           a: LieElement) -> dict[bytes, Fraction]:
+    """Word expansion of sum of phi_k (ad of generator index)^k applied to a.
+
+    ``a`` is expanded once and every power of ad acts on words, truncated at
+    ``a.order``; the caller projects the sum back to the Lyndon basis once.
+    """
     if phi.order < a.order:
         raise ValueError("operator kernel truncated below the series order")
-    gen = generator(a.arity, index, a.order)
-    result = phi.coefficient(0) * a
-    current = a
-    for k in range(1, a.order + 1):
-        current = bracket(gen, current)
-        if current.is_zero():
-            break
+    if not 0 <= index < a.arity:
+        raise ValueError(f"generator {index} out of range for arity {a.arity}")
+    letter = bytes([index])
+    out: dict[bytes, Fraction] = {}
+    power, k = a.expand()._terms, 0
+    while power:  # each power of ad raises the least degree, so this ends by k = order
         ck = phi.coefficient(k)
         if ck:
-            result = result + ck * current
-    return result
+            for w, c in power.items():
+                _accumulate(out, w, ck * c)
+        power, k = _ad_words(letter, power, a.order), k + 1
+    return out
+
+
+def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
+    """Sum of phi_k (ad of generator index)^k applied to a.
+
+    Computed in the word basis from one expansion of ``a``, then projected
+    to the Lyndon basis once.
+    """
+    words = _operator_series_words(phi, index, a)
+    return _project_to_lie(AssocSeries._make(a.arity, a.order, words), validate=False)
 
 
 def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
-    """Extended adjoint action: a word acts as nested bracketing onto z."""
+    """Extended adjoint action: a word acts as nested bracketing onto z.
+
+    The nested brackets are computed in the word basis, sharing the action
+    of common word prefixes, and the sum is projected to the Lyndon basis once.
+    """
     if a.arity != z.arity:
         raise ArityMismatchError(f"arity mismatch: {a.arity} vs {z.arity}")
     order = min(z.order, a.order + 1)
-    z = z.truncated(order)
-    cache: dict[bytes, LieElement] = {b"": z}
+    z_words = z.truncated(order).expand()._terms
 
-    def nested(w: bytes) -> LieElement:
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-        result = bracket(generator(z.arity, w[0], order), nested(w[1:]))
-        cache[w] = result
-        return result
+    def act(terms) -> dict[bytes, Fraction]:
+        # sum of c * ad_w z over ``terms``, split by the first letter of w
+        out: dict[bytes, Fraction] = {}
+        by_first: dict[int, dict[bytes, Fraction]] = {}
+        for w, c in terms.items():
+            if not w:
+                for v, k in z_words.items():
+                    _accumulate(out, v, c * k)
+            elif len(w) < order:
+                by_first.setdefault(w[0], {})[w[1:]] = c
+        for i, rest in by_first.items():
+            for v, k in _ad_words(bytes([i]), act(rest), order).items():
+                _accumulate(out, v, k)
+        return out
 
-    total = LieElement.zero(z.arity, order)
-    for w, c in a.terms.items():
-        total = total + c * nested(w)
-    return total
+    return _project_to_lie(AssocSeries._make(z.arity, order, act(a._terms)), validate=False)
 
 
 def directional_derivative(a, index: int, z):

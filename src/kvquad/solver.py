@@ -18,6 +18,7 @@ from fractions import Fraction
 from .lie import (
     LieElement,
     _exp_minus_one,
+    _operator_series_words,
     _project_to_lie,
     _right_normed_sides,
     apply_operator_series,
@@ -30,7 +31,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
-from .words import AssocSeries
+from .words import AssocSeries, _accumulate
 
 
 class KVSolution:
@@ -42,7 +43,7 @@ class KVSolution:
     given and must be re-certified.
     """
 
-    __slots__ = ("A", "B", "order", "method")
+    __slots__ = ("A", "B", "order", "method", "_residual")  # residual: filled on first use
 
     def __init__(self, A: LieElement, B: LieElement, method: str = "unspecified"):
         if A.arity != 2 or B.arity != 2:
@@ -162,11 +163,28 @@ def kv1_residual(s: KVSolution) -> LieElement:
     exactly the constraint pinning the top-degree parts of A and B.  The
     residual vanishes iff the pair is the truncation of a genuine solution;
     without the extra degree, arbitrary top-degree parts would pass.
+
+    The sum is formed in the word basis, where a Lie series vanishes exactly
+    when its expansion does; only a nonzero residual is projected back to the
+    Lyndon basis, once, to name its witness.  The result is memoized on the
+    solution, which is immutable, on first use.
     """
+    try:
+        return s._residual
+    except AttributeError:
+        pass
     order = s.order + 1
-    lhs = (apply_operator_series(_exp_minus_one(order, -1), 0, s.A.with_order(order))
-           + apply_operator_series(_exp_minus_one(order, 1), 1, s.B.with_order(order)))
-    return lhs - kv_rhs(order)
+    words = _operator_series_words(_exp_minus_one(order, -1), 0, s.A.with_order(order))
+    for w, c in _operator_series_words(_exp_minus_one(order, 1), 1, s.B.with_order(order)).items():
+        _accumulate(words, w, c)
+    for w, c in kv_rhs(order).expand().terms.items():
+        _accumulate(words, w, -c)
+    if words:
+        residual = _project_to_lie(AssocSeries._make(2, order, words), validate=False)
+    else:
+        residual = LieElement.zero(2, order)
+    object.__setattr__(s, "_residual", residual)
+    return residual
 
 
 def canonical_solution(order: int) -> KVSolution:

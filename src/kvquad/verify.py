@@ -8,6 +8,7 @@ residual has its own report so that corrupted inputs surface as ordinary
 failures rather than usage errors.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,6 +130,18 @@ def _require_solution(s: KVSolution):
                          "run the kv1 check for a per-degree report")
 
 
+@functools.lru_cache(maxsize=4)
+def _bernoulli_side(order: int) -> AssocSeries:
+    """f(x) + f(y) - f(ch(x,y)) in words, f the Bernoulli kernel t/(e^t-1) - 1 + t/2.
+
+    It does not depend on the solution, so it is built once per order.
+    """
+    f = kernel_series("f", order)
+    f_x = AssocSeries._make(2, order, {b"\x00" * k: c for k, c in f.coeffs.items()})
+    f_y = AssocSeries._make(2, order, {b"\x01" * k: c for k, c in f.coeffs.items()})
+    return f_x + f_y - univariate_substitute(f, bch(order).expand())
+
+
 def _trace_identity_sides(s: KVSolution, project):
     """Both sides of the trace identity for (A, B) under the projection ``project``.
 
@@ -139,11 +152,7 @@ def _trace_identity_sides(s: KVSolution, project):
     d_x_A = decompose(s.A.expand()).partials[0]
     d_y_B = decompose(s.B.expand()).partials[1]
     lhs = project(left_letter_mul(0, d_x_A, order) + left_letter_mul(1, d_y_B, order))
-    f = kernel_series("f", order)
-    f_x = AssocSeries._make(2, order, {b"\x00" * k: c for k, c in f.coeffs.items()})
-    f_y = AssocSeries._make(2, order, {b"\x01" * k: c for k, c in f.coeffs.items()})
-    f_ch = univariate_substitute(f, bch(order).expand())
-    rhs = project(f_x + f_y - f_ch) * Fraction(1, 2)
+    rhs = project(_bernoulli_side(order)) * Fraction(1, 2)
     return lhs, rhs
 
 

@@ -169,3 +169,20 @@ def first_non_lie_degree(poly: dict) -> int | None:
         if left_normed_map(part) != oscale(part, k):
             return k
     return None
+
+
+def ad_power_series(phi: list[Fraction], letter: int, a: dict, order: int) -> dict:
+    """sum_k phi[k] ad_letter^k a on tuple words, truncated at ``order``.
+
+    Each power of ad is one commutator with the letter, formed from two
+    products.
+    """
+    gen = {(letter,): Fraction(1)}
+    result = oscale(a, phi[0])
+    power = dict(a)
+    for k in range(1, order + 1):
+        power = oadd(omul(gen, power, order), oscale(omul(power, gen, order), -1))
+        if not power:
+            break
+        result = oadd(result, oscale(power, phi[k]))
+    return result

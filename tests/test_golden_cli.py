@@ -1,9 +1,10 @@
 """Byte-exact CLI output.
 
-The SHA-256 digests pin the complete stdout of two representative runs, so a
-changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
-number format or summary line fails here.  Update a digest only together with
-an intended, documented output change.
+The SHA-256 digests pin the complete stdout of three representative runs, so
+a changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
+number format or summary line fails here.  The gauge run also pins the
+coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
+Update a digest only together with an intended, documented output change.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ GOLDEN = [
      "d92ec80e516b70eacd2ac763a34a02e3ac6cf9d425c0f711792089f2e1e50719"),
     (("verify", "--order", "6", "--json"), 0,
      "ff99cc39f16e37e50e3db68fe35d4cbecc5ea5241924771607dd39d7d8e80a49"),
+    (("solve-kv", "--order", "7", "--gauge", "4"), 0,
+     "3f27d1dc4b656540493cb7979794a8cf6a2a8b605d85526d661a1fa218152725"),
 ]
 
 

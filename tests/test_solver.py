@@ -202,3 +202,44 @@ def test_solution_json_roundtrip(sol6):
     loaded = KVSolution.from_json_dict(data)
     assert loaded == sol6
     assert loaded.method == sol6.method
+
+
+# --- the residual memo -------------------------------------------------------
+
+def test_residual_memo_is_per_solution(sol6):
+    assert kv1_residual(sol6).is_zero()  # fills the memo of sol6
+    perturbed = KVSolution(sol6.A + lyndon(6, {"aab": 1}), sol6.B)
+    residual = kv1_residual(perturbed)
+    assert not residual.is_zero()
+    assert kv1_residual(perturbed) is residual
+    assert kv1_residual(sol6).is_zero()
+
+
+def test_residual_memo_is_invisible(sol6):
+    fresh = KVSolution(sol6.A, sol6.B, sol6.method)
+    before = (sol6.to_json_dict(), repr(sol6))
+    kv1_residual(sol6)
+    assert (sol6.to_json_dict(), repr(sol6)) == before
+    assert fresh == sol6 and sol6 == fresh
+    assert fresh.to_json_dict() == sol6.to_json_dict()
+    assert repr(fresh) == repr(sol6)
+
+
+def test_solution_stays_immutable_with_memo(sol6):
+    kv1_residual(sol6)
+    with pytest.raises(AttributeError):
+        sol6.A = sol6.B
+    with pytest.raises(AttributeError):
+        sol6._residual = LieElement.zero(2, 7)
+    assert kv1_residual(sol6).is_zero()
+
+
+def test_loaded_solution_computes_its_own_residual(sol6):
+    kv1_residual(sol6)
+    data = sol6.to_json_dict()
+    loaded = KVSolution.from_json_dict(data)
+    assert kv1_residual(loaded).is_zero()
+    assert kv1_residual(loaded) is not kv1_residual(sol6)
+    shifted = KVSolution(sol6.A + lyndon(6, {"ab": Fraction(1, 3)}), sol6.B)
+    corrupted = KVSolution.from_json_dict(shifted.to_json_dict())
+    assert kv1_residual(corrupted).degree_part(3) == lyndon(7, {"aab": Fraction(1, 3)})

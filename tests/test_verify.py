@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from kvquad import (
     word_from_str,
 )
 from kvquad.sampling import random_tangential_derivation
+from kvquad.verify import _bernoulli_side
 
 from oracles import bernoulli_kernel
 
@@ -233,3 +236,28 @@ def test_report_json_lines(sol6):
     assert failing and "witness" in failing[0]
     witness = failing[0]["witness"]
     assert set(witness) == {"degree", "item", "delta"}
+
+
+def test_first_use_memos_under_threads(sol6):
+    # four threads race on the first-use memos of one fresh solution (its
+    # word expansions and residual) and on the Bernoulli-side cache
+    checks = (verify_kv1, verify_theorem, check_full_trace_equation)
+
+    def run(s, shift=0):
+        rotated = checks[shift:] + checks[:shift]
+        lines = {check.__name__: check(s).to_json_lines() for check in rotated}
+        return [lines[check.__name__] for check in checks]
+
+    data = sol6.to_json_dict()
+    serial = run(KVSolution.from_json_dict(data))
+    _bernoulli_side.cache_clear()
+    shared = KVSolution.from_json_dict(data)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, shared, shift % 3) for shift in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial] * 4
