@@ -129,7 +129,7 @@ def _project_to_lie(a: AssocSeries, validate: bool) -> LieElement:
         if validate and k > 1:
             delta: dict[bytes, Fraction] = {}
             for i, side in enumerate(_right_normed_sides(part, a.arity, cache)):
-                for v, c in commutator({bytes([i]): 1}, side).items():
+                for v, c in commutator({bytes([i]): 1}, side, k).items():
                     _accumulate(delta, v, c)
             if delta != {w: k * c for w, c in part.items()}:
                 raise NotLieError("right-normed bracketing is not k times the identity", k)
@@ -148,17 +148,18 @@ def assoc_to_lie(a: AssocSeries) -> LieElement:
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, computed as a commutator of word expansions."""
     a._check_compatible(b)
-    ea, eb = a.expand(), b.expand()
-    return _project_to_lie(ea * eb - eb * ea, validate=False)
+    order = min(a.order, b.order)
+    words = commutator(a.expand()._terms, b.expand()._terms, order)
+    return _project_to_lie(AssocSeries._make(a.arity, order, words), validate=False)
 
 
 @functools.lru_cache(maxsize=None)
-def log_exp_product(arity: int, order: int, letters: tuple[int, ...]) -> LieElement:
-    """log(e^{x_{letters[0]}} ... e^{x_{letters[-1]}}) as a Lie series."""
+def log_exp_product(arity: int, order: int) -> LieElement:
+    """log(e^{x_0} e^{x_1} ... e^{x_{arity-1}}) as a Lie series."""
     if order < 1:
         raise ValueError("order must be >= 1")
     product = AssocSeries.unit(arity, order)
-    for i in letters:
+    for i in range(arity):
         exponential = AssocSeries._make(
             arity, order,
             {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(0, order + 1)})
@@ -170,7 +171,7 @@ def bch_multi(arity: int, order: int) -> LieElement:
     """log of the product of the generator exponentials, as a Lie series."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    return log_exp_product(arity, order, tuple(range(arity)))
+    return log_exp_product(arity, order)
 
 
 def bch(order: int) -> LieElement:
@@ -235,8 +236,8 @@ def substitute_many(elements, args) -> list[LieElement]:
             result = args_ass[w[0]]
         else:
             u, v = standard_factorization(w)
-            eu, ev = image(u), image(v)
-            result = eu * ev - ev * eu
+            words = commutator(image(u)._terms, image(v)._terms, args_order)
+            result = AssocSeries._make(arity_out, args_order, words)
         cache[w] = result
         return result
 
@@ -293,6 +294,9 @@ class RationalUnivariateSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalUnivariateSeries is immutable")
+
+    def __reduce__(self):
+        return RationalUnivariateSeries, (self.order, self._coeffs)
 
     @property
     def coeffs(self):
@@ -455,16 +459,6 @@ def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> Asso
     return result
 
 
-def _ad_words(letter: bytes, terms, order: int) -> dict[bytes, Fraction]:
-    """ad of one letter in the word basis: letter*w - w*letter, words beyond ``order`` dropped."""
-    out: dict[bytes, Fraction] = {}
-    for w, c in terms.items():
-        if len(w) < order:
-            _accumulate(out, letter + w, c)
-            _accumulate(out, w + letter, -c)
-    return out
-
-
 def _operator_series_words(phi: RationalUnivariateSeries, index: int,
                            a: LieElement) -> dict[bytes, Fraction]:
     """Word expansion of sum of phi_k (ad of generator index)^k applied to a.
@@ -476,7 +470,7 @@ def _operator_series_words(phi: RationalUnivariateSeries, index: int,
         raise ValueError("operator kernel truncated below the series order")
     if not 0 <= index < a.arity:
         raise ValueError(f"generator {index} out of range for arity {a.arity}")
-    letter = bytes([index])
+    letter = {bytes([index]): 1}
     out: dict[bytes, Fraction] = {}
     power, k = a.expand()._terms, 0
     while power:  # each power of ad raises the least degree, so this ends by k = order
@@ -484,7 +478,7 @@ def _operator_series_words(phi: RationalUnivariateSeries, index: int,
         if ck:
             for w, c in power.items():
                 _accumulate(out, w, ck * c)
-        power, k = _ad_words(letter, power, a.order), k + 1
+        power, k = commutator(letter, power, a.order), k + 1
     return out
 
 
@@ -520,7 +514,7 @@ def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
             elif len(w) < order:
                 by_first.setdefault(w[0], {})[w[1:]] = c
         for i, rest in by_first.items():
-            for v, k in _ad_words(bytes([i]), act(rest), order).items():
+            for v, k in commutator({bytes([i]): 1}, act(rest), order).items():
                 _accumulate(out, v, k)
         return out
 

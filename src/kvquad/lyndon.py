@@ -13,6 +13,8 @@ cached only within one call.
 
 from fractions import Fraction
 
+from .words import _accumulate
+
 _factorization_cache: dict[bytes, tuple[bytes, bytes]] = {}
 _expansion_cache: dict[bytes, dict[bytes, int]] = {}
 
@@ -58,17 +60,21 @@ def standard_factorization(w: bytes) -> tuple[bytes, bytes]:
     return u, v
 
 
-def commutator(left: dict, right: dict) -> dict:
-    """left * right - right * left for word-keyed coefficient maps, zeros dropped."""
+def commutator(left: dict, right: dict, order: int) -> dict:
+    """left * right - right * left for word-keyed maps; words beyond ``order`` and zeros dropped."""
+    by_length: dict[int, list] = {}  # skip whole lengths, as most pairs may not fit
+    for wr, cr in right.items():
+        by_length.setdefault(len(wr), []).append((wr, cr))
     result = {}
     for wl, cl in left.items():
-        for wr, cr in right.items():
-            c = cl * cr
-            key = wl + wr
-            result[key] = result.get(key, 0) + c
-            key = wr + wl
-            result[key] = result.get(key, 0) - c
-    return {k: c for k, c in result.items() if c}
+        room = order - len(wl)
+        for length, items in by_length.items():
+            if length <= room:
+                for wr, cr in items:
+                    c = cr if cl == 1 else cl * cr
+                    _accumulate(result, wl + wr, c)
+                    _accumulate(result, wr + wl, -c)
+    return result
 
 
 def bracket_expansion(w: bytes) -> dict[bytes, int]:
@@ -85,7 +91,7 @@ def bracket_expansion(w: bytes) -> dict[bytes, int]:
         result = {w: 1}
     else:
         u, v = standard_factorization(w)
-        result = commutator(bracket_expansion(u), bracket_expansion(v))
+        result = commutator(bracket_expansion(u), bracket_expansion(v), len(w))
     _expansion_cache[w] = result
     return result
 
@@ -104,7 +110,7 @@ def right_normed_expansion(w: bytes, cache: dict) -> dict[bytes, int]:
     if len(w) == 1:
         result = {w: 1}
     else:
-        result = commutator({w[:1]: 1}, right_normed_expansion(w[1:], cache))
+        result = commutator({w[:1]: 1}, right_normed_expansion(w[1:], cache), len(w))
     cache[w] = result
     return result
 

@@ -26,7 +26,6 @@ from .lie import (
     bracket,
     generator,
     kernel_series,
-    log_exp_product,
     scale,
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
@@ -57,6 +56,9 @@ class KVSolution:
 
     def __setattr__(self, name, value):
         raise AttributeError("KVSolution is immutable")
+
+    def __reduce__(self):
+        return KVSolution, (self.A, self.B, self.method)
 
     @property
     def a_scalar(self) -> Fraction:
@@ -102,11 +104,11 @@ class KVSolution:
 
 
 def kv_rhs(order: int) -> LieElement:
-    """x + y - ch(y, x); the linear terms cancel, so it starts in degree two."""
+    """x + y - ch(y, x) = x + y + ch(-x, -y); it starts in degree two."""
     if order < 2:
         raise ValueError("order must be >= 2")
     x, y = generator(2, 0, order), generator(2, 1, order)
-    return x + y - log_exp_product(2, order, (1, 0))
+    return x + y + scale(bch(order), -1)
 
 
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
@@ -199,7 +201,7 @@ def canonical_solution(order: int) -> KVSolution:
     return ab_to_AB(a, b, method="dynkin-first-letter")
 
 
-def gauge_family(s: KVSolution, pairs, order: int | None = None) -> list[KVSolution]:
+def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     """s followed by its shifts along homogeneous-equation solutions.
 
     Each pair (l, r) of two-letter Lie polynomials induces, through the
@@ -208,12 +210,10 @@ def gauge_family(s: KVSolution, pairs, order: int | None = None) -> list[KVSolut
     another solution.  The pairing is computed one order higher so the
     extracted tuple is complete through the solution order.
     """
-    if order is None:
-        order = s.order
-    base_a, base_b = AB_to_ab(s.A.truncated(order), s.B.truncated(order))
+    base_a, base_b = AB_to_ab(s.A, s.B)
     family = [s]
     for left, right in pairs:
-        p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
+        p = trace_pairing(left.with_order(s.order + 1), right.with_order(s.order + 1))
         shift_a, shift_b = quadratic_trace_tuple(p)
         shifted = ab_to_AB(base_a + shift_a, base_b + shift_b,
                            method=f"{s.method}+gauge")

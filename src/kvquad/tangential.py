@@ -21,6 +21,7 @@ from .lie import (
     generator,
     substitute_many,
 )
+from .lyndon import commutator
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
 from .words import ArityMismatchError, AssocSeries, Rational, _accumulate, decompose, left_letter_mul
 
@@ -61,6 +62,9 @@ class TangentialDerivation:
 
     def __setattr__(self, name, value):
         raise AttributeError("TangentialDerivation is immutable")
+
+    def __reduce__(self):
+        return TangentialDerivation, (self.components,)
 
     @classmethod
     def zero(cls, arity, order):
@@ -124,17 +128,23 @@ class TangentialDerivation:
 
 
 def act(u: TangentialDerivation, a):
-    """Apply the derivation; accepts an AssocSeries or LieElement, same kind out."""
+    """Apply the derivation; accepts an AssocSeries or LieElement, same kind out.
+
+    Each image [x_i, a_i] is spliced into the word expansion of ``a``; a Lie
+    result is projected back to the Lyndon basis once.
+    """
     if a.arity != u.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {a.arity}")
-    zero = (AssocSeries if isinstance(a, AssocSeries) else LieElement).zero(a.arity, a.order)
-    result = zero
+    is_lie = isinstance(a, LieElement)
+    words = a.expand() if is_lie else a
+    result = AssocSeries.zero(a.arity, a.order)
     for i, a_i in enumerate(u.components):
         if a_i.is_zero():
             continue
-        image = generator(u.arity, i, u.order).bracket(a_i)
-        result = result + directional_derivative(a, i, image)
-    return result
+        image = commutator({bytes([i]): 1}, a_i.expand()._terms, u.order)
+        result = result + directional_derivative(
+            words, i, AssocSeries._make(u.arity, u.order, image))
+    return _project_to_lie(result, validate=False) if is_lie else result
 
 
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
@@ -193,15 +203,13 @@ def div_quad(u: TangentialDerivation) -> QuadTraceSeries:
 
 
 def act_on_trace(u: TangentialDerivation, g):
-    """Derivation action on a trace series, via any linear representatives."""
+    """Derivation action on a trace series, via its linear representative sum_w c_w w."""
     if g.arity != u.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {g.arity}")
+    if g.is_zero():
+        return type(g).zero(g.arity, g.order)
     project = tr if isinstance(g, TraceSeries) else tr_quad
-    result = type(g).zero(g.arity, g.order)
-    for w, c in g.terms.items():
-        rep = AssocSeries.from_word(u.arity, g.order, w, c)
-        result = result + project(act(u, rep))
-    return result
+    return project(act(u, AssocSeries._make(g.arity, g.order, g.terms)))
 
 
 def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
@@ -228,11 +236,11 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
                 f"slot {i} of the correspondence is not a Lie series "
                 f"(the trace expression lies outside the quadratic span): {exc}",
                 exc.degree) from None
-    balance = None
+    balance: dict[bytes, Fraction] = {}
     for i, a_i in enumerate(components):
-        term = generator(arity, i, a_i.order).bracket(a_i)
-        balance = term if balance is None else balance + term
-    if not balance.is_zero():
+        for w, c in commutator({bytes([i]): 1}, a_i.expand()._terms, a_i.order).items():
+            _accumulate(balance, w, c)
+    if balance:
         raise ValueError("extracted tuple violates sum_i [x_i, a_i] = 0")
     return tuple(components)
 

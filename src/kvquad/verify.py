@@ -104,19 +104,20 @@ def _leading_witness(series, degree: int, prefix: str = "") -> Witness:
     return Witness(degree=degree, item=prefix + name, delta=c)
 
 
-def report_zero(check: str, series, order: int | None = None,
-                gating: bool = True, item_prefix: str = "") -> VerificationReport:
+def _degree_report(check: str, order: int, witnesses: dict[int, Witness],
+                   gating: bool = True) -> VerificationReport:
+    """Degrees 0..order, failed where ``witnesses`` has one; all "info" if not gating."""
+    bad, good = ("fail", "pass") if gating else ("info", "info")
+    results = tuple(DegreeResult(d, bad, witnesses[d]) if d in witnesses else DegreeResult(d, good)
+                    for d in range(order + 1))
+    return VerificationReport(check, order, results, gating=gating)
+
+
+def report_zero(check: str, series, gating: bool = True) -> VerificationReport:
     """Per-degree zero check of any sparse series with sorted_items()."""
-    if order is None:
-        order = series.order
-    degrees_hit = {len(w) for w, _ in series.sorted_items()}
-    results = []
-    for d in range(order + 1):
-        if d in degrees_hit:
-            results.append(DegreeResult(d, "fail", _leading_witness(series, d, item_prefix)))
-        else:
-            results.append(DegreeResult(d, "pass"))
-    return VerificationReport(check, order, tuple(results), gating=gating)
+    degrees_hit = {len(w) for w in series.terms}
+    return _degree_report(check, series.order,
+                          {d: _leading_witness(series, d) for d in degrees_hit}, gating)
 
 
 def verify_kv1(s: KVSolution) -> VerificationReport:
@@ -175,17 +176,8 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
     report records per degree whether it happens to hold, without gating.
     """
     _require_solution(s)
-    order = s.order
     lhs, rhs = _trace_identity_sides(s, tr)
-    diff = lhs - rhs
-    results = []
-    for d in range(order + 1):
-        part = diff.homogeneous_part(d)
-        if part.is_zero():
-            results.append(DegreeResult(d, "info"))
-        else:
-            results.append(DegreeResult(d, "info", _leading_witness(diff, d)))
-    return VerificationReport("full-trace", order, tuple(results), gating=False)
+    return report_zero("full-trace", lhs - rhs, gating=False)
 
 
 def simplicial_combination(s: KVSolution) -> TangentialDerivation:
@@ -227,11 +219,8 @@ def verify_prop_last(instances) -> VerificationReport:
             if d not in failures and not dq.homogeneous_part(d).is_zero():
                 failures[d] = _leading_witness(dq, d, prefix=f"instance {idx}: ")
     results = list(skips)
-    for d in range(order + 1):
-        if d in failures:
-            results.append(DegreeResult(d, "fail", failures[d]))
-        elif checked_any:
-            results.append(DegreeResult(d, "pass"))
+    if checked_any:
+        results += _degree_report("propLast", order, failures).results
     results.sort(key=lambda r: r.degree)
     return VerificationReport("propLast", order, tuple(results))
 
@@ -384,7 +373,4 @@ def verify_series_identities(s: KVSolution) -> VerificationReport:
             delta = measured.coefficient(k) - expected.coefficient(k)
             if delta and k not in failures:
                 failures[k] = Witness(k, f"{name} t^{k}", delta)
-    results = tuple(
-        DegreeResult(k, "fail", failures[k]) if k in failures else DegreeResult(k, "pass")
-        for k in range(order + 1))
-    return VerificationReport("series", order, results)
+    return _degree_report("series", order, failures)

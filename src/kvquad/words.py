@@ -94,6 +94,10 @@ class _SparseSeries:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which never sets a memo slot
+        return type(self), (self.arity, self.order, self._terms)
+
     @classmethod
     def _make(cls, arity, order, terms):
         """Trusted constructor: drops zeros, skips key validation."""

@@ -186,3 +186,23 @@ def ad_power_series(phi: list[Fraction], letter: int, a: dict, order: int) -> di
             break
         result = oadd(result, oscale(power, phi[k]))
     return result
+
+
+def derivation_action(components: list[dict], poly: dict, order: int) -> dict:
+    """The derivation x_i -> [x_i, a_i] applied to a tuple-word polynomial.
+
+    ``components[i]`` is a_i on tuple words.  Every occurrence of letter i in
+    a word is replaced by [x_i, a_i], formed from two products, and the
+    results are summed; words longer than ``order`` are dropped.
+    """
+    images = []
+    for i, a in enumerate(components):
+        gen = {(i,): Fraction(1)}
+        images.append(oadd(omul(gen, a, order), oscale(omul(a, gen, order), -1)))
+    out: dict[Word, Fraction] = {}
+    for w, c in poly.items():
+        for pos, letter in enumerate(w):
+            spliced = omul(omul({w[:pos]: Fraction(c)}, images[letter], order),
+                           {w[pos + 1:]: Fraction(1)}, order)
+            out = oadd(out, spliced)
+    return out

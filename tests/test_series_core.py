@@ -1,5 +1,7 @@
 """The shared sparse-series core, the right-normed expander and the input boundary."""
 
+import copy
+import pickle
 import random
 import types
 from fractions import Fraction
@@ -16,6 +18,11 @@ from kvquad import (
     TraceSeries,
     VerificationReport,
     assoc_to_lie,
+    canonical_solution,
+    kernel_series,
+    kv1_residual,
+    tr,
+    tr_quad,
     verify_prop_last,
 )
 from kvquad.lyndon import right_normed_expansion
@@ -138,3 +145,26 @@ def test_gating_report_without_results_does_not_pass():
     assert not verify_prop_last([]).passed
     assert not VerificationReport("empty", 0, ()).passed
     assert VerificationReport("empty", 0, (), gating=False).passed
+
+
+def value_objects():
+    """One instance of every immutable value class, memos filled where they exist."""
+    s = canonical_solution(4)
+    assert kv1_residual(s).is_zero()  # fills the residual memo
+    words = s.A.expand()  # fills the word-expansion memo
+    return [words, s.A, tr(words), tr_quad(words), kernel_series("f", 4),
+            s.derivation(), s]
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_value_classes_pickle_and_deepcopy(duplicate):
+    for value in value_objects():
+        dup = duplicate(value)
+        assert type(dup) is type(value)
+        assert dup == value and dup.order == value.order
+        with pytest.raises(AttributeError):
+            dup.order = 0
+        if isinstance(value, KVSolution):
+            assert dup.method == value.method
+            assert kv1_residual(dup).is_zero() and kv1_residual(dup).order == value.order + 1

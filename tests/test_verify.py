@@ -223,6 +223,7 @@ def test_full_trace_equation_is_informational(sol6):
     report = check_full_trace_equation(sol6)
     assert not report.gating
     assert report.passed  # informational reports never gate
+    assert {r.status for r in report.results} == {"info"}
     failing = [r.degree for r in report.results if r.witness is not None]
     assert failing and failing[0] == 5  # the plain-trace identity genuinely fails
 
