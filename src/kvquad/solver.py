@@ -13,6 +13,7 @@ produces further solutions; the flow reformulation provides an independent
 characterization used as a cross-check.
 """
 
+import functools
 from fractions import Fraction
 
 from .lie import (
@@ -103,8 +104,13 @@ class KVSolution:
                    LieElement.from_json_dict(data["B"]), method)
 
 
+@functools.lru_cache(maxsize=4)
 def kv_rhs(order: int) -> LieElement:
-    """x + y - ch(y, x) = x + y + ch(-x, -y); it starts in degree two."""
+    """x + y - ch(y, x) = x + y + ch(-x, -y); it starts in degree two.
+
+    Cached per order, so its word expansion is shared by ``factorize`` and
+    every residual at that order.
+    """
     if order < 2:
         raise ValueError("order must be >= 2")
     x, y = generator(2, 0, order), generator(2, 1, order)

@@ -18,15 +18,10 @@ from .lie import LieElement
 from .words import ArityMismatchError, AssocSeries, _SparseSeries, _accumulate, word_to_str
 
 
-def rotations(w: bytes) -> set[bytes]:
-    if not w:
-        return {b""}
-    return {w[i:] + w[:i] for i in range(len(w))}
-
-
 def canonical_rotation(w: bytes) -> bytes:
     """Lexicographically least rotation: the representative of the plain class."""
-    return min(rotations(w))
+    doubled, n = w + w, len(w)
+    return min((doubled[i:i + n] for i in range(n)), default=w)
 
 
 def quad_canonical(w: bytes) -> tuple[bytes, int] | None:
@@ -35,17 +30,17 @@ def quad_canonical(w: bytes) -> tuple[bytes, int] | None:
     Returns None when the class is zero: odd length with the rotation orbit
     meeting the reversed orbit.  Otherwise the representative is the least
     word over both orbits, and the sign is (-1)^len(w) when the representative
-    is reached only through reversal.
+    is reached only through reversal.  Two rotation orbits are equal or
+    disjoint, so comparing their least words decides both.
     """
-    fwd = rotations(w)
-    rev = rotations(w[::-1])
+    fwd = canonical_rotation(w)
+    rev = canonical_rotation(w[::-1])
     odd = len(w) % 2 == 1
-    if odd and fwd & rev:
+    if odd and fwd == rev:
         return None
-    rep = min(min(fwd), min(rev))
-    if rep in fwd:
-        return rep, 1
-    return rep, -1 if odd else 1
+    if fwd <= rev:
+        return fwd, 1
+    return rev, -1 if odd else 1
 
 
 class TraceSeries(_SparseSeries):

@@ -24,6 +24,7 @@ from .lie import (
     univariate_substitute,
 )
 from .linalg import rational_kernel, rational_solve
+from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
 from .tangential import TangentialDerivation, act, div_quad, simplicial
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
@@ -244,20 +245,25 @@ def verify_cocycle_equation(s: KVSolution) -> VerificationReport:
 
 
 def _quad_class_basis(arity: int, degree: int) -> list[bytes]:
-    """Canonical representatives of the nonzero signed cyclic classes."""
-    reps = set()
-    words = [b""]
-    for _ in range(degree):
-        words = [w + bytes([letter]) for w in words for letter in range(arity)]
-    for w in words:
-        canon = quad_canonical(w)
-        if canon is not None:
-            reps.add(canon[0])
+    """Canonical representatives of the nonzero signed cyclic classes.
+
+    A representative is a necklace (least rotation), and the necklaces of
+    length n are the Lyndon words whose length divides n, each raised to the
+    power n / length; those that are their own signed-class representative
+    are kept.
+    """
+    reps = []
+    for w in lyndon_words(arity, degree):
+        if degree % len(w) == 0:
+            necklace = w * (degree // len(w))
+            if quad_canonical(necklace) == (necklace, 1):
+                reps.append(necklace)
     return sorted(reps)
 
 
 def _quad_vector(series: QuadTraceSeries, basis: list[bytes]) -> list[Fraction]:
-    return [series.coefficient(w) for w in basis]
+    terms, zero = series.terms, Fraction(0)
+    return [terms.get(w, zero) for w in basis]
 
 
 def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]:

@@ -5,6 +5,7 @@ with its own arithmetic, so that agreement with the library is a genuine
 cross-check and not a tautology.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -206,3 +207,85 @@ def derivation_action(components: list[dict], poly: dict, order: int) -> dict:
                            {w[pos + 1:]: Fraction(1)}, order)
             out = oadd(out, spliced)
     return out
+
+
+def fraction_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense Gauss-Jordan over Fractions: reduced row echelon form and pivot columns."""
+    m = [row[:] for row in rows]
+    pivots = []
+    lead = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(lead, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[lead], m[pivot_row] = m[pivot_row], m[lead]
+        inv = 1 / m[lead][col]
+        m[lead] = [v * inv for v in m[lead]]
+        for r in range(len(m)):
+            if r != lead and m[r][col]:
+                factor = m[r][col]
+                m[r] = [v - factor * p for v, p in zip(m[r], m[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(m):
+            break
+    return m, pivots
+
+
+def fraction_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Right kernel from the dense echelon form; one vector per free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = fraction_echelon(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -m[r][f]
+        basis.append(vec)
+    return basis
+
+
+def fraction_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The solution with free variables zero, or None when inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    m, pivots = fraction_echelon([row + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    solution = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        solution[p] = m[r][ncols]
+    return solution
+
+
+def rotation_orbit(w: Word) -> set[Word]:
+    return {w[i:] + w[:i] for i in range(len(w))} or {w}
+
+
+def signed_cyclic_class(w: Word) -> tuple[Word, int] | None:
+    """Least word and sign of the rotation/reversal class of w, from the orbit sets.
+
+    None when the length is odd and the rotation orbit meets the reversed one;
+    the sign is (-1)^len(w) when the least word lies only in the reversed orbit.
+    """
+    fwd, rev = rotation_orbit(w), rotation_orbit(w[::-1])
+    odd = len(w) % 2 == 1
+    if odd and fwd & rev:
+        return None
+    rep = min(fwd | rev)
+    return rep, 1 if rep in fwd or not odd else -1
+
+
+def signed_cyclic_reps(arity: int, degree: int) -> list[Word]:
+    """Sorted least words of the nonzero signed classes, from all arity^degree words."""
+    reps = set()
+    for w in itertools.product(range(arity), repeat=degree):
+        canon = signed_cyclic_class(w)
+        if canon is not None:
+            reps.add(canon[0])
+    return sorted(reps)

@@ -1,9 +1,11 @@
 """Byte-exact CLI output.
 
-The SHA-256 digests pin the complete stdout of three representative runs, so
+The SHA-256 digests pin the complete stdout of four representative runs, so
 a changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
 number format or summary line fails here.  The gauge run also pins the
 coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
+The homo run certifies degrees 2-10, so its 3210 x 78 kernel matrix is checked
+byte for byte against the output of the former dense elimination.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -20,6 +22,8 @@ GOLDEN = [
      "ff99cc39f16e37e50e3db68fe35d4cbecc5ea5241924771607dd39d7d8e80a49"),
     (("solve-kv", "--order", "7", "--gauge", "4"), 0,
      "3f27d1dc4b656540493cb7979794a8cf6a2a8b605d85526d661a1fa218152725"),
+    (("verify", "--suite", "homo", "--order", "10"), 0,
+     "ba5cfab9a61cd2ce8b20090064c6fe22510351782b689dff7cfba8ba195ae336"),
 ]
 
 

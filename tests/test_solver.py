@@ -48,6 +48,15 @@ def test_kv_rhs_low_degrees():
         assert to_word_dict(kv_rhs(order).expand()) == expected
 
 
+def test_kv_rhs_is_cached_per_order():
+    first = kv_rhs(7)
+    assert kv_rhs(7) is first
+    swapped = {tuple(1 - letter for letter in w): c for w, c in dynkin_bch(7).items()}
+    expected = oadd({(0,): Fraction(1), (1,): Fraction(1)}, oscale(swapped, -1))
+    assert to_word_dict(first.expand()) == expected
+    assert first.expand() is kv_rhs(7).expand()  # the word expansion is shared too
+
+
 def test_kv_rhs_exactly_half_bracket_at_order_two():
     assert kv_rhs(2) == lyndon(2, {"ab": Fraction(1, 2)})
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,9 @@ from kvquad import (
     word_from_str,
 )
 from kvquad.sampling import random_assoc_series, random_lie_element
+from kvquad.verify import _quad_class_basis
+
+from oracles import rotation_orbit, signed_cyclic_class, signed_cyclic_reps
 
 X = AssocSeries.letter(2, 0, 6)
 Y = AssocSeries.letter(2, 1, 6)
@@ -78,6 +82,25 @@ def test_quad_canonicalization_orbit_consistency():
         if canon is not None:
             rep, sign = canon
             assert quad_canonical(rep) == (rep, 1)  # idempotence
+
+
+def test_canonical_forms_match_orbit_sets():
+    # every word of length <= 7 over three letters, against the set-based oracle
+    for n in range(8):
+        for w in itertools.product(range(3), repeat=n):
+            word = bytes(w)
+            assert tuple(canonical_rotation(word)) == min(rotation_orbit(w))
+            canon = quad_canonical(word)
+            expected = signed_cyclic_class(w)
+            assert (None if canon is None else (tuple(canon[0]), canon[1])) == expected
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_quad_class_basis_matches_all_words(arity):
+    # necklaces from Lyndon words against canonicalizing all arity^n words
+    for degree in range(1, 9):
+        got = _quad_class_basis(arity, degree)
+        assert [tuple(w) for w in got] == signed_cyclic_reps(arity, degree), degree
 
 
 def test_tr_identifies_rotations():
