@@ -1,11 +1,11 @@
 """Truncated free Lie algebra in the Lyndon basis.
 
 A Lie series is stored by its coordinates on standard Lyndon bracketings.
-Conversion to the word basis expands each bracketing; conversion back peels
-lexicographically least words, after certifying Lie membership degree by
-degree with the right-normed bracketing map (which acts as k times the
-identity on homogeneous Lie elements of degree k, and maps every word into
-the Lie algebra, by the Dynkin-Specht-Wever theorem).  The Campbell-Hausdorff
+Conversion to the word basis expands each bracketing; ``assoc_to_lie``, the
+one way back, peels lexicographically least words degree by degree, and a
+least word that is not Lyndon proves the part is not Lie.  Powers of one ad
+and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on words
+through one nested-ad kernel and project once.  The Campbell-Hausdorff
 series, generator substitution, degree scaling and univariate operator
 kernels in a single adjoint slot all live here.
 """
@@ -20,7 +20,6 @@ from .lyndon import (
     commutator,
     is_lyndon,
     lyndon_coordinates,
-    right_normed_expansion,
     standard_factorization,
 )
 from .words import (
@@ -70,11 +69,15 @@ class LieElement(_SparseSeries):
 
         Lowering the order truncates.  Raising it declares the element a
         polynomial equal to its stored terms, which is only meaningful for
-        explicitly constructed polynomials, not for truncations of series.
+        explicitly constructed polynomials, not for truncations of series;
+        the raised copy reuses this element's word expansion.
         """
-        if order >= self.order:
-            return LieElement._make(self.arity, order, dict(self._terms))
-        return self.truncated(order)
+        if order < self.order:
+            return self.truncated(order)
+        raised = LieElement._make(self.arity, order, self._terms)
+        words = AssocSeries._make(self.arity, order, self.expand()._terms)
+        object.__setattr__(raised, "_assoc", words)  # a polynomial expands alike at every order
+        return raised
 
     def expand(self) -> AssocSeries:
         """The canonical embedding into the free associative algebra."""
@@ -100,49 +103,25 @@ def generator(arity: int, index: int, order: int) -> LieElement:
     return LieElement._make(arity, order, {bytes([index]): Fraction(1)})
 
 
-def _right_normed_sides(terms, arity: int, cache: dict) -> list[dict[bytes, Fraction]]:
-    """sum of c * [w_0, [w_1, [..., w_last]]] over ``terms``, split by outer letter.
+def assoc_to_lie(a: AssocSeries) -> LieElement:
+    """Inverse of the embedding on the Lie subspace; checked degree by degree.
 
-    Slot i holds the sum of c * [w_1, [..., w_last]] over the words starting
-    with letter i, so the whole sum is sum_i [x_i, slot i].  Words must have
-    length >= 2.  ``cache`` is the caller's per-call expansion cache.
+    The Lyndon peel of each homogeneous part either empties it, which writes
+    it as a combination of Lyndon bracketings, or meets a non-Lyndon least
+    word; that raises NotLieError at the part's degree.
     """
-    sides: list[dict[bytes, Fraction]] = [{} for _ in range(arity)]
-    for w, c in terms.items():
-        target = sides[w[0]]
-        for v, k in right_normed_expansion(w[1:], cache).items():
-            _accumulate(target, v, c * k)
-    return sides
-
-
-def _project_to_lie(a: AssocSeries, validate: bool) -> LieElement:
     if a.constant_term:
         raise NotLieError("nonzero constant term", 0)
-    coords: dict[bytes, Fraction] = {}
     by_degree: dict[int, dict[bytes, Fraction]] = {}
     for w, c in a.terms.items():
-        if w:
-            by_degree.setdefault(len(w), {})[w] = c
-    cache: dict[bytes, dict[bytes, int]] = {}
+        by_degree.setdefault(len(w), {})[w] = c
+    coords: dict[bytes, Fraction] = {}
     for k in sorted(by_degree):
-        part = by_degree[k]
-        if validate and k > 1:
-            delta: dict[bytes, Fraction] = {}
-            for i, side in enumerate(_right_normed_sides(part, a.arity, cache)):
-                for v, c in commutator({bytes([i]): 1}, side, k).items():
-                    _accumulate(delta, v, c)
-            if delta != {w: k * c for w, c in part.items()}:
-                raise NotLieError("right-normed bracketing is not k times the identity", k)
         try:
-            coords.update(lyndon_coordinates(part))
+            coords.update(lyndon_coordinates(by_degree[k]))
         except ValueError as exc:
             raise NotLieError(str(exc), k) from None
     return LieElement._make(a.arity, a.order, coords)
-
-
-def assoc_to_lie(a: AssocSeries) -> LieElement:
-    """Inverse of the embedding on the Lie subspace; checked degree by degree."""
-    return _project_to_lie(a, validate=True)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -150,7 +129,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     a._check_compatible(b)
     order = min(a.order, b.order)
     words = commutator(a.expand()._terms, b.expand()._terms, order)
-    return _project_to_lie(AssocSeries._make(a.arity, order, words), validate=False)
+    return assoc_to_lie(AssocSeries._make(a.arity, order, words))
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,7 +143,7 @@ def log_exp_product(arity: int, order: int) -> LieElement:
             arity, order,
             {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(0, order + 1)})
         product = product * exponential
-    return _project_to_lie(assoc_log(product), validate=True)
+    return assoc_to_lie(assoc_log(product))
 
 
 def bch_multi(arity: int, order: int) -> LieElement:
@@ -247,7 +226,8 @@ def substitute_many(elements, args) -> list[LieElement]:
         for w, c in a._terms.items():
             if len(w) <= order:
                 total = total + image(w).truncated(order) * c
-        out.append(_project_to_lie(total, validate=False))
+        out.append(assoc_to_lie(total))
+    del image  # a recursive closure is a reference cycle: free its cache now
     return out
 
 
@@ -459,27 +439,35 @@ def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> Asso
     return result
 
 
-def _operator_series_words(phi: RationalUnivariateSeries, index: int,
-                           a: LieElement) -> dict[bytes, Fraction]:
-    """Word expansion of sum of phi_k (ad of generator index)^k applied to a.
+def _ad_words(terms, z_words, order: int) -> dict[bytes, Fraction]:
+    """Sum of c * ad_w z over the words w of ``terms``, in the word basis.
 
-    ``a`` is expanded once and every power of ad acts on words, truncated at
-    ``a.order``; the caller projects the sum back to the Lyndon basis once.
+    ad_w z = [w_0, [w_1, [..., [w_last, z]]]] with z given by its word map.
+    Words sharing a first letter share that outermost bracket, and each level
+    down truncates one degree lower, at what the brackets still to come keep.
     """
+    out: dict[bytes, Fraction] = {}
+    by_first: dict[int, dict[bytes, Fraction]] = {}
+    for w, c in terms.items():
+        if not w:
+            for v, k in z_words.items():
+                if len(v) <= order:
+                    _accumulate(out, v, c * k)
+        elif len(w) < order:
+            by_first.setdefault(w[0], {})[w[1:]] = c
+    for i, rest in by_first.items():
+        for v, k in commutator({bytes([i]): 1}, _ad_words(rest, z_words, order - 1), order).items():
+            _accumulate(out, v, k)
+    return out
+
+
+def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement) -> dict[bytes, Fraction]:
+    """Words of sum phi_k x_index^k; ``_ad_words`` runs Horner's scheme for phi(ad x_index) on them."""
     if phi.order < a.order:
         raise ValueError("operator kernel truncated below the series order")
     if not 0 <= index < a.arity:
         raise ValueError(f"generator {index} out of range for arity {a.arity}")
-    letter = {bytes([index]): 1}
-    out: dict[bytes, Fraction] = {}
-    power, k = a.expand()._terms, 0
-    while power:  # each power of ad raises the least degree, so this ends by k = order
-        ck = phi.coefficient(k)
-        if ck:
-            for w, c in power.items():
-                _accumulate(out, w, ck * c)
-        power, k = commutator(letter, power, a.order), k + 1
-    return out
+    return {bytes([index]) * k: c for k, c in phi.coeffs.items() if k < a.order}
 
 
 def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
@@ -488,8 +476,8 @@ def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieEleme
     Computed in the word basis from one expansion of ``a``, then projected
     to the Lyndon basis once.
     """
-    words = _operator_series_words(phi, index, a)
-    return _project_to_lie(AssocSeries._make(a.arity, a.order, words), validate=False)
+    words = _ad_words(_ad_polynomial(phi, index, a), a.expand()._terms, a.order)
+    return assoc_to_lie(AssocSeries._make(a.arity, a.order, words))
 
 
 def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
@@ -501,24 +489,8 @@ def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
     if a.arity != z.arity:
         raise ArityMismatchError(f"arity mismatch: {a.arity} vs {z.arity}")
     order = min(z.order, a.order + 1)
-    z_words = z.truncated(order).expand()._terms
-
-    def act(terms) -> dict[bytes, Fraction]:
-        # sum of c * ad_w z over ``terms``, split by the first letter of w
-        out: dict[bytes, Fraction] = {}
-        by_first: dict[int, dict[bytes, Fraction]] = {}
-        for w, c in terms.items():
-            if not w:
-                for v, k in z_words.items():
-                    _accumulate(out, v, c * k)
-            elif len(w) < order:
-                by_first.setdefault(w[0], {})[w[1:]] = c
-        for i, rest in by_first.items():
-            for v, k in commutator({bytes([i]): 1}, act(rest), order).items():
-                _accumulate(out, v, k)
-        return out
-
-    return _project_to_lie(AssocSeries._make(z.arity, order, act(a._terms)), validate=False)
+    words = _ad_words(a._terms, z.expand()._terms, order)
+    return assoc_to_lie(AssocSeries._make(z.arity, order, words))
 
 
 def directional_derivative(a, index: int, z):
@@ -538,5 +510,5 @@ def directional_derivative(a, index: int, z):
         return substitute_letter_linear(a, index, z_ass)
     if isinstance(a, LieElement):
         spliced = substitute_letter_linear(a.expand(), index, z_ass)
-        return _project_to_lie(spliced, validate=False)
+        return assoc_to_lie(spliced)
     raise TypeError(f"expected a series, got {type(a).__name__}")

@@ -6,14 +6,14 @@ Lyndon suffix, equivalently the lexicographically least proper suffix) turns
 each Lyndon word into a commutator monomial; these monomials form the
 canonical basis used for Lie series.  Expansions are cached process-wide,
 keyed by the word bytes: they only depend on the letters, not on the ambient
-alphabet size.  Right-normed bracketings, which certify Lie membership and
-split a Lie polynomial by its outer letter, share the commutator step and are
-cached only within one call.
+alphabet size.  Peeling least words against these expansions gives Lyndon
+coordinates and decides Lie membership in one pass.  ``commutator`` is the
+one word-basis bracket that every Lie operation of the package builds on.
 """
 
 from fractions import Fraction
 
-from .words import _accumulate
+from .words import _accumulate, word_to_str
 
 _factorization_cache: dict[bytes, tuple[bytes, bytes]] = {}
 _expansion_cache: dict[bytes, dict[bytes, int]] = {}
@@ -96,39 +96,22 @@ def bracket_expansion(w: bytes) -> dict[bytes, int]:
     return result
 
 
-def right_normed_expansion(w: bytes, cache: dict) -> dict[bytes, int]:
-    """Expansion in the word basis of [w_0, [w_1, [..., w_last]]], w nonempty.
-
-    On a homogeneous Lie polynomial of degree k the linear extension of this
-    map is k times the identity (Dynkin-Specht-Wever).  ``cache`` memoizes the
-    expansions of w and its suffixes; callers pass a fresh dict per call, so
-    nothing outlives one computation.
-    """
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    if len(w) == 1:
-        result = {w: 1}
-    else:
-        result = commutator({w[:1]: 1}, right_normed_expansion(w[1:], cache), len(w))
-    cache[w] = result
-    return result
-
-
 def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fraction]:
     """Coordinates in the Lyndon basis of a homogeneous Lie polynomial.
 
     Peels the lexicographically least remaining word, which for a genuine Lie
     element must be Lyndon; each subtraction of a scaled bracket expansion
-    strictly raises the least word, so the loop terminates.  Raises
-    ValueError when the least word is not Lyndon (the input is not Lie).
+    strictly raises the least word, so the loop terminates.  An emptied
+    input is the combination of bracketings that was peeled, hence Lie;
+    otherwise the loop meets a non-Lyndon least word and raises ValueError
+    naming it.
     """
     remaining = dict(degree_terms)
     coords: dict[bytes, Fraction] = {}
     while remaining:
         w = min(remaining)
         if not is_lyndon(w):
-            raise ValueError(f"word {w!r} obstructs Lie membership")
+            raise ValueError(f"word {word_to_str(w)!r} obstructs Lie membership")
         c = remaining.pop(w)
         coords[w] = c
         for v, k in bracket_expansion(w).items():

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from .lie import (
     LieElement,
+    _ad_polynomial,
+    _ad_words,
     _exp_minus_one,
-    _operator_series_words,
-    _project_to_lie,
-    _right_normed_sides,
     apply_operator_series,
+    assoc_to_lie,
     bch,
     bracket,
     generator,
@@ -120,10 +120,12 @@ def kv_rhs(order: int) -> LieElement:
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
     """Write r = [x, a] + [y, b] by first-letter splitting.
 
-    A homogeneous Lie polynomial of degree k equals 1/k times the sum over its
-    words w of coeff(w) * [w_0, [w_1, [... w_last]]]; grouping the nested
-    brackets by the outer letter w_0 yields the two factors.  Requires zero
-    constant and degree-one parts.
+    A homogeneous Lie polynomial of degree k is 1/k times its image under
+    w -> [w_0, [w_1, [..., w_last]]] = [x_{w_0}, ad_u x_j], u = w_1 ... w_{last-1},
+    j = w_last (Dynkin-Specht-Wever).  The factor of x_i therefore sums
+    coeff(w)/|w| * ad_u x_j over the words w starting with letter i, one
+    nested-ad computation per first and last letter.  Requires zero constant
+    and degree-one parts.
 
     The degree-k words of r produce degree-(k-1) factor terms, so the factors
     are complete only through r.order - 1; that is their default order.  The
@@ -137,9 +139,15 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     expanded = r.expand()
     if expanded.constant_term or not expanded.homogeneous_part(1).is_zero():
         raise ValueError("factorization input must start in degree two")
-    weighted = {w: Fraction(c, len(w)) for w, c in expanded.terms.items() if len(w) - 1 <= order}
-    a, b = (_project_to_lie(AssocSeries._make(2, order, side), validate=False)
-            for side in _right_normed_sides(weighted, 2, {}))
+    groups: dict[tuple[int, int], dict[bytes, Fraction]] = {}
+    for w, c in expanded.terms.items():
+        if len(w) - 1 <= order:
+            groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = Fraction(c, len(w))
+    sides: list[dict[bytes, Fraction]] = [{}, {}]
+    for (first, last), middles in groups.items():
+        for v, c in _ad_words(middles, {bytes([last]): 1}, order).items():
+            _accumulate(sides[first], v, c)
+    a, b = (assoc_to_lie(AssocSeries._make(2, order, side)) for side in sides)
     return a, b
 
 
@@ -173,24 +181,25 @@ def kv1_residual(s: KVSolution) -> LieElement:
     without the extra degree, arbitrary top-degree parts would pass.
 
     The sum is formed in the word basis, where a Lie series vanishes exactly
-    when its expansion does; only a nonzero residual is projected back to the
-    Lyndon basis, once, to name its witness.  The result is memoized on the
-    solution, which is immutable, on first use.
+    when its expansion does: each operator is ad of u = sum_k phi_k x_i^k
+    acting on the word expansion (Horner's scheme).  The sum is projected back
+    to the Lyndon basis once, and names the witness when it is not zero.  The
+    result is memoized on the solution, which is immutable, on first use.
     """
     try:
         return s._residual
     except AttributeError:
         pass
     order = s.order + 1
-    words = _operator_series_words(_exp_minus_one(order, -1), 0, s.A.with_order(order))
-    for w, c in _operator_series_words(_exp_minus_one(order, 1), 1, s.B.with_order(order)).items():
-        _accumulate(words, w, c)
+    words: dict[bytes, Fraction] = {}
+    for index, (sign, component) in enumerate(((-1, s.A), (1, s.B))):
+        component = component.with_order(order)
+        u = _ad_polynomial(_exp_minus_one(order, sign), index, component)
+        for w, c in _ad_words(u, component.expand()._terms, order).items():
+            _accumulate(words, w, c)
     for w, c in kv_rhs(order).expand().terms.items():
         _accumulate(words, w, -c)
-    if words:
-        residual = _project_to_lie(AssocSeries._make(2, order, words), validate=False)
-    else:
-        residual = LieElement.zero(2, order)
+    residual = assoc_to_lie(AssocSeries._make(2, order, words))
     object.__setattr__(s, "_residual", residual)
     return residual
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .lie import (
     LieElement,
     NotLieError,
-    _project_to_lie,
+    assoc_to_lie,
     bch_multi,
     directional_derivative,
     generator,
@@ -144,7 +144,7 @@ def act(u: TangentialDerivation, a):
         image = commutator({bytes([i]): 1}, a_i.expand()._terms, u.order)
         result = result + directional_derivative(
             words, i, AssocSeries._make(u.arity, u.order, image))
-    return _project_to_lie(result, validate=False) if is_lie else result
+    return assoc_to_lie(result) if is_lie else result
 
 
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
@@ -229,8 +229,7 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
     components = []
     for i, terms in enumerate(raw):
         try:
-            components.append(
-                _project_to_lie(AssocSeries._make(arity, max(order - 1, 0), terms), validate=True))
+            components.append(assoc_to_lie(AssocSeries._make(arity, max(order - 1, 0), terms)))
         except NotLieError as exc:
             raise NotLieError(
                 f"slot {i} of the correspondence is not a Lie series "

@@ -10,6 +10,7 @@ truncated at the smaller operand order.  That sparse-series core is shared by
 the Lie series of :mod:`kvquad.lie` and the trace series of :mod:`kvquad.traces`.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -48,7 +49,13 @@ def format_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # no exponents: '1e9999' is huge
+
+
 def parse_rational(s: str) -> Fraction:
+    """Inverse of ``format_rational``: '[-]p[/q]' in decimal digits with q > 0, else ValueError."""
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"coefficient {s[:40]!r} is not of the form '[-]p[/q]' with q > 0")
     return Fraction(s)
 
 
@@ -240,10 +247,7 @@ class _SparseSeries:
                 and isinstance(t.get("coeff"), str) for t in raw):
             raise ValueError(f"{name} JSON 'terms' must be a list of objects "
                              "with string 'word' and 'coeff'")
-        try:
-            terms = {word_from_str(t["word"]): parse_rational(t["coeff"]) for t in raw}
-        except ZeroDivisionError:
-            raise ValueError(f"{name} JSON has a coefficient with zero denominator") from None
+        terms = {word_from_str(t["word"]): parse_rational(t["coeff"]) for t in raw}
         return cls(data["arity"], data["order"], terms)
 
 

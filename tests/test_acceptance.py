@@ -6,12 +6,15 @@ prints its own pass/fail line so a plain run reads as a checklist.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import kvquad
 from kvquad import (
     KVSolution,
     LieElement,
@@ -215,11 +218,17 @@ def test_criterion_8_structural_property_suites():
     _conclude("8 structural-suites", passed, time.monotonic() - start)
 
 
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter on the package these tests import."""
+    source_root = str(Path(kvquad.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kvquad.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_criterion_9_cli_gate(tmp_path):
     start = time.monotonic()
-    run = subprocess.run(
-        [sys.executable, "-m", "kvquad.cli", "verify", "--order", "6", "--suite", "all"],
-        capture_output=True, text=True)
+    run = _cli("verify", "--order", "6", "--suite", "all")
     passed = run.returncode == 0
 
     # every stored coefficient, corrupted in turn, must be flagged
@@ -240,10 +249,7 @@ def test_criterion_9_cli_gate(tmp_path):
     data = canonical_solution(6).to_json_dict()
     data["B"]["terms"][-1]["coeff"] = "5/3"
     stored.write_text(json.dumps(data))
-    run_bad = subprocess.run(
-        [sys.executable, "-m", "kvquad.cli", "verify", "--order", "6", "--suite", "all",
-         "--solution", str(stored), "--json"],
-        capture_output=True, text=True)
+    run_bad = _cli("verify", "--order", "6", "--suite", "all", "--solution", str(stored), "--json")
     passed = passed and run_bad.returncode == 1
     witnesses = [json.loads(line).get("witness") for line in run_bad.stdout.splitlines()
                  if json.loads(line)["status"] == "fail"]

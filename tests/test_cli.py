@@ -122,5 +122,15 @@ def test_solution_json_list_is_usage_error(tmp_path, capsys):
                                 "--solution", str(out_file)))
 
 
+def test_solution_with_an_exponent_coefficient_is_refused_at_once(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "3", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data["A"]["terms"][0]["coeff"] = "1e999999999"
+    out_file.write_text(json.dumps(data))
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "series",
+                                "--solution", str(out_file)))
+
+
 def test_verify_without_any_check_is_usage_error(capsys):
     _assert_one_error_line(*run(capsys, "verify", "--suite", "homo", "--order", "1"))

@@ -1,11 +1,13 @@
 """Byte-exact CLI output.
 
-The SHA-256 digests pin the complete stdout of four representative runs, so
+The SHA-256 digests pin the complete stdout of six representative runs, so
 a changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
 number format or summary line fails here.  The gauge run also pins the
 coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
 The homo run certifies degrees 2-10, so its 3210 x 78 kernel matrix is checked
-byte for byte against the output of the former dense elimination.
+byte for byte against the output of the former dense elimination.  The two
+``bch`` runs pin the Lyndon coordinates of the Campbell-Hausdorff series in
+two and three letters.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -24,6 +26,10 @@ GOLDEN = [
      "3f27d1dc4b656540493cb7979794a8cf6a2a8b605d85526d661a1fa218152725"),
     (("verify", "--suite", "homo", "--order", "10"), 0,
      "ba5cfab9a61cd2ce8b20090064c6fe22510351782b689dff7cfba8ba195ae336"),
+    (("bch", "--order", "10"), 0,
+     "b6d78aeca952d4bebb8a48dca7ea998ac73e1ae20b0d832092dd8cae7ea83ace"),
+    (("bch", "--arity", "3", "--order", "7"), 0,
+     "e9252f0b16644f201b44ff208681b9d038ff8edcd9e5ac681becac8d64e233f0"),
 ]
 
 

@@ -1,8 +1,10 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+import kvquad.lie
 from kvquad import (
     AssocSeries,
     LieElement,
@@ -26,10 +28,11 @@ from kvquad import (
     scale,
     standard_factorization,
     substitute,
+    substitute_many,
     univariate_substitute,
     word_from_str,
 )
-from kvquad.sampling import random_lie_element
+from kvquad.sampling import random_assoc_series, random_lie_element
 
 from oracles import bernoulli_kernel, dynkin_bch, left_nested, to_word_dict
 
@@ -298,6 +301,9 @@ def test_univariate_series_ops():
     data = s.to_json_dict()
     assert data["coeffs"][1] == "-2/1"
     assert RationalUnivariateSeries.from_json_dict(data) == s
+    for bad in ("1/0", "1e4000000"):
+        with pytest.raises(ValueError):
+            RationalUnivariateSeries.from_json_dict({**data, "coeffs": [bad]})
     with pytest.raises(ValueError):
         RationalUnivariateSeries(5, {1: 1}).inverse()
 
@@ -379,3 +385,33 @@ def test_dynkin_idempotent_on_lie_parts():
                     image[v] = image.get(v, Fraction(0)) + c * m
             image = {w: c for w, c in image.items() if c}
             assert image == {w: k * c for w, c in part.items()}
+
+
+def test_raising_the_order_reuses_the_word_expansion(monkeypatch):
+    a = random_lie_element(random.Random(213), 3, 5, terms=8)
+    a.expand()
+    calls = []
+    expand_one = kvquad.lie.bracket_expansion
+    monkeypatch.setattr(kvquad.lie, "bracket_expansion", lambda w: calls.append(w) or expand_one(w))
+    raised = a.with_order(8)
+    assert raised.order == 8 and raised.expand().order == 8
+    assert not calls
+    fresh = LieElement(3, 8, a.terms).expand()
+    assert calls and raised.expand() == fresh and raised.expand().terms == fresh.terms
+
+
+def test_series_operations_leave_no_reference_cycles():
+    """Recursive helpers free their caches on return, not at the next collection."""
+    rng = random.Random(214)
+    x, y, z = (generator(3, i, 5) for i in range(3))
+    ch = substitute_many([bch(5)], (x, y))[0]
+    a = random_lie_element(rng, 2, 5)
+    u = random_assoc_series(rng, 2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        substitute_many([a], (ch, z))
+        ad_apply(u, a)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,8 +1,9 @@
-"""The shared sparse-series core, the right-normed expander and the input boundary."""
+"""The shared sparse-series core, Lie membership and the input boundary."""
 
 import copy
 import pickle
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -25,10 +26,9 @@ from kvquad import (
     tr_quad,
     verify_prop_last,
 )
-from kvquad.lyndon import right_normed_expansion
 from kvquad.sampling import random_lie_element, random_rational
 
-from oracles import first_non_lie_degree, right_nested, to_word_dict
+from oracles import first_non_lie_degree, to_word_dict
 
 SERIES_CLASSES = (AssocSeries, LieElement, TraceSeries, QuadTraceSeries)
 
@@ -37,15 +37,6 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in kvquad.__all__:
         assert not isinstance(getattr(kvquad, name), types.ModuleType), name
     assert "main" in kvquad.__all__ and "cli" not in kvquad.__all__
-
-
-def test_right_normed_expansion_matches_oracle():
-    rng = random.Random(901)
-    cache: dict = {}
-    for _ in range(60):
-        w = bytes(rng.randrange(3) for _ in range(rng.randint(1, 7)))
-        assert to_word_dict(AssocSeries._make(3, 7, right_normed_expansion(w, cache))) \
-            == right_nested(tuple(w))
 
 
 def test_not_lie_error_degree_matches_left_normed_oracle():
@@ -71,8 +62,9 @@ def test_not_lie_error_degree_matches_left_normed_oracle():
             with pytest.raises(NotLieError) as err:
                 assoc_to_lie(series)
             assert err.value.degree == expected
-            if expected > 0:  # rejected by the bracketing certificate, not by peeling
-                assert "bracketing is not k times the identity" in str(err.value)
+            if expected > 0:  # the peel names its obstruction in the a..z form
+                named = re.search(r"word '([a-z]+)' obstructs Lie membership", str(err.value))
+                assert named and len(named[1]) == expected
     assert lie_inputs > 30 and non_lie_inputs > 30
 
 

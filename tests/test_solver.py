@@ -21,7 +21,7 @@ from kvquad import (
 )
 from kvquad.sampling import random_lie_element
 
-from oracles import dynkin_bch, oadd, oscale, to_word_dict
+from oracles import dynkin_bch, oadd, oscale, right_nested, to_word_dict
 
 
 def lyndon(order, spec):
@@ -97,6 +97,25 @@ def test_factorize_random_lie_inputs():
         a, b = factorize(r)
         assert a.order == 7 and b.order == 7
         assert bracket_identity(a, b, r)
+
+
+def dynkin_split(r: LieElement) -> list[dict]:
+    """Side w_0 gets coeff(w)/|w| * [w_1, [..., w_last]] for every word w of r, on tuple words."""
+    sides = [{}, {}]
+    for w, c in to_word_dict(r.expand()).items():
+        sides[w[0]] = oadd(sides[w[0]], oscale(right_nested(w[1:]), Fraction(c, len(w))))
+    return sides
+
+
+def test_factorize_matches_right_nested_dynkin_split():
+    rng = random.Random(502)
+    inputs = [kv_rhs(n) for n in range(3, 10)]
+    inputs += [random_lie_element(rng, 2, rng.randint(3, 7), terms=6, min_degree=2)
+               for _ in range(20)]
+    for r in inputs:
+        a, b = factorize(r)
+        assert a.order == b.order == r.order - 1
+        assert [to_word_dict(a.expand()), to_word_dict(b.expand())] == dynkin_split(r)
 
 
 def test_ab_to_AB_zero():

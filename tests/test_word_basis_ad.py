@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kvquad import (
+    AssocSeries,
     KVSolution,
     LieElement,
     RationalUnivariateSeries,
@@ -86,6 +87,19 @@ def test_ad_apply_matches_oracle():
             assert got.order == order
             expected = nested_commutators(to_word_dict(u), to_word_dict(z.expand()), order)
             assert to_word_dict(got.expand()) == expected
+    # u longer than z: words of u that leave no room for z drop at every level
+    u = random_assoc_series(rng, 3, 7, terms=12)
+    z = random_lie_element(rng, 3, 4, terms=4)
+    got = ad_apply(u, z)
+    assert got.order == 4 and not got.is_zero()
+    assert to_word_dict(got.expand()) == nested_commutators(to_word_dict(u), to_word_dict(z.expand()), 4)
+    # z longer than u reaches: the result stops at u.order + 1, the unit's image too
+    u = random_assoc_series(rng, 2, 2, terms=4) + AssocSeries.unit(2, 2)
+    z = random_lie_element(rng, 2, 6, terms=6)
+    got = ad_apply(u, z)
+    assert got.order == 3
+    z_low = {w: c for w, c in to_word_dict(z.expand()).items() if len(w) <= 3}
+    assert to_word_dict(got.expand()) == nested_commutators(to_word_dict(u), z_low, 3)
 
 
 def lie_basis_operator_series(phi, index, a):

@@ -45,6 +45,12 @@ def test_rational_codec():
     assert parse_rational("7") == 7
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e5", " 3/4", "1/0", "-3/-4", "+1", "1/2/3", "", "½"])
+def test_parse_rational_accepts_only_what_format_rational_writes(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 def test_mul_monomials():
     assert X * Y == from_str(6, {"ab": 1})
 
