@@ -6,8 +6,9 @@ one way back, peels lexicographically least words degree by degree, and a
 least word that is not Lyndon proves the part is not Lie.  Powers of one ad
 and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on words
 through one nested-ad kernel and project once.  The Campbell-Hausdorff
-series, generator substitution, degree scaling and univariate operator
-kernels in a single adjoint slot all live here.
+series (word coefficients from Goldberg's formula, projected by the peel),
+generator substitution, degree scaling and univariate operator kernels in a
+single adjoint slot all live here.
 """
 
 import functools
@@ -29,7 +30,6 @@ from .words import (
     _SparseSeries,
     _accumulate,
     format_rational,
-    log as assoc_log,
     parse_rational,
     substitute_letter_linear,
 )
@@ -132,18 +132,71 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return assoc_to_lie(AssocSeries._make(a.arity, order, words))
 
 
-@functools.lru_cache(maxsize=None)
+def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
+    """Word coefficients of log(e^{x_0} ... e^{x_{arity-1}}) through ``order``.
+
+    Goldberg's segment formula (Duke Math. J. 23, 1956): the coefficient of w
+    is the sum over m of (-1)^(m-1)/m S(w, m), where S(w, m) sums
+    1/prod(run lengths!) over the cuts of w into m nonempty segments that are
+    each nondecreasing in letter index.  A depth-first walk keeps one S-vector
+    per prefix; appending a letter only varies the last segment, which lies in
+    the final nondecreasing stretch.  S is stored times order!, so every
+    partial sum is an exact integer, and the alternating sum times
+    lcm(1..order).
+    """
+    scale = math.factorial(order)
+    lcm = math.lcm(*range(1, order + 1))
+    weights = [0] + [(-1) ** (m - 1) * (lcm // m) for m in range(1, order + 1)]
+    denominator = scale * lcm
+    word = bytearray()
+    sums = [[scale]]  # sums[n][m]: S(w[:n], m) * order!, with S(empty, 0) = 1
+    starts = [0]      # starts[n]: where the final nondecreasing stretch of w[:n] begins
+    out: dict[bytes, Fraction] = {}
+
+    def walk(n: int):
+        for letter in range(arity):
+            word.append(letter)
+            start = starts[n] if n and word[n - 1] <= letter else n
+            cut = [0] * (n + 2)
+            run = q = 1
+            for j in range(n, start - 1, -1):  # the last segment is w[j:n+1]
+                if j < n:
+                    run = run + 1 if word[j] == word[j + 1] else 1
+                    q *= run
+                for m, s in enumerate(sums[j]):
+                    if s:
+                        cut[m + 1] += s // q  # exact: each cut's order!/prod(runs!) is an integer
+            total = sum(weights[m] * s for m, s in enumerate(cut) if s)
+            if total:
+                out[bytes(word)] = Fraction(total, denominator)
+            if n + 1 < order:
+                sums.append(cut)
+                starts.append(start)
+                walk(n + 1)
+                sums.pop()
+                starts.pop()
+            word.pop()
+
+    walk(0)
+    del walk  # a recursive closure is a reference cycle: free its state now
+    return out
+
+
+@functools.lru_cache(maxsize=8)
 def log_exp_product(arity: int, order: int) -> LieElement:
-    """log(e^{x_0} e^{x_1} ... e^{x_{arity-1}}) as a Lie series."""
+    """log(e^{x_0} e^{x_1} ... e^{x_{arity-1}}) as a Lie series.
+
+    The word coefficients come from Goldberg's formula and the Lyndon peel of
+    ``assoc_to_lie`` both projects and certifies them: a wrong coefficient
+    raises NotLieError.  An emptied peel means the words are exactly the
+    series' expansion, so they are kept as its ``expand()`` memo.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    product = AssocSeries.unit(arity, order)
-    for i in range(arity):
-        exponential = AssocSeries._make(
-            arity, order,
-            {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(0, order + 1)})
-        product = product * exponential
-    return assoc_to_lie(assoc_log(product))
+    words = AssocSeries._make(arity, order, _goldberg_words(arity, order))
+    series = assoc_to_lie(words)
+    object.__setattr__(series, "_assoc", words)
+    return series
 
 
 def bch_multi(arity: int, order: int) -> LieElement:
@@ -372,7 +425,16 @@ class RationalUnivariateSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":
-        return cls(data["order"], [parse_rational(c) for c in data["coeffs"]])
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
+        name = cls.__name__
+        if not isinstance(data, dict):
+            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
+        if type(data.get("order")) is not int:
+            raise ValueError(f"{name} JSON 'order' must be an integer")
+        coeffs = data.get("coeffs")
+        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+            raise ValueError(f"{name} JSON 'coeffs' must be a list of strings")
+        return cls(data["order"], [parse_rational(c) for c in coeffs])
 
 
 def _exp_minus_one(order: int, sign: int) -> RationalUnivariateSeries:

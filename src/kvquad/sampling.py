@@ -8,26 +8,15 @@ supports are sparse subsets of the available basis words.
 import random
 from fractions import Fraction
 
-from .lie import LieElement, generator
+from .lie import LieElement
 from .lyndon import lyndon_words
 from .tangential import TangentialDerivation
-from .words import AssocSeries
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Fraction:
     num = rng.randint(-max_num, max_num)
     den = rng.randint(1, max_den)
     return Fraction(num, den)
-
-
-def random_assoc_series(rng: random.Random, arity: int, order: int,
-                        terms: int = 8, with_constant: bool = True) -> AssocSeries:
-    out = {}
-    for _ in range(terms):
-        degree = rng.randint(0 if with_constant else 1, order)
-        w = bytes(rng.randrange(arity) for _ in range(degree))
-        out[w] = random_rational(rng)
-    return AssocSeries(arity, order, out)
 
 
 def random_lie_element(rng: random.Random, arity: int, order: int,

@@ -1,13 +1,20 @@
 """Independent reference computations used as oracles by the tests.
 
-Everything here is deliberately written from scratch on tuple-encoded words
-with its own arithmetic, so that agreement with the library is a genuine
-cross-check and not a tautology.
+Nearly everything here is deliberately written from scratch on tuple-encoded
+words with its own arithmetic, so that agreement with the library is a
+genuine cross-check and not a tautology.  Two helpers use library series:
+``product_log_ch`` is the slow path of the Campbell-Hausdorff series, a
+product of exponentials and a logarithm, and ``random_assoc_series`` draws
+seeded inputs for the property suites.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
+
+from kvquad.sampling import random_rational
+from kvquad.words import AssocSeries, log
 
 Word = tuple[int, ...]
 
@@ -121,6 +128,15 @@ def dynkin_bch(order: int) -> dict:
         for w, c in right_nested(word).items():
             total[w] = total.get(w, Fraction(0)) + coeff * c
     return {w: c for w, c in total.items() if c}
+
+
+def product_log_ch(arity: int, order: int) -> AssocSeries:
+    """log(e^{x_0} ... e^{x_{arity-1}}) in words, as a product of exponentials and a logarithm."""
+    product = AssocSeries.unit(arity, order)
+    for i in range(arity):
+        powers = {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(order + 1)}
+        product = product * AssocSeries(arity, order, powers)
+    return log(product)
 
 
 def series_inverse(coeffs: list[Fraction]) -> list[Fraction]:
@@ -289,3 +305,14 @@ def signed_cyclic_reps(arity: int, degree: int) -> list[Word]:
         if canon is not None:
             reps.add(canon[0])
     return sorted(reps)
+
+
+def random_assoc_series(rng: random.Random, arity: int, order: int,
+                        terms: int = 8, with_constant: bool = True) -> AssocSeries:
+    """A sparse word series with small random rational coefficients."""
+    out = {}
+    for _ in range(terms):
+        degree = rng.randint(0 if with_constant else 1, order)
+        w = bytes(rng.randrange(arity) for _ in range(degree))
+        out[w] = random_rational(rng)
+    return AssocSeries(arity, order, out)

@@ -47,14 +47,13 @@ from kvquad import (
     verify_theorem,
 )
 from kvquad.sampling import (
-    random_assoc_series,
     random_lie_element,
     random_lie_pairs,
     random_tangential_derivation,
 )
 from kvquad.verify import measured_operator_coefficients
 
-from oracles import bernoulli_kernel, dynkin_bch, left_nested, to_word_dict
+from oracles import bernoulli_kernel, dynkin_bch, left_nested, random_assoc_series, to_word_dict
 
 SEED = 20250810
 

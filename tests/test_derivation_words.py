@@ -27,9 +27,9 @@ from kvquad import (
     trace_pairing,
 )
 from kvquad.lyndon import commutator
-from kvquad.sampling import random_assoc_series, random_lie_element
+from kvquad.sampling import random_lie_element
 
-from oracles import derivation_action, oadd, omul, oscale, to_word_dict
+from oracles import derivation_action, oadd, omul, oscale, random_assoc_series, to_word_dict
 
 
 def tuple_map(terms: dict) -> dict:

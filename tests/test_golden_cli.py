@@ -5,9 +5,11 @@ a changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
 number format or summary line fails here.  The gauge run also pins the
 coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
 The homo run certifies degrees 2-10, so its 3210 x 78 kernel matrix is checked
-byte for byte against the output of the former dense elimination.  The two
+byte for byte against the output of the former dense elimination.  The four
 ``bch`` runs pin the Lyndon coordinates of the Campbell-Hausdorff series in
-two and three letters.
+two and three letters; the order-12 and three-letter order-8 digests were
+recorded from the product-and-logarithm construction that Goldberg's
+formula replaced.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -30,6 +32,10 @@ GOLDEN = [
      "b6d78aeca952d4bebb8a48dca7ea998ac73e1ae20b0d832092dd8cae7ea83ace"),
     (("bch", "--arity", "3", "--order", "7"), 0,
      "e9252f0b16644f201b44ff208681b9d038ff8edcd9e5ac681becac8d64e233f0"),
+    (("bch", "--order", "12"), 0,
+     "ffb0e7f73fdf52907572c50133c271bd9a8505f25cfeef44b7503cca32c085c0"),
+    (("bch", "--arity", "3", "--order", "8"), 0,
+     "834e1529b0f851211e49b4b05db87b996ae8d491af728891fc5e6da6cf6c8ded"),
 ]
 
 

@@ -32,9 +32,16 @@ from kvquad import (
     univariate_substitute,
     word_from_str,
 )
-from kvquad.sampling import random_assoc_series, random_lie_element
+from kvquad.sampling import random_lie_element
 
-from oracles import bernoulli_kernel, dynkin_bch, left_nested, to_word_dict
+from oracles import (
+    bernoulli_kernel,
+    dynkin_bch,
+    left_nested,
+    product_log_ch,
+    random_assoc_series,
+    to_word_dict,
+)
 
 X = generator(2, 0, 6)
 Y = generator(2, 1, 6)
@@ -166,6 +173,39 @@ def test_bch_associativity():
     right = substitute(ch, (x, substitute(ch, (y, z))))
     assert left == ch3
     assert right == ch3
+
+
+CH_CASES = ([(1, n) for n in (1, 2, 5, 9)] + [(2, n) for n in range(1, 11)]
+            + [(3, n) for n in range(1, 8)])
+
+
+@pytest.mark.parametrize("arity, order", CH_CASES)
+def test_log_exp_product_matches_product_log_oracle(arity, order):
+    """Goldberg's coefficients agree with the product of exponentials and its logarithm."""
+    got = kvquad.lie.log_exp_product(arity, order)
+    words = product_log_ch(arity, order)
+    assert got.to_json_dict() == assoc_to_lie(words).to_json_dict()
+    assert got._assoc.terms == words.terms  # the kept word expansion
+    assert LieElement(arity, order, got.terms).expand().terms == words.terms
+    if arity == 1:
+        assert got.to_json_dict() == generator(1, 0, order).to_json_dict()
+
+
+@pytest.mark.parametrize("word", ["ab", "ba", "aab", "abab", "bbaab", "abbbab"])
+def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
+    """The Lyndon peel still certifies the words: one perturbed coefficient raises."""
+    goldberg = kvquad.lie._goldberg_words
+
+    def perturbed(arity, order):
+        words = goldberg(arity, order)
+        w = word_from_str(word)
+        words[w] = words.get(w, 0) + Fraction(1, 7)
+        return words
+
+    monkeypatch.setattr(kvquad.lie, "_goldberg_words", perturbed)
+    with pytest.raises(NotLieError) as err:
+        kvquad.lie.log_exp_product.__wrapped__(2, 6)  # uncached, so the perturbed build runs
+    assert err.value.degree == len(word)
 
 
 # --- substitution, scaling --------------------------------------------------
@@ -306,6 +346,14 @@ def test_univariate_series_ops():
             RationalUnivariateSeries.from_json_dict({**data, "coeffs": [bad]})
     with pytest.raises(ValueError):
         RationalUnivariateSeries(5, {1: 1}).inverse()
+
+
+@pytest.mark.parametrize("data", [{"coeffs": []}, {"order": 2, "coeffs": ["1", 2]},
+                                  [2, ["1", "0", "1"]]],
+                         ids=["no-order", "int-coeff", "list"])
+def test_univariate_series_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError):
+        RationalUnivariateSeries.from_json_dict(data)
 
 
 def test_univariate_substitute():

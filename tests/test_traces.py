@@ -20,10 +20,10 @@ from kvquad import (
     trace_substitute,
     word_from_str,
 )
-from kvquad.sampling import random_assoc_series, random_lie_element
+from kvquad.sampling import random_lie_element
 from kvquad.verify import _quad_class_basis
 
-from oracles import rotation_orbit, signed_cyclic_class, signed_cyclic_reps
+from oracles import random_assoc_series, rotation_orbit, signed_cyclic_class, signed_cyclic_reps
 
 X = AssocSeries.letter(2, 0, 6)
 Y = AssocSeries.letter(2, 1, 6)

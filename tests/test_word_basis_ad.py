@@ -26,9 +26,9 @@ from kvquad import (
     lyndon_words,
 )
 from kvquad.lie import KERNEL_NAMES, _exp_minus_one
-from kvquad.sampling import random_assoc_series, random_lie_element, random_rational
+from kvquad.sampling import random_lie_element, random_rational
 
-from oracles import ad_power_series, oadd, omul, oscale, to_word_dict
+from oracles import ad_power_series, oadd, omul, oscale, random_assoc_series, to_word_dict
 
 
 def kernels(order: int, rng: random.Random) -> list[RationalUnivariateSeries]:

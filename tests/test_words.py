@@ -16,9 +16,8 @@ from kvquad import (
     word_from_str,
     word_to_str,
 )
-from kvquad.sampling import random_assoc_series
 
-from oracles import oexp, olog, omul, to_word_dict
+from oracles import oexp, olog, omul, random_assoc_series, to_word_dict
 
 X = AssocSeries.letter(2, 0, 6)
 Y = AssocSeries.letter(2, 1, 6)
