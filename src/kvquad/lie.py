@@ -14,7 +14,6 @@ single adjoint slot all live here.
 import functools
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from .lyndon import (
     bracket_expansion,
@@ -23,15 +22,15 @@ from .lyndon import (
     lyndon_coordinates,
     standard_factorization,
 )
-from .words import (
+from .words import (  # RationalUnivariateSeries and univariate_substitute are re-exported
     ArityMismatchError,
     AssocSeries,
     Rational,
+    RationalUnivariateSeries,
     _SparseSeries,
     _accumulate,
-    format_rational,
-    parse_rational,
     substitute_letter_linear,
+    univariate_substitute,
 )
 
 
@@ -290,10 +289,15 @@ def substitute(a: LieElement, args) -> LieElement:
 
 
 def scale(a: LieElement, t: Rational) -> LieElement:
-    """Substitute x_i -> t*x_i: the degree-k part picks up t^k."""
-    t = Fraction(t)
-    return LieElement._make(a.arity, a.order,
-                            {w: c * t ** len(w) for w, c in a._terms.items()})
+    """Substitute x_i -> t*x_i: the degree-k part, and a known word expansion's, picks up t^k."""
+    powers = [Fraction(t) ** k for k in range(a.order + 1)]
+    scaled = LieElement._make(a.arity, a.order,
+                              {w: c * powers[len(w)] for w, c in a._terms.items()})
+    words = getattr(a, "_assoc", None)
+    if words is not None:
+        object.__setattr__(scaled, "_assoc", AssocSeries._make(
+            a.arity, a.order, {w: c * powers[len(w)] for w, c in words._terms.items()}))
+    return scaled
 
 
 def ch_t(t: Rational, order: int, arity: int = 2) -> LieElement:
@@ -302,139 +306,6 @@ def ch_t(t: Rational, order: int, arity: int = 2) -> LieElement:
     if not t:
         raise ValueError("ch_t requires t != 0")
     return scale(bch_multi(arity, order), t) * (1 / t)
-
-
-class RationalUnivariateSeries:
-    """Truncated power series in one variable t with exact rational coefficients."""
-
-    __slots__ = ("order", "_coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        cleaned = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
-            for k, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                if not 0 <= k <= order:
-                    raise ValueError(f"exponent {k} outside [0, {order}]")
-                cleaned[k] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_coeffs", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalUnivariateSeries is immutable")
-
-    def __reduce__(self):
-        return RationalUnivariateSeries, (self.order, self._coeffs)
-
-    @property
-    def coeffs(self):
-        return MappingProxyType(self._coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        return self._coeffs.get(k, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalUnivariateSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return all(self.coefficient(k) == other.coefficient(k) for k in range(n + 1))
-
-    __hash__ = None
-
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = {k: c for k, c in self._coeffs.items() if k <= order}
-        for k, c in other._coeffs.items():
-            if k <= order:
-                _accumulate(out, k, c)
-        return RationalUnivariateSeries(order, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalUnivariateSeries(self.order, {k: -c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, RationalUnivariateSeries):
-            order = min(self.order, other.order)
-            out: dict[int, Fraction] = {}
-            for k1, c1 in self._coeffs.items():
-                for k2, c2 in other._coeffs.items():
-                    if k1 + k2 <= order:
-                        _accumulate(out, k1 + k2, c1 * c2)
-            return RationalUnivariateSeries(order, out)
-        return RationalUnivariateSeries(
-            self.order, {k: Fraction(other) * c for k, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalUnivariateSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coefficient(0)
-        if not c0:
-            raise ValueError("series with zero constant term has no inverse")
-        inv = {0: 1 / c0}
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                ck = self._coeffs.get(k)
-                if ck:
-                    acc += ck * inv.get(n - k, Fraction(0))
-            if acc:
-                inv[n] = -acc / c0
-        return RationalUnivariateSeries(self.order, inv)
-
-    def shifted_down(self, k: int = 1) -> "RationalUnivariateSeries":
-        """Exact division by t^k; the low coefficients must vanish."""
-        for j in range(k):
-            if self.coefficient(j):
-                raise ValueError(f"coefficient of t^{j} is nonzero; cannot divide by t^{k}")
-        return RationalUnivariateSeries(
-            self.order - k, {e - k: c for e, c in self._coeffs.items() if e >= k})
-
-    def derivative(self) -> "RationalUnivariateSeries":
-        return RationalUnivariateSeries(
-            max(self.order - 1, 0),
-            {k - 1: k * c for k, c in self._coeffs.items() if k >= 1})
-
-    def odd_part(self) -> "RationalUnivariateSeries":
-        return RationalUnivariateSeries(
-            self.order, {k: c for k, c in self._coeffs.items() if k % 2 == 1})
-
-    def __str__(self):
-        if not self._coeffs:
-            return "0"
-        return " + ".join(f"{c}*t^{k}" for k, c in sorted(self._coeffs.items()))
-
-    def __repr__(self):
-        return f"RationalUnivariateSeries(order={self.order}, {self})"
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order,
-                "coeffs": [format_rational(self.coefficient(k))
-                           for k in range(self.order + 1)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":
-        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
-        name = cls.__name__
-        if not isinstance(data, dict):
-            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
-        if type(data.get("order")) is not int:
-            raise ValueError(f"{name} JSON 'order' must be an integer")
-        coeffs = data.get("coeffs")
-        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
-            raise ValueError(f"{name} JSON 'coeffs' must be a list of strings")
-        return cls(data["order"], [parse_rational(c) for c in coeffs])
 
 
 def _exp_minus_one(order: int, sign: int) -> RationalUnivariateSeries:
@@ -456,8 +327,8 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
     if name == "f":
         # t/(e^t - 1) - 1 + t/2: the Bernoulli generating series without
         # its constant and linear terms
-        inv = _exp_minus_one(order + 1, 1).shifted_down(1).inverse()
-        return inv + RationalUnivariateSeries(order, {0: -1, 1: Fraction(1, 2)})
+        return (kernel_series("t/(exp(t)-1)", order)
+                + RationalUnivariateSeries(order, {0: -1, 1: Fraction(1, 2)}))
     if name == "t/(1-exp(-t))":
         return _exp_minus_one(order + 1, -1).shifted_down(1).inverse()
     if name == "t/(exp(t)-1)":
@@ -480,25 +351,6 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
         linear = RationalUnivariateSeries(order, {1: b / 2} if order >= 1 else {})
         return linear + pole_part.shifted_down(1)
     raise ValueError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
-
-
-def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> AssocSeries:
-    """phi(a) = sum of phi_k a^k for a word series with zero constant term."""
-    if a.constant_term:
-        raise ValueError("substitution into a univariate series needs zero constant term")
-    if phi.order < a.order:
-        raise ValueError("univariate series truncated below the word-series order")
-    unit = AssocSeries.unit(a.arity, a.order)
-    result = unit * phi.coefficient(0)
-    power = unit
-    for k in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        ck = phi.coefficient(k)
-        if ck:
-            result = result + power * ck
-    return result
 
 
 def _ad_words(terms, z_words, order: int) -> dict[bytes, Fraction]:
@@ -529,7 +381,7 @@ def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement) -> 
         raise ValueError("operator kernel truncated below the series order")
     if not 0 <= index < a.arity:
         raise ValueError(f"generator {index} out of range for arity {a.arity}")
-    return {bytes([index]) * k: c for k, c in phi.coeffs.items() if k < a.order}
+    return {w.replace(b"\x00", bytes([index])): c for w, c in phi.terms.items() if len(w) < a.order}
 
 
 def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:

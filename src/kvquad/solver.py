@@ -25,6 +25,7 @@ from .lie import (
     assoc_to_lie,
     bch,
     bracket,
+    ch_t,
     generator,
     kernel_series,
     scale,
@@ -106,15 +107,18 @@ class KVSolution:
 
 @functools.lru_cache(maxsize=4)
 def kv_rhs(order: int) -> LieElement:
-    """x + y - ch(y, x) = x + y + ch(-x, -y); it starts in degree two.
+    """x + y - ch(y, x): ch(-x, -y) without its degree-one part, in coordinates and words.
 
-    Cached per order, so its word expansion is shared by ``factorize`` and
-    every residual at that order.
+    Cached per order, so the Campbell-Hausdorff word expansion it keeps is
+    shared by ``factorize`` and every residual at that order.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    x, y = generator(2, 0, order), generator(2, 1, order)
-    return x + y + scale(bch(order), -1)
+    ch = scale(bch(order), -1)
+    rhs = LieElement._make(2, order, {w: c for w, c in ch.terms.items() if len(w) > 1})
+    words = {w: c for w, c in ch.expand().terms.items() if len(w) > 1}
+    object.__setattr__(rhs, "_assoc", AssocSeries._make(2, order, words))
+    return rhs
 
 
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
@@ -279,8 +283,7 @@ def flow_check(s: KVSolution, t_samples) -> bool:
     for t in samples:
         inv = 1 / t
         u_t = TangentialDerivation([scale(s.A, t) * inv, scale(s.B, t) * inv])
-        ch_t = scale(ch, t) * inv
-        lhs = act(u_t, ch_t)
+        lhs = act(u_t, ch_t(t, s.order))
         rhs = LieElement._make(
             2, s.order,
             {w: c * (len(w) - 1) * t ** (len(w) - 2)

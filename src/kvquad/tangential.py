@@ -23,7 +23,7 @@ from .lie import (
 )
 from .lyndon import commutator
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
-from .words import ArityMismatchError, AssocSeries, Rational, _accumulate, decompose, left_letter_mul
+from .words import ArityMismatchError, AssocSeries, Rational, _accumulate
 
 
 def _strip_own_linear(index: int, a: LieElement) -> LieElement:
@@ -124,6 +124,9 @@ class TangentialDerivation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TangentialDerivation":
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("tuple"), list):
+            raise ValueError("TangentialDerivation JSON must be an object with a list 'tuple'")
         return cls([LieElement.from_json_dict(d) for d in data["tuple"]])
 
 
@@ -183,23 +186,26 @@ def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
     raise ValueError(f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
 
 
-def _divergence(u: TangentialDerivation, project):
-    total = None
-    for i, a_i in enumerate(u.components):
-        partial = decompose(a_i.expand()).partials[i]
-        piece = project(left_letter_mul(i, partial, u.order))
-        total = piece if total is None else total + piece
-    return total
+def divergence_words(components) -> AssocSeries:
+    """Words with the cyclic projections of sum_i x_i (d_i a_i), for raw components a_i.
+
+    x_i (d_i a_i) is a rotation of the part of a_i ending in x_i, and parts
+    ending in different letters never collide.
+    """
+    words = {}
+    for i, a_i in enumerate(components):  # Lie words are never empty
+        words.update((w, c) for w, c in a_i.expand().terms.items() if w[-1] == i)
+    return AssocSeries._make(components[0].arity, components[0].order, words)
 
 
 def div(u: TangentialDerivation) -> TraceSeries:
     """The divergence: sum over i of tr(x_i * (d_i a_i)); a 1-cocycle."""
-    return _divergence(u, tr)
+    return tr(divergence_words(u.components))
 
 
 def div_quad(u: TangentialDerivation) -> QuadTraceSeries:
     """The divergence projected to cyclic words modulo signed reversal."""
-    return _divergence(u, tr_quad)
+    return tr_quad(divergence_words(u.components))
 
 
 def act_on_trace(u: TangentialDerivation, g):

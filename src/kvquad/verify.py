@@ -26,9 +26,9 @@ from .lie import (
 from .linalg import rational_kernel, rational_solve
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import TangentialDerivation, act, div_quad, simplicial
+from .tangential import TangentialDerivation, act, div_quad, divergence_words, simplicial
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
-from .words import AssocSeries, decompose, format_rational, left_letter_mul, word_to_str
+from .words import AssocSeries, format_rational, word_to_str
 
 
 @dataclass(frozen=True)
@@ -139,22 +139,20 @@ def _bernoulli_side(order: int) -> AssocSeries:
     It does not depend on the solution, so it is built once per order.
     """
     f = kernel_series("f", order)
-    f_x = AssocSeries._make(2, order, {b"\x00" * k: c for k, c in f.coeffs.items()})
-    f_y = AssocSeries._make(2, order, {b"\x01" * k: c for k, c in f.coeffs.items()})
+    f_x = AssocSeries._make(2, order, f.terms)  # f's own words are powers of letter 0 = x
+    f_y = AssocSeries._make(2, order, {w.replace(b"\x00", b"\x01"): c for w, c in f.terms.items()})
     return f_x + f_y - univariate_substitute(f, bch(order).expand())
 
 
 def _trace_identity_sides(s: KVSolution, project):
     """Both sides of the trace identity for (A, B) under the projection ``project``.
 
-    Left: the projection of x*(d_x A) + y*(d_y B).  Right: half the projection
-    of f(x) + f(y) - f(ch(x,y)) with f the Bernoulli kernel t/(e^t-1) - 1 + t/2.
+    Left: the projection of x*(d_x A) + y*(d_y B), from the raw pair (the
+    x-linear term of A counts).  Right: half the projection of
+    f(x) + f(y) - f(ch(x,y)) with f the Bernoulli kernel t/(e^t-1) - 1 + t/2.
     """
-    order = s.order
-    d_x_A = decompose(s.A.expand()).partials[0]
-    d_y_B = decompose(s.B.expand()).partials[1]
-    lhs = project(left_letter_mul(0, d_x_A, order) + left_letter_mul(1, d_y_B, order))
-    rhs = project(_bernoulli_side(order)) * Fraction(1, 2)
+    lhs = project(divergence_words((s.A, s.B)))
+    rhs = project(_bernoulli_side(s.order)) * Fraction(1, 2)
     return lhs, rhs
 
 
@@ -346,12 +344,8 @@ def measured_operator_coefficients(element: LieElement) -> RationalUnivariateSer
     coefficient of x^k y at exponent k.
     """
     order = max(element.order - 1, 0)
-    coeffs = {}
-    for k in range(order + 1):
-        c = element.coefficient(b"\x00" * k + b"\x01")
-        if c:
-            coeffs[k] = c
-    return RationalUnivariateSeries(order, coeffs)
+    return RationalUnivariateSeries(
+        order, [element.coefficient(b"\x00" * k + b"\x01") for k in range(order + 1)])
 
 
 def verify_series_identities(s: KVSolution) -> VerificationReport:

@@ -7,9 +7,11 @@ hash, slice and reverse cheaply and lexicographic order on words is letterwise
 order on indices.  Series are sparse maps from words to nonzero coefficients,
 truncated at a fixed degree; every operation is pure and returns a new series
 truncated at the smaller operand order.  That sparse-series core is shared by
-the Lie series of :mod:`kvquad.lie` and the trace series of :mod:`kvquad.traces`.
+the Lie series of :mod:`kvquad.lie`, the trace series of :mod:`kvquad.traces`
+and the power series in one variable, which are word series over one letter.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,36 +323,129 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
                 continue
             for wb, cb in items:
                 _accumulate(out, wa + wb, ca * cb)
-    return AssocSeries._make(a.arity, order, out)
+    return type(a)._make(a.arity, order, out)
+
+
+class RationalUnivariateSeries(AssocSeries):
+    """Truncated power series in one variable t with exact rational coefficients.
+
+    The word series over one letter, t^k being the word of k letters; the
+    constructor, ``coeffs``, ``coefficient`` and the JSON form use exponents.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, order: int, coeffs=None):  # coeffs: a dict or a list keyed by exponent
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs or ())
+        terms = {}
+        for k, c in items:
+            if k < 0 or (k > order and Fraction(c)):
+                raise ValueError(f"exponent {k} outside [0, {order}]")
+            terms[b"\x00" * k] = c
+        super().__init__(1, order, terms)
+
+    def __reduce__(self):
+        return RationalUnivariateSeries, (self.order, dict(self.coeffs))
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients keyed by exponent, in ascending order."""
+        return MappingProxyType({len(w): c for w, c in self.sorted_items()})
+
+    def coefficient(self, k: int) -> Fraction:
+        return self._terms.get(b"\x00" * k, Fraction(0)) if k >= 0 else Fraction(0)
+
+    def inverse(self) -> "RationalUnivariateSeries":
+        """Multiplicative inverse; requires a nonzero constant term."""
+        c0 = self.coefficient(0)
+        if not c0:
+            raise ValueError("series with zero constant term has no inverse")
+        coeffs = self.coeffs
+        inv = {0: 1 / c0}
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                ck = coeffs.get(k)
+                if ck:
+                    acc += ck * inv.get(n - k, Fraction(0))
+            if acc:
+                inv[n] = -acc / c0
+        return RationalUnivariateSeries(self.order, inv)
+
+    def shifted_down(self, k: int = 1) -> "RationalUnivariateSeries":
+        """Exact division by t^k; the low coefficients must vanish."""
+        for j in range(k):
+            if self.coefficient(j):
+                raise ValueError(f"coefficient of t^{j} is nonzero; cannot divide by t^{k}")
+        return RationalUnivariateSeries(
+            self.order - k, {e - k: c for e, c in self.coeffs.items() if e >= k})
+
+    def derivative(self) -> "RationalUnivariateSeries":
+        return RationalUnivariateSeries(
+            max(self.order - 1, 0),
+            {k - 1: k * c for k, c in self.coeffs.items() if k >= 1})
+
+    def odd_part(self) -> "RationalUnivariateSeries":
+        return RationalUnivariateSeries(
+            self.order, {k: c for k, c in self.coeffs.items() if k % 2 == 1})
+
+    def _name(self, w: bytes) -> str | None:
+        return f"t^{len(w)}" if w else None
+
+    def to_json_dict(self) -> dict:
+        return {"order": self.order,
+                "coeffs": [format_rational(self.coefficient(k))
+                           for k in range(self.order + 1)]}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":
+        """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
+        name = cls.__name__
+        if not isinstance(data, dict):
+            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
+        if type(data.get("order")) is not int:
+            raise ValueError(f"{name} JSON 'order' must be an integer")
+        coeffs = data.get("coeffs")
+        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+            raise ValueError(f"{name} JSON 'coeffs' must be a list of strings")
+        return cls(data["order"], [parse_rational(c) for c in coeffs])
+
+
+def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> AssocSeries:
+    """phi(a) = sum of phi_k a^k for a word series with zero constant term.
+
+    The one power loop: ``exp`` and ``log`` substitute their coefficient series.
+    """
+    if a.constant_term:
+        raise ValueError("substitution into a univariate series needs zero constant term")
+    if phi.order < a.order:
+        raise ValueError("univariate series truncated below the word-series order")
+    unit = a.unit(a.arity, a.order)
+    result = unit * phi.coefficient(0)
+    power = unit
+    for k in range(1, a.order + 1):
+        power = power * a
+        if power.is_zero():
+            break
+        ck = phi.coefficient(k)
+        if ck:
+            result = result + power * ck
+    return result
 
 
 def exp(a: AssocSeries) -> AssocSeries:
-    """Truncated exponential; requires zero constant term."""
-    if a.constant_term:
-        raise ValueError("exp requires a series with zero constant term")
-    result = AssocSeries.unit(a.arity, a.order)
-    power = result
-    for k in range(1, a.order + 1):
-        power = power * a * Fraction(1, k)
-        if power.is_zero():
-            break
-        result = result + power
-    return result
+    """Truncated exponential, sum of a^k/k!; requires zero constant term."""
+    return univariate_substitute(RationalUnivariateSeries(
+        a.order, [Fraction(1, math.factorial(k)) for k in range(a.order + 1)]), a)
 
 
 def log(a: AssocSeries) -> AssocSeries:
-    """Truncated logarithm; requires constant term 1."""
+    """Truncated logarithm, sum of (-1)^(k+1) u^k/k for u = a - 1; requires constant term 1."""
     if a.constant_term != 1:
         raise ValueError("log requires a series with constant term 1")
-    u = a - AssocSeries.unit(a.arity, a.order)
-    result = AssocSeries.zero(a.arity, a.order)
-    power = AssocSeries.unit(a.arity, a.order)
-    for k in range(1, a.order + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        result = result + power * Fraction((-1) ** (k + 1), k)
-    return result
+    return univariate_substitute(RationalUnivariateSeries(
+        a.order, {k: Fraction((-1) ** (k + 1), k) for k in range(1, a.order + 1)}),
+        a - a.unit(a.arity, a.order))
 
 
 def tau(a: AssocSeries) -> AssocSeries:

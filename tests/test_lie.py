@@ -242,6 +242,18 @@ def test_scale_is_identity_at_one():
     assert scale(a, 2).coefficient(b"\x00\x01") == 4 * a.coefficient(b"\x00\x01")
 
 
+def test_scale_keeps_a_known_word_expansion():
+    ch = bch(6)
+    for t in (-1, Fraction(1, 2), 3):
+        scaled = scale(ch, t)
+        fresh = LieElement(2, 6, dict(scaled.terms)).expand()
+        assert scaled._assoc == fresh  # carried over from bch's words, not recomputed
+        assert scaled.expand() is scaled._assoc
+    plain = random_lie_element(random.Random(213), 2, 6)  # no expansion yet: none is made
+    with pytest.raises(AttributeError):
+        scale(plain, 2)._assoc
+
+
 def test_ch_t_low_degree_and_homogeneity():
     assert ch_t(1, 6) == bch(6)
     assert ch_t(Fraction(3, 2), 6).degree_part(2) == lyndon(

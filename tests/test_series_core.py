@@ -16,19 +16,29 @@ from kvquad import (
     LieElement,
     NotLieError,
     QuadTraceSeries,
+    RationalUnivariateSeries,
     TraceSeries,
     VerificationReport,
     assoc_to_lie,
     canonical_solution,
+    exp,
     kernel_series,
     kv1_residual,
+    log,
     tr,
     tr_quad,
     verify_prop_last,
 )
 from kvquad.sampling import random_lie_element, random_rational
 
-from oracles import first_non_lie_degree, to_word_dict
+from oracles import (
+    first_non_lie_degree,
+    oexp,
+    olog,
+    random_assoc_series,
+    series_inverse,
+    to_word_dict,
+)
 
 SERIES_CLASSES = (AssocSeries, LieElement, TraceSeries, QuadTraceSeries)
 
@@ -160,3 +170,60 @@ def test_value_classes_pickle_and_deepcopy(duplicate):
         if isinstance(value, KVSolution):
             assert dup.method == value.method
             assert kv1_residual(dup).is_zero() and kv1_residual(dup).order == value.order + 1
+
+
+def test_univariate_series_is_the_one_letter_word_series():
+    assert issubclass(RationalUnivariateSeries, AssocSeries)
+    assert kvquad.lie.RationalUnivariateSeries is kvquad.words.RationalUnivariateSeries
+    assert kvquad.lie.univariate_substitute is kvquad.words.univariate_substitute
+    for name in ("__setattr__", "is_zero", "__eq__", "__hash__", "__add__", "__sub__",
+                 "__neg__", "__mul__", "__rmul__", "__str__", "__repr__"):
+        assert name not in vars(RationalUnivariateSeries), name  # the core's own
+    s = RationalUnivariateSeries(3, [1, Fraction(1, 2), 0, -1])
+    assert s.terms == {b"": 1, b"\x00": Fraction(1, 2), b"\x00\x00\x00": -1}
+    assert str(s) == "1 + 1/2*t^1 - t^3"
+    assert repr(s) == "RationalUnivariateSeries(arity=1, order=3, 1 + 1/2*t^1 - t^3)"
+
+
+def test_univariate_arithmetic_stays_univariate():
+    s = RationalUnivariateSeries(4, {0: 1, 1: -2, 3: Fraction(1, 3)})
+    t = RationalUnivariateSeries(3, {1: 1, 2: 5})
+    for value in (s + t, s - t, -s, s * 3, 3 * s, s * Fraction(1, 2), s * t, t * s):
+        assert type(value) is RationalUnivariateSeries
+    assert (s * t).order == 3
+    assert (s * t).coeffs == {1: 1, 2: 3, 3: -10}
+    assert (s - s).is_zero() and s * 0 == RationalUnivariateSeries.zero(1, 4)
+
+
+def test_univariate_inverse_matches_oracle():
+    rng = random.Random(903)
+    for _ in range(30):
+        order = rng.randint(0, 9)
+        coeffs = [random_rational(rng) for _ in range(order + 1)]
+        coeffs[0] = coeffs[0] or Fraction(1)
+        inverse = RationalUnivariateSeries(order, coeffs).inverse()
+        assert type(inverse) is RationalUnivariateSeries and inverse.order == order
+        assert [inverse.coefficient(k) for k in range(order + 1)] == series_inverse(coeffs)
+
+
+def test_univariate_exponents_are_checked():
+    for coeffs in ({-1: 1}, {-1: 0}, {3: 1}):
+        with pytest.raises(ValueError, match="exponent"):
+            RationalUnivariateSeries(2, coeffs)
+    assert RationalUnivariateSeries(2, {3: 0}).is_zero()  # a zero above the order is dropped
+    s = RationalUnivariateSeries(2, {0: 5, 2: 1})
+    assert s.coefficient(-1) == 0 and s.coefficient(0) == 5 and s.coefficient(3) == 0
+    assert list(RationalUnivariateSeries(3, {3: 1, 0: 2, 1: 4}).coeffs) == [0, 1, 3]
+
+
+def test_exp_and_log_match_oracles():
+    rng = random.Random(904)
+    for arity in (2, 3):
+        for order in range(1, 8):
+            for _ in range(3):
+                a = random_assoc_series(rng, arity, order, terms=5, with_constant=False)
+                got = exp(a)
+                assert type(got) is AssocSeries and got.order == order
+                assert to_word_dict(got) == oexp(to_word_dict(a), order)
+                one_plus = AssocSeries.unit(arity, order) + a
+                assert to_word_dict(log(one_plus)) == olog(to_word_dict(one_plus), order)

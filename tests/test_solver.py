@@ -57,6 +57,15 @@ def test_kv_rhs_is_cached_per_order():
     assert first.expand() is kv_rhs(7).expand()  # the word expansion is shared too
 
 
+def test_kv_rhs_keeps_its_word_expansion():
+    # kv_rhs reuses the Campbell-Hausdorff words; they must be exactly the
+    # expansion of its Lyndon coordinates, which a fresh element recomputes
+    for order in range(2, 11):
+        r = kv_rhs(order)
+        fresh = LieElement(2, order, dict(r.terms)).expand()
+        assert r._assoc == fresh and r._assoc.order == fresh.order == order
+
+
 def test_kv_rhs_exactly_half_bracket_at_order_two():
     assert kv_rhs(2) == lyndon(2, {"ab": Fraction(1, 2)})
 

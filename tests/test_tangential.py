@@ -19,6 +19,7 @@ from kvquad import (
     div,
     div_quad,
     generator,
+    left_letter_mul,
     quadratic_trace_tuple,
     simplicial,
     substitute,
@@ -30,6 +31,7 @@ from kvquad import (
     word_from_str,
 )
 from kvquad.sampling import random_lie_element, random_lie_pairs, random_tangential_derivation
+from kvquad.tangential import divergence_words
 
 X = generator(2, 0, 6)
 Y = generator(2, 1, 6)
@@ -249,3 +251,37 @@ def test_derivation_json_roundtrip():
     data = u.to_json_dict()
     assert len(data["tuple"]) == 3
     assert TangentialDerivation.from_json_dict(data) == u
+
+
+def right_letter_divergence(components, project):
+    """sum_i project(x_i * (d_i a_i)) with d_i from ``decompose``, the paper's formula."""
+    total = None
+    for i, a_i in enumerate(components):
+        partial = decompose(a_i.expand()).partials[i]
+        piece = project(left_letter_mul(i, partial, a_i.order))
+        total = piece if total is None else total + piece
+    return total
+
+
+def test_divergence_matches_right_letter_formula():
+    rng = random.Random(411)
+    for arity in (2, 3):
+        for _ in range(12):
+            order = rng.randint(2, 6)
+            raw = [random_lie_element(rng, arity, order, terms=5)
+                   + generator(arity, i, order) * rng.choice([1, -2, Fraction(1, 3)])
+                   for i in range(arity)]
+            u = TangentialDerivation(raw)  # drops the x_i-linear terms again
+            for project, divergence in ((tr, div), (tr_quad, div_quad)):
+                expected = right_letter_divergence(raw, project)
+                got = project(divergence_words(raw))
+                assert got == expected and got.order == expected.order == order
+                assert divergence(u) == right_letter_divergence(u.components, project)
+            # the x_i-linear terms are kept: tr sees each as the class [x_i]
+            assert tr(divergence_words(raw)) != div(u)
+
+
+@pytest.mark.parametrize("data", [{}, [], {"tuple": 3}], ids=["empty", "list", "int-tuple"])
+def test_derivation_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError):
+        TangentialDerivation.from_json_dict(data)

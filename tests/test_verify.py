@@ -228,6 +228,16 @@ def test_full_trace_equation_is_informational(sol6):
     assert failing and failing[0] == 5  # the plain-trace identity genuinely fails
 
 
+def test_full_trace_reads_the_raw_pair(sol6):
+    # the gauge members of tr(x*x) and tr(y*y) add 2x to A and 2y to B; the
+    # derivation drops such own-linear terms, the trace identity must not
+    x, y = generator(2, 0, 6), generator(2, 1, 6)
+    for member, name in zip(gauge_family(sol6, [(x, x), (y, y)])[1:], ("a", "b")):
+        witness = check_full_trace_equation(member).witness
+        assert (witness.degree, witness.item, witness.delta) == (1, name, 2)
+        assert verify_theorem(member).passed  # tr_quad kills the length-one classes
+
+
 def test_report_json_lines(sol6):
     bad = corrupt(sol6, word_from_str("ab"))
     report = verify_kv1(bad)
