@@ -20,6 +20,7 @@ from .words import (
     log,
     mul,
     parse_rational,
+    substitute_words,
     tau,
     word_from_str,
     word_to_str,

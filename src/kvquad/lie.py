@@ -20,7 +20,6 @@ from .lyndon import (
     commutator,
     is_lyndon,
     lyndon_coordinates,
-    standard_factorization,
 )
 from .words import (  # RationalUnivariateSeries and univariate_substitute are re-exported
     ArityMismatchError,
@@ -30,6 +29,7 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     _SparseSeries,
     _accumulate,
     substitute_letter_linear,
+    substitute_words,
     univariate_substitute,
 )
 
@@ -123,6 +123,18 @@ def assoc_to_lie(a: AssocSeries) -> LieElement:
     return LieElement._make(a.arity, a.order, coords)
 
 
+def lie_from_words(a: AssocSeries) -> LieElement:
+    """``assoc_to_lie``, keeping ``a`` as the result's ``expand()`` memo.
+
+    The peel only returns when it emptied every part, so ``a`` is exactly
+    the result's word expansion.  The memo is set before the element is
+    returned, so no other thread sees it unset.
+    """
+    series = assoc_to_lie(a)
+    object.__setattr__(series, "_assoc", a)
+    return series
+
+
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, computed as a commutator of word expansions."""
     a._check_compatible(b)
@@ -192,10 +204,7 @@ def log_exp_product(arity: int, order: int) -> LieElement:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    words = AssocSeries._make(arity, order, _goldberg_words(arity, order))
-    series = assoc_to_lie(words)
-    object.__setattr__(series, "_assoc", words)
-    return series
+    return lie_from_words(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
 
 
 def bch_multi(arity: int, order: int) -> LieElement:
@@ -210,23 +219,13 @@ def bch(order: int) -> LieElement:
     return bch_multi(2, order)
 
 
-def _is_increasing_generator_tuple(args) -> bool:
-    indices = []
-    for arg in args:
-        items = list(arg._terms.items())
-        if len(items) != 1:
-            return False
-        (w, c), = items
-        if len(w) != 1 or c != 1:
-            return False
-        indices.append(w[0])
-    return all(x < y for x, y in zip(indices, indices[1:]))
-
-
 def substitute_many(elements, args) -> list[LieElement]:
     """Apply the Lie homomorphism generator i -> args[i] to several elements.
 
-    The bracketing images of shared Lyndon subwords are computed once.
+    Each element's words go through the associative substitution kernel
+    ``substitute_words`` on the arguments' word expansions and are peeled
+    once; the peel empties them, so they are kept as the result's
+    ``expand()`` memo.
     """
     args = tuple(args)
     if not args:
@@ -244,42 +243,12 @@ def substitute_many(elements, args) -> list[LieElement]:
         if a.arity != len(args):
             raise ArityMismatchError(
                 f"element arity {a.arity} needs {a.arity} arguments, got {len(args)}")
-    orders = [min(a.order, args_order) for a in elements]
-
-    if _is_increasing_generator_tuple(args):
-        # order-preserving letter relabeling keeps Lyndon words Lyndon
-        mapping = [next(iter(arg._terms))[0] for arg in args]
-        return [
-            LieElement._make(arity_out, order,
-                             {bytes(mapping[letter] for letter in w): c
-                              for w, c in a._terms.items() if len(w) <= order})
-            for a, order in zip(elements, orders)
-        ]
-
-    args_ass = [arg.expand() for arg in args]
-    cache: dict[bytes, AssocSeries] = {}
-
-    def image(w: bytes) -> AssocSeries:
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-        if len(w) == 1:
-            result = args_ass[w[0]]
-        else:
-            u, v = standard_factorization(w)
-            words = commutator(image(u)._terms, image(v)._terms, args_order)
-            result = AssocSeries._make(arity_out, args_order, words)
-        cache[w] = result
-        return result
-
+    images = [arg.expand()._terms for arg in args]
     out = []
-    for a, order in zip(elements, orders):
-        total = AssocSeries.zero(arity_out, order)
-        for w, c in a._terms.items():
-            if len(w) <= order:
-                total = total + image(w).truncated(order) * c
-        out.append(assoc_to_lie(total))
-    del image  # a recursive closure is a reference cycle: free its cache now
+    for a in elements:
+        order = min(a.order, args_order)
+        words = substitute_words(a.expand()._terms, images, order)
+        out.append(lie_from_words(AssocSeries._make(arity_out, order, words)))
     return out
 
 

@@ -11,6 +11,7 @@ coordinates and decides Lie membership in one pass.  ``commutator`` is the
 one word-basis bracket that every Lie operation of the package builds on.
 """
 
+import math
 from fractions import Fraction
 
 from .words import _accumulate, word_to_str
@@ -104,20 +105,23 @@ def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fract
     strictly raises the least word, so the loop terminates.  An emptied
     input is the combination of bracketings that was peeled, hence Lie;
     otherwise the loop meets a non-Lyndon least word and raises ValueError
-    naming it.
+    naming it.  The peel is linear, so it runs on integer numerators over
+    the common denominator of the input.
     """
-    remaining = dict(degree_terms)
+    denominator = math.lcm(*(c.denominator for c in degree_terms.values()))
+    remaining = {w: c.numerator * (denominator // c.denominator)
+                 for w, c in degree_terms.items()}
     coords: dict[bytes, Fraction] = {}
     while remaining:
         w = min(remaining)
         if not is_lyndon(w):
             raise ValueError(f"word {word_to_str(w)!r} obstructs Lie membership")
-        c = remaining.pop(w)
-        coords[w] = c
+        n = remaining.pop(w)
+        coords[w] = Fraction(n, denominator)
         for v, k in bracket_expansion(w).items():
             if v == w:
                 continue
-            cur = remaining.get(v, Fraction(0)) - c * k
+            cur = remaining.get(v, 0) - n * k
             if cur:
                 remaining[v] = cur
             else:

@@ -19,20 +19,28 @@ from .lie import (
     bch_multi,
     directional_derivative,
     generator,
+    lie_from_words,
     substitute_many,
 )
 from .lyndon import commutator
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
-from .words import ArityMismatchError, AssocSeries, Rational, _accumulate
+from .words import ArityMismatchError, AssocSeries, Rational, _accumulate, substitute_words
 
 
 def _strip_own_linear(index: int, a: LieElement) -> LieElement:
+    """a without its x_index term; a kept word expansion loses the word x_index alike."""
     key = bytes([index])
     if key not in a.terms:
         return a
     terms = dict(a.terms)
     del terms[key]
-    return LieElement._make(a.arity, a.order, terms)
+    stripped = LieElement._make(a.arity, a.order, terms)
+    words = getattr(a, "_assoc", None)
+    if words is not None:  # the bracketing of a letter is the letter itself
+        kept = dict(words._terms)
+        del kept[key]
+        object.__setattr__(stripped, "_assoc", AssocSeries._make(a.arity, a.order, kept))
+    return stripped
 
 
 class TangentialDerivation:
@@ -153,37 +161,44 @@ def act(u: TangentialDerivation, a):
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
 
 
-def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
-    """Embed a two-letter derivation into three letters.
+def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[dict, dict, dict]:
+    """Word maps of the three components of a simplicial embedding.
 
     For u = (A, B) the four patterns give
       1,2  -> (A(x,y), B(x,y), 0)
       2,3  -> (0, A(y,z), B(y,z))
       12,3 -> (A(ch(x,y),z), A(ch(x,y),z), B(ch(x,y),z))
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
-    with ch the two-letter Campbell-Hausdorff series.
+    with ch the two-letter Campbell-Hausdorff series.  A and B are
+    substituted on their word expansions by ``substitute_words``, so the
+    maps are Lie but not yet projected; a repeated component is one map.
     """
     if u.arity != 2:
         raise ArityMismatchError("simplicial maps embed arity-2 derivations")
+    if pattern not in _SIMPLICIAL_PATTERNS:
+        raise ValueError(
+            f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
     order = u.order
     x, y, z = (generator(3, i, order) for i in range(3))
-    A, B = u.components
-    zero = LieElement.zero(3, order)
     if pattern == "1,2":
-        A3, B3 = substitute_many([A, B], (x, y))
-        return TangentialDerivation([A3, B3, zero])
-    if pattern == "2,3":
-        A3, B3 = substitute_many([A, B], (y, z))
-        return TangentialDerivation([zero, A3, B3])
-    if pattern == "12,3":
-        ch_xy = substitute_many([bch_multi(2, order)], (x, y))[0]
-        A3, B3 = substitute_many([A, B], (ch_xy, z))
-        return TangentialDerivation([A3, A3, B3])
-    if pattern == "1,23":
-        ch_yz = substitute_many([bch_multi(2, order)], (y, z))[0]
-        A3, B3 = substitute_many([A, B], (x, ch_yz))
-        return TangentialDerivation([A3, B3, B3])
-    raise ValueError(f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
+        args = (x, y)
+    elif pattern == "2,3":
+        args = (y, z)
+    elif pattern == "12,3":
+        args = (substitute_many([bch_multi(2, order)], (x, y))[0], z)
+    else:
+        args = (x, substitute_many([bch_multi(2, order)], (y, z))[0])
+    images = [arg.expand()._terms for arg in args]
+    A, B = (substitute_words(a.expand()._terms, images, order) for a in u.components)
+    return {"1,2": (A, B, {}), "2,3": ({}, A, B),
+            "12,3": (A, A, B), "1,23": (A, B, B)}[pattern]
+
+
+def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
+    """Embed a two-letter derivation into three letters; see ``simplicial_words``."""
+    maps = simplicial_words(u, pattern)
+    lie = {id(words): lie_from_words(AssocSeries._make(3, u.order, words)) for words in maps}
+    return TangentialDerivation([lie[id(words)] for words in maps])
 
 
 def divergence_words(components) -> AssocSeries:

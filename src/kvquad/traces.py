@@ -15,7 +15,14 @@ relied on by substitution.
 from fractions import Fraction
 
 from .lie import LieElement
-from .words import ArityMismatchError, AssocSeries, _SparseSeries, _accumulate, word_to_str
+from .words import (
+    ArityMismatchError,
+    AssocSeries,
+    _SparseSeries,
+    _accumulate,
+    substitute_words,
+    word_to_str,
+)
 
 
 def canonical_rotation(w: bytes) -> bytes:
@@ -112,8 +119,10 @@ def trace_substitute(g, args):
     """Substitute Lie elements for the letters of every class of g.
 
     Any linear representative of a class may be expanded; the result does not
-    depend on the choice because Lie arguments are tau-antisymmetric.  Works
-    for both quotients and returns the same kind as g.
+    depend on the choice because Lie arguments are tau-antisymmetric.  The
+    representatives are substituted together by ``substitute_words`` and
+    projected once, as both projections are linear.  Works for both
+    quotients and returns the same kind as g.
     """
     args = tuple(args)
     if len(args) != g.arity:
@@ -125,14 +134,6 @@ def trace_substitute(g, args):
             raise TypeError("substitution arguments must be LieElements")
         if arg.arity != arity_out:
             raise ArityMismatchError("substitution arguments must share one arity")
-    expansions = [arg.expand().truncated(order) for arg in args]
+    words = substitute_words(g._terms, [arg.expand()._terms for arg in args], order)
     project = tr if isinstance(g, TraceSeries) else tr_quad
-    result = (TraceSeries if isinstance(g, TraceSeries) else QuadTraceSeries).zero(arity_out, order)
-    for w, c in g.terms.items():
-        product = AssocSeries.unit(arity_out, order)
-        for letter in w:
-            product = product * expansions[letter]
-            if product.is_zero():
-                break
-        result = result + project(product) * c
-    return result
+    return project(AssocSeries._make(arity_out, order, words))

@@ -20,13 +20,14 @@ from .lie import (
     bch_multi,
     generator,
     kernel_series,
+    lie_from_words,
     substitute,
     univariate_substitute,
 )
 from .linalg import rational_kernel, rational_solve
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import TangentialDerivation, act, div_quad, divergence_words, simplicial
+from .tangential import TangentialDerivation, act, div_quad, divergence_words, simplicial_words
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
 from .words import AssocSeries, format_rational, word_to_str
 
@@ -180,10 +181,19 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
 
 
 def simplicial_combination(s: KVSolution) -> TangentialDerivation:
-    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B)."""
+    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B).
+
+    The four embeddings are summed in words and each component is peeled
+    once, keeping its words as the ``expand()`` memo that ``act`` reads.
+    """
     u = s.derivation()
-    return (simplicial(u, "1,2") + simplicial(u, "12,3")
-            - simplicial(u, "1,23") - simplicial(u, "2,3"))
+    sums: list[dict] = [{}, {}, {}]
+    for pattern, sign in (("1,2", 1), ("12,3", 1), ("1,23", -1), ("2,3", -1)):
+        for total, words in zip(sums, simplicial_words(u, pattern)):
+            for w, c in words.items():
+                total[w] = total.get(w, 0) + (c if sign > 0 else -c)
+    return TangentialDerivation(
+        [lie_from_words(AssocSeries._make(3, u.order, total)) for total in sums])
 
 
 def verify_prop_U(s: KVSolution, combination: TangentialDerivation | None = None) -> VerificationReport:

@@ -9,6 +9,9 @@ truncated at a fixed degree; every operation is pure and returns a new series
 truncated at the smaller operand order.  That sparse-series core is shared by
 the Lie series of :mod:`kvquad.lie`, the trace series of :mod:`kvquad.traces`
 and the power series in one variable, which are word series over one letter.
+``substitute_words``, the associative substitution of word maps for letters,
+is the one kernel behind Lie substitution, the simplicial embeddings and
+trace substitution; it computes in integers over one denominator.
 """
 
 import math
@@ -326,6 +329,57 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
     return type(a)._make(a.arity, order, out)
 
 
+def _horner_words(terms: dict, images, room: int) -> dict:
+    """sum of t_w images[w_0] ... images[w_last] over integer maps, words up to ``room``.
+
+    Words sharing a first letter share that leftmost factor; each image word
+    has length >= 1, so the factors still to come get one letter less room.
+    """
+    out: dict[bytes, int] = {}
+    by_first: dict[int, dict[bytes, int]] = {}
+    for w, t in terms.items():
+        if w:
+            by_first.setdefault(w[0], {})[w[1:]] = t
+        else:
+            out[b""] = t
+    for i, rest in by_first.items():
+        tails: dict[int, list] = {}
+        for v, b in _horner_words(rest, images, room - 1).items():
+            tails.setdefault(len(v), []).append((v, b))
+        for u, a in images[i].items():
+            fit = room - len(u)
+            for length, items in tails.items():
+                if length <= fit:
+                    for v, b in items:
+                        w = u + v
+                        out[w] = out.get(w, 0) + a * b
+    return {w: n for w, n in out.items() if n}
+
+
+def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
+    """sum_w c_w images[w_0] images[w_1] ... for a word map ``terms``, through ``order``.
+
+    The associative-algebra homomorphism sending letter i to the word map
+    ``images[i]``, applied to ``terms``; words beyond ``order`` are dropped.
+    Precondition: no image has a constant term, so a word w only reaches
+    degrees >= |w| and the truncation is exact.  The sum is formed in
+    integers by Horner's scheme over first letters: with the images over one
+    denominator D and the terms over T, the numerator of c_w is scaled by
+    D^(order-|w|), so every product lies over T * D^order.
+    """
+    if any(b"" in image for image in images):
+        raise ValueError("substituted images must have zero constant term")
+    d = math.lcm(*(c.denominator for image in images for c in image.values()))
+    t = math.lcm(*(c.denominator for c in terms.values()))
+    scaled = [{u: c.numerator * (d // c.denominator) for u, c in image.items()}
+              for image in images]
+    numerators = {w: c.numerator * (t // c.denominator) * d ** (order - len(w))
+                  for w, c in terms.items() if len(w) <= order}
+    denominator = t * d ** order
+    return {w: Fraction(n, denominator)
+            for w, n in _horner_words(numerators, scaled, order).items()}
+
+
 class RationalUnivariateSeries(AssocSeries):
     """Truncated power series in one variable t with exact rational coefficients.
 
@@ -346,6 +400,19 @@ class RationalUnivariateSeries(AssocSeries):
 
     def __reduce__(self):
         return RationalUnivariateSeries, (self.order, dict(self.coeffs))
+
+    @classmethod
+    def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
+        """coeff * t^len(w) for a word made only of letter 0, over one letter."""
+        if arity != 1 or any(w):
+            raise ValueError("a univariate series has one letter: arity 1 and words of letter 0")
+        return cls(order, {len(w): coeff})
+
+    def with_arity(self, arity: int):
+        """Itself over one letter; over more letters a plain word series in letter 0."""
+        if arity == 1:
+            return self
+        return AssocSeries._make(1, self.order, self._terms).with_arity(arity)
 
     @property
     def coeffs(self):

@@ -2,10 +2,14 @@
 
 Nearly everything here is deliberately written from scratch on tuple-encoded
 words with its own arithmetic, so that agreement with the library is a
-genuine cross-check and not a tautology.  Two helpers use library series:
-``product_log_ch`` is the slow path of the Campbell-Hausdorff series, a
-product of exponentials and a logarithm, and ``random_assoc_series`` draws
-seeded inputs for the property suites.
+genuine cross-check and not a tautology.  A few helpers use library series
+or Lyndon combinatorics: ``product_log_ch`` is the slow path of the
+Campbell-Hausdorff series, a product of exponentials and a logarithm;
+``lyndon_image_substitute`` is the former Lie substitution, which builds
+the image of each standard bracketing from the images of its factors;
+``fraction_lyndon_coordinates`` is the former Lyndon peel in ``Fraction``
+arithmetic; and ``random_assoc_series`` draws seeded inputs for the
+property suites.
 """
 
 import itertools
@@ -13,8 +17,10 @@ import math
 import random
 from fractions import Fraction
 
+from kvquad.lie import LieElement, assoc_to_lie
+from kvquad.lyndon import bracket_expansion, commutator, is_lyndon, standard_factorization
 from kvquad.sampling import random_rational
-from kvquad.words import AssocSeries, log
+from kvquad.words import AssocSeries, log, word_to_str
 
 Word = tuple[int, ...]
 
@@ -137,6 +143,58 @@ def product_log_ch(arity: int, order: int) -> AssocSeries:
         powers = {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(order + 1)}
         product = product * AssocSeries(arity, order, powers)
     return log(product)
+
+
+def lyndon_image_substitute(elements, args) -> list[LieElement]:
+    """Lie substitution x_i -> args[i] through the images of Lyndon bracketings.
+
+    The image of a Lyndon word of length >= 2 is the commutator of the
+    images of its standard factors, in words; each element sums its terms'
+    images and is peeled back to the Lyndon basis.
+    """
+    arity_out, args_order = args[0].arity, args[0].order
+    args_words = [arg.expand() for arg in args]
+    cache: dict[bytes, AssocSeries] = {}
+
+    def image(w: bytes) -> AssocSeries:
+        if w not in cache:
+            if len(w) == 1:
+                cache[w] = args_words[w[0]]
+            else:
+                u, v = standard_factorization(w)
+                words = commutator(image(u)._terms, image(v)._terms, args_order)
+                cache[w] = AssocSeries._make(arity_out, args_order, words)
+        return cache[w]
+
+    out = []
+    for a in elements:
+        order = min(a.order, args_order)
+        total = AssocSeries.zero(arity_out, order)
+        for w, c in a.terms.items():
+            total = total + image(w).truncated(order) * c
+        out.append(assoc_to_lie(total))
+    return out
+
+
+def fraction_lyndon_coordinates(degree_terms: dict) -> dict:
+    """Lyndon coordinates of a homogeneous Lie polynomial by a peel in ``Fraction``.
+
+    Raises ValueError naming the least remaining word when it is not Lyndon.
+    """
+    remaining = {w: Fraction(c) for w, c in degree_terms.items()}
+    coords = {}
+    while remaining:
+        w = min(remaining)
+        if not is_lyndon(w):
+            raise ValueError(f"word {word_to_str(w)!r} obstructs Lie membership")
+        c = remaining.pop(w)
+        coords[w] = c
+        for v, k in bracket_expansion(w).items():
+            if v != w:
+                remaining[v] = remaining.get(v, Fraction(0)) - c * k
+                if not remaining[v]:
+                    del remaining[v]
+    return coords
 
 
 def series_inverse(coeffs: list[Fraction]) -> list[Fraction]:

@@ -11,7 +11,11 @@ matrix is checked byte for byte against the output of the former dense
 elimination.  The four ``bch`` runs pin the Lyndon coordinates of the
 Campbell-Hausdorff series in two and three letters; the order-12 and
 three-letter order-8 digests were recorded from the product-and-logarithm
-construction that Goldberg's formula replaced.
+construction that Goldberg's formula replaced.  The ``all --order 8`` run
+pins propU, propLast and cocycle one order above the benchmark's propU job;
+its digest was recorded from the Lyndon-bracketing substitution and the
+``Fraction`` peel that the word substitution kernel and the integer peel
+replaced.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -40,6 +44,8 @@ GOLDEN = [
      "ffb0e7f73fdf52907572c50133c271bd9a8505f25cfeef44b7503cca32c085c0"),
     (("bch", "--arity", "3", "--order", "8"), 0,
      "834e1529b0f851211e49b4b05db87b996ae8d491af728891fc5e6da6cf6c8ded"),
+    (("verify", "--suite", "all", "--order", "8"), 0,
+     "d19a8290cef896d4c0d0dd7fcd2260625d674e40a04cb47bf446f75a0f2d576c"),
 ]
 
 

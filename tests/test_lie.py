@@ -16,9 +16,11 @@ from kvquad import (
     bch,
     bch_multi,
     bracket,
+    canonical_solution,
     ch_t,
     decompose,
     directional_derivative,
+    div_quad,
     exp,
     generator,
     is_lyndon,
@@ -26,18 +28,23 @@ from kvquad import (
     log,
     lyndon_words,
     scale,
+    simplicial_combination,
     standard_factorization,
     substitute,
     substitute_many,
+    trace_substitute,
     univariate_substitute,
     word_from_str,
 )
-from kvquad.sampling import random_lie_element
+from kvquad.lyndon import lyndon_coordinates
+from kvquad.sampling import random_lie_element, random_rational
 
 from oracles import (
     bernoulli_kernel,
     dynkin_bch,
+    fraction_lyndon_coordinates,
     left_nested,
+    lyndon_image_substitute,
     product_log_ch,
     random_assoc_series,
     to_word_dict,
@@ -209,6 +216,71 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
 
 
 # --- substitution, scaling --------------------------------------------------
+
+def fresh_words(series: LieElement) -> AssocSeries:
+    return LieElement(series.arity, series.order, series.terms).expand()
+
+
+@pytest.mark.parametrize("order", [2, 5, 7])
+def test_substitute_many_matches_lyndon_image_oracle(order):
+    """The word-level substitution agrees with the former bracketing recursion."""
+    rng = random.Random(930 + order)
+    x, y, z = (generator(3, i, order) for i in range(3))
+    ch = bch(order)
+    ch_xy = substitute_many([ch], (x, y))[0]
+    ch_yz = substitute_many([ch], (y, z))[0]
+    arg_sets = [(x, y), (y, z), (ch_xy, z), (x, ch_yz),
+                (random_lie_element(rng, 3, order), random_lie_element(rng, 3, order, terms=3))]
+    elements = [ch, random_lie_element(rng, 2, max(order - 2, 1))]
+    elements += [random_lie_element(rng, 2, order, terms=8) for _ in range(2)]
+    for args in arg_sets:
+        got = substitute_many(elements, args)
+        for g, e in zip(got, lyndon_image_substitute(elements, args), strict=True):
+            assert g.to_json_dict() == e.to_json_dict()
+            assert g._assoc.order == g.order
+            assert g._assoc.terms == fresh_words(g).terms  # the kept words are its expansion
+
+
+def fraction_peel_outcome(words: AssocSeries):
+    """Coordinates by the Fraction peel, or the obstruction's message and degree."""
+    coords = {}
+    for k in sorted({len(w) for w in words.terms}):
+        try:
+            coords.update(fraction_lyndon_coordinates(words.homogeneous_part(k).terms))
+        except ValueError as exc:
+            return f"{exc} (degree {k})", k
+    return coords
+
+
+def peel_or_message(peel, part):
+    try:
+        return peel(part)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("arity, order", [(2, 8), (3, 6)])
+def test_integer_peel_matches_fraction_peel(arity, order):
+    """Same coordinates on Lie input; same obstructing word and degree otherwise."""
+    rng = random.Random(940 + arity)
+    failures = 0
+    for trial in range(16):
+        words = random_lie_element(rng, arity, order, terms=8).expand()
+        if trial % 2:
+            w = bytes(rng.randrange(arity) for _ in range(rng.randint(2, order)))
+            words = words + AssocSeries.from_word(arity, order, w, random_rational(rng) or 1)
+        expected = fraction_peel_outcome(words)
+        for k in range(1, order + 1):
+            part = dict(words.homogeneous_part(k).terms)
+            assert peel_or_message(lyndon_coordinates, part) == peel_or_message(
+                fraction_lyndon_coordinates, part)
+        try:
+            got = assoc_to_lie(words).terms
+        except NotLieError as err:
+            failures += 1
+            got = str(err), err.degree
+        assert got == expected
+    assert failures >= 4
 
 def test_substitute_relabeling():
     one_letter = generator(1, 0, 6)
@@ -467,11 +539,15 @@ def test_series_operations_leave_no_reference_cycles():
     ch = substitute_many([bch(5)], (x, y))[0]
     a = random_lie_element(rng, 2, 5)
     u = random_assoc_series(rng, 2, 4)
+    s = canonical_solution(5)
+    g = div_quad(s.derivation())
     gc.collect()
     gc.disable()
     try:
         substitute_many([a], (ch, z))
         ad_apply(u, a)
+        simplicial_combination(s)
+        trace_substitute(g, (ch, z))
         assert gc.collect() == 0
     finally:
         gc.enable()

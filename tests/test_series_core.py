@@ -195,6 +195,27 @@ def test_univariate_arithmetic_stays_univariate():
     assert (s - s).is_zero() and s * 0 == RationalUnivariateSeries.zero(1, 4)
 
 
+def test_univariate_from_word_takes_powers_of_the_one_letter():
+    s = RationalUnivariateSeries.from_word(1, 3, b"\x00", Fraction(2, 3))
+    assert type(s) is RationalUnivariateSeries
+    assert s == RationalUnivariateSeries(3, {1: Fraction(2, 3)}) and s.order == 3
+    assert RationalUnivariateSeries.from_word(1, 2, b"") == RationalUnivariateSeries.unit(1, 2)
+    for arity, word in ((1, b"\x01"), (1, b"\x00\x01"), (2, b"\x00")):
+        with pytest.raises(ValueError):
+            RationalUnivariateSeries.from_word(arity, 3, word)
+
+
+def test_univariate_with_arity_widens_to_a_word_series():
+    s = RationalUnivariateSeries(3, {0: 1, 2: Fraction(-1, 2)})
+    assert s.with_arity(1) is s
+    wide = s.with_arity(2)
+    assert type(wide) is AssocSeries
+    assert wide.arity == 2 and wide.order == 3
+    assert wide.terms == {b"": 1, b"\x00\x00": Fraction(-1, 2)}
+    with pytest.raises(ValueError):
+        s.with_arity(0)
+
+
 def test_univariate_inverse_matches_oracle():
     rng = random.Random(903)
     for _ in range(30):

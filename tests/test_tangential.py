@@ -13,6 +13,7 @@ from kvquad import (
     act,
     act_on_trace,
     bch,
+    bch_multi,
     bracket,
     decompose,
     derivation_from_quadratic_trace,
@@ -32,6 +33,8 @@ from kvquad import (
 )
 from kvquad.sampling import random_lie_element, random_lie_pairs, random_tangential_derivation
 from kvquad.tangential import divergence_words
+
+from oracles import lyndon_image_substitute
 
 X = generator(2, 0, 6)
 Y = generator(2, 1, 6)
@@ -107,6 +110,31 @@ def test_bracket_jacobi():
         total = (u.bracket(v.bracket(w)) + v.bracket(w.bracket(u))
                  + w.bracket(u.bracket(v)))
         assert total.is_zero()
+
+
+def test_stripping_carries_the_word_expansion():
+    """A kept word expansion loses the stripped x_i word with the coordinate."""
+    ch = bch_multi(2, 6)  # keeps its words
+    u = TangentialDerivation([ch, ch])
+    for i, a in enumerate(u.components):
+        assert bytes([i]) not in a.terms and bytes([i]) not in a._assoc.terms
+        assert a._assoc.order == a.order
+        assert a._assoc.terms == LieElement(2, 6, a.terms).expand().terms
+
+
+@pytest.mark.parametrize("pattern", ["1,2", "2,3", "12,3", "1,23"])
+def test_simplicial_matches_lyndon_image_oracle(pattern):
+    rng = random.Random(407)
+    u = random_tangential_derivation(rng, 2, 5)
+    x3, y3, z3 = (generator(3, i, 5) for i in range(3))
+    ch_xy, ch_yz = lyndon_image_substitute([bch(5)], (x3, y3)) + lyndon_image_substitute(
+        [bch(5)], (y3, z3))
+    args = {"1,2": (x3, y3), "2,3": (y3, z3), "12,3": (ch_xy, z3), "1,23": (x3, ch_yz)}[pattern]
+    A3, B3 = lyndon_image_substitute(list(u.components), args)
+    zero = LieElement.zero(3, 5)
+    expected = {"1,2": (A3, B3, zero), "2,3": (zero, A3, B3),
+                "12,3": (A3, A3, B3), "1,23": (A3, B3, B3)}[pattern]
+    assert simplicial(u, pattern) == TangentialDerivation(expected)
 
 
 def test_simplicial_tuple_shapes():

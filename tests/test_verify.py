@@ -14,6 +14,7 @@ from kvquad import (
     act,
     bch,
     bch_multi,
+    canonical_solution,
     check_full_trace_equation,
     div_quad,
     gauge_family,
@@ -82,6 +83,20 @@ def test_verify_theorem_catches_corruption(sol6):
             report = verify_theorem(bad)
             assert not report.passed
             assert report.witness is not None
+
+
+@pytest.mark.parametrize("order", range(2, 8))
+def test_simplicial_combination_matches_four_embeddings(order):
+    """One peel per component of the summed words equals the sum of the four embeddings."""
+    s = canonical_solution(order)
+    u = s.derivation()
+    U = simplicial_combination(s)
+    expected = (simplicial(u, "1,2") + simplicial(u, "12,3")
+                - simplicial(u, "1,23") - simplicial(u, "2,3"))
+    assert U == expected
+    for a in U.components:
+        assert a._assoc.order == order
+        assert a._assoc.terms == LieElement(3, order, a.terms).expand().terms
 
 
 def test_verify_prop_U(sol6):

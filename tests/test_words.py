@@ -12,12 +12,13 @@ from kvquad import (
     log,
     mul,
     parse_rational,
+    substitute_words,
     tau,
     word_from_str,
     word_to_str,
 )
 
-from oracles import oexp, olog, omul, random_assoc_series, to_word_dict
+from oracles import oadd, oexp, olog, omul, oscale, random_assoc_series, to_word_dict
 
 X = AssocSeries.letter(2, 0, 6)
 Y = AssocSeries.letter(2, 1, 6)
@@ -188,3 +189,40 @@ def test_json_roundtrip():
     data = s.to_json_dict()
     assert data["terms"][0] == {"word": "", "coeff": "2/3"}
     assert AssocSeries.from_json_dict(data) == s
+
+
+def per_word_substitution(terms: dict, images: list[dict], order: int) -> dict:
+    """sum_w c_w images[w_0] ... images[w_last] as one omul product per word."""
+    total: dict = {}
+    for w, c in terms.items():
+        product = {(): Fraction(1)}
+        for letter in w:
+            product = omul(product, images[letter], order)
+        total = oadd(total, oscale(product, c))
+    return total
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_substitute_words_matches_per_word_products(order):
+    """Two letters into three, signed non-integer images, words beyond the order."""
+    rng = random.Random(900 + order)
+    for _ in range(4):
+        images = [random_assoc_series(rng, 3, order, terms=6, with_constant=False)
+                  for _ in range(2)]
+        terms = {}
+        for _ in range(10):
+            w = bytes(rng.randrange(2) for _ in range(rng.randint(0, order + 2)))
+            terms[w] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+        got = substitute_words(terms, [image.terms for image in images], order)
+        assert all(len(w) <= order and c for w, c in got.items())
+        expected = per_word_substitution(
+            to_word_dict(AssocSeries(2, order + 2, terms)),
+            [to_word_dict(image) for image in images], order)
+        assert {tuple(w): c for w, c in got.items()} == expected
+
+
+def test_substitute_words_needs_images_without_constant_term():
+    assert substitute_words({b"\x00": Fraction(1)}, [{b"\x01": Fraction(2)}], 3) == {
+        b"\x01": Fraction(2)}
+    with pytest.raises(ValueError):
+        substitute_words({b"\x00": Fraction(1)}, [{b"": Fraction(1)}], 3)
