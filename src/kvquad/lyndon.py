@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .words import _accumulate, word_to_str
 
-_factorization_cache: dict[bytes, tuple[bytes, bytes]] = {}
 _expansion_cache: dict[bytes, dict[bytes, int]] = {}
 
 
@@ -50,15 +49,10 @@ def standard_factorization(w: bytes) -> tuple[bytes, bytes]:
 
     Both factors are Lyndon and u < v.
     """
-    cached = _factorization_cache.get(w)
-    if cached is not None:
-        return cached
     if len(w) < 2 or not is_lyndon(w):
         raise ValueError(f"{w!r} is not a Lyndon word of length >= 2")
     v = min(w[i:] for i in range(1, len(w)))
-    u = w[: len(w) - len(v)]
-    _factorization_cache[w] = (u, v)
-    return u, v
+    return w[: len(w) - len(v)], v
 
 
 def commutator(left: dict, right: dict, order: int) -> dict:

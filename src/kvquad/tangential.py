@@ -46,7 +46,7 @@ def _strip_own_linear(index: int, a: LieElement) -> LieElement:
 class TangentialDerivation:
     """Arity-n tuple of Lie series a_i acting by x_i -> [x_i, a_i]."""
 
-    __slots__ = ("arity", "order", "components")
+    __slots__ = ("arity", "order", "components", "_ch_defect")  # defect: filled on first use
 
     def __init__(self, components):
         components = tuple(components)
@@ -156,6 +156,15 @@ def act(u: TangentialDerivation, a):
         result = result + directional_derivative(
             words, i, AssocSeries._make(u.arity, u.order, image))
     return assoc_to_lie(result) if is_lie else result
+
+
+def ch_defect(u: TangentialDerivation) -> LieElement:
+    """act(u, ch(x_1, ..., x_n)), memoized on the derivation, which is immutable."""
+    try:
+        return u._ch_defect
+    except AttributeError:
+        object.__setattr__(u, "_ch_defect", act(u, bch_multi(u.arity, u.order)))
+        return u._ch_defect
 
 
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")

@@ -17,7 +17,6 @@ from .lie import (
     LieElement,
     RationalUnivariateSeries,
     bch,
-    bch_multi,
     generator,
     kernel_series,
     lie_from_words,
@@ -27,7 +26,7 @@ from .lie import (
 from .linalg import rational_kernel, rational_solve
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import TangentialDerivation, act, div_quad, divergence_words, simplicial_words
+from .tangential import TangentialDerivation, ch_defect, div_quad, divergence_words, simplicial_words
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
 from .words import AssocSeries, format_rational, word_to_str
 
@@ -200,7 +199,7 @@ def verify_prop_U(s: KVSolution, combination: TangentialDerivation | None = None
     """The simplicial combination annihilates the three-letter CH series."""
     _require_solution(s)
     U = simplicial_combination(s) if combination is None else combination
-    return report_zero("propU", act(U, bch_multi(3, U.order)))
+    return report_zero("propU", ch_defect(U))
 
 
 def verify_prop_last(instances) -> VerificationReport:
@@ -215,7 +214,7 @@ def verify_prop_last(instances) -> VerificationReport:
     skips: list[DegreeResult] = []
     checked_any = False
     for idx, u in enumerate(instances):
-        defect = act(u, bch_multi(u.arity, u.order))
+        defect = ch_defect(u)
         if not defect.is_zero():
             degree = min(len(w) for w, _ in defect.sorted_items())
             skips.append(DegreeResult(
@@ -269,11 +268,6 @@ def _quad_class_basis(arity: int, degree: int) -> list[bytes]:
     return sorted(reps)
 
 
-def _quad_vector(series: QuadTraceSeries, basis: list[bytes]) -> list[Fraction]:
-    terms, zero = series.terms, Fraction(0)
-    return [terms.get(w, zero) for w in basis]
-
-
 def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]:
     """Exact kernel of the additive four-term equation in fixed degree.
 
@@ -288,18 +282,18 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
         raise ValueError("degree must be >= 2")
     n = degree
     basis2 = _quad_class_basis(2, n)
-    basis3 = _quad_class_basis(3, n)
     x, y, z = (generator(3, i, n) for i in range(3))
     arg_sets = [((x, y), 1), ((x + y, z), 1), ((x, y + z), -1), ((y, z), -1)]
-    columns = []
-    for rep in basis2:
+    rows: dict[bytes, dict[int, Fraction]] = {}  # one per three-letter class met
+    for j, rep in enumerate(basis2):
         g = QuadTraceSeries._make(2, n, {rep: Fraction(1)})
         image = QuadTraceSeries.zero(3, n)
         for args, sign in arg_sets:
             image = image + trace_substitute(g, args) * sign
-        columns.append(_quad_vector(image, basis3))
-    matrix = [[columns[j][i] for j in range(len(basis2))] for i in range(len(basis3))]
-    kernel = rational_kernel(matrix) if basis2 else []
+        for w, c in image.terms.items():
+            rows.setdefault(w, {})[j] = c
+    kernel = rational_kernel(list(rows.values()), len(basis2)) if basis2 else []
+    vectors = [QuadTraceSeries(2, n, {basis2[j]: v for j, v in vec.items()}) for vec in kernel]
     expected_dim = 1 if n % 2 == 0 else 0
 
     failures = []
@@ -309,18 +303,21 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     # coboundary certification: solve cob * h = v over one-letter classes
     basis1 = _quad_class_basis(1, n)
     x2, z2 = generator(2, 0, n), generator(2, 1, n)
-    cob_columns = []
-    for rep in basis1:
+    cob_rows: dict[bytes, dict[int, Fraction]] = {}  # one per two-letter class met
+    for j, rep in enumerate(basis1):
         h = QuadTraceSeries._make(1, n, {rep: Fraction(1)})
         cob = (trace_substitute(h, (x2,)) + trace_substitute(h, (z2,))
                - trace_substitute(h, (x2 + z2,)))
-        cob_columns.append(_quad_vector(cob, basis2))
-    for vec in kernel:
+        for w, c in cob.terms.items():
+            cob_rows.setdefault(w, {})[j] = c
+    for vec in vectors:
         if basis1:
-            cob_matrix = [[col[i] for col in cob_columns] for i in range(len(basis2))]
-            if rational_solve(cob_matrix, vec) is None:
+            # one equation per two-letter class where either side is nonzero
+            equations = dict.fromkeys(vec.terms, {}) | cob_rows
+            if rational_solve(list(equations.values()), [vec.coefficient(w) for w in equations],
+                              len(basis1)) is None:
                 failures.append(Witness(n, "kernel vector is not a coboundary", Fraction(0)))
-        elif any(vec):
+        elif not vec.is_zero():
             failures.append(Witness(n, "nonzero kernel but no one-letter classes", Fraction(0)))
     if n % 2 == 0 and len(kernel) == 1:
         # spanning check against the projection of (x+z)^n - x^n - z^n
@@ -330,11 +327,10 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
         span = tr_quad(all_words
                        - AssocSeries.from_word(2, n, b"\x00" * n)
                        - AssocSeries.from_word(2, n, b"\x01" * n))
-        span_vec = _quad_vector(span, basis2)
-        vec = kernel[0]
-        pivot = next((i for i, v in enumerate(span_vec) if v), None)
-        ratio = None if pivot is None or not vec[pivot] else vec[pivot] / span_vec[pivot]
-        if ratio is None or any(v != ratio * sv for v, sv in zip(vec, span_vec)):
+        vec = vectors[0]
+        pivot = min(span.terms, default=None)
+        ratio = 0 if pivot is None else vec.coefficient(pivot) / span.coefficient(pivot)
+        if not ratio or vec != span * ratio:
             failures.append(Witness(n, "kernel not spanned by (x+z)^n - x^n - z^n", Fraction(0)))
 
     if failures:
@@ -342,7 +338,6 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     else:
         results = (DegreeResult(n, "pass"),)
     report = VerificationReport("homo", n, results)
-    vectors = [QuadTraceSeries(2, n, dict(zip(basis2, vec))) for vec in kernel]
     return vectors, report
 
 

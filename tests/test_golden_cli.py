@@ -6,12 +6,13 @@ number format or summary line fails here.  The gauge run also pins the
 coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
 The series run pins the univariate kernel checks of the order-10 canonical
 solution; its digest was recorded before those series became one-letter
-word series.  The homo run certifies degrees 2-10, so its 3210 x 78 kernel
-matrix is checked byte for byte against the output of the former dense
-elimination.  The four ``bch`` runs pin the Lyndon coordinates of the
-Campbell-Hausdorff series in two and three letters; the order-12 and
-three-letter order-8 digests were recorded from the product-and-logarithm
-construction that Goldberg's formula replaced.  The ``all --order 8`` run
+word series.  The homo runs print one verdict per degree, for degrees 2-10
+and 2-12, so they hold only while every kernel dimension, spanning check and
+coboundary solve passes; the order-12 digest was recorded from the dense
+rows that the sparse rows replaced.  The four ``bch`` runs pin the Lyndon
+coordinates of the Campbell-Hausdorff series in two and three letters; the
+order-12 and three-letter order-8 digests were recorded from the
+product-and-logarithm construction that Goldberg's formula replaced.  The ``all --order 8`` run
 pins propU, propLast and cocycle one order above the benchmark's propU job;
 its digest was recorded from the Lyndon-bracketing substitution and the
 ``Fraction`` peel that the word substitution kernel and the integer peel
@@ -36,6 +37,8 @@ GOLDEN = [
      "6fd4c8b0c54ab304c47056ba535ddadd87dfb9d63286a317e4dab8e58f338eb6"),
     (("verify", "--suite", "homo", "--order", "10"), 0,
      "ba5cfab9a61cd2ce8b20090064c6fe22510351782b689dff7cfba8ba195ae336"),
+    (("verify", "--suite", "homo", "--order", "12"), 0,
+     "5bdae8e572ec72ba76f7afca4376512cba43faadb1f70318b8bbd5bf72194fc0"),
     (("bch", "--order", "10"), 0,
      "b6d78aeca952d4bebb8a48dca7ea998ac73e1ae20b0d832092dd8cae7ea83ace"),
     (("bch", "--arity", "3", "--order", "7"), 0,

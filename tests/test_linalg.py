@@ -1,9 +1,10 @@
 """Sparse integer elimination against the dense Fraction Gauss-Jordan oracle.
 
-``rational_kernel`` and ``rational_solve`` clear rows to integers and keep a
-sparse reduced echelon form.  The reduced row echelon form is unique, so the
-kernel basis and the solution with free variables zero must equal the
-oracle's exactly, whatever the row order or the elimination strategy.
+``rational_kernel`` and ``rational_solve`` take sparse rows ``{column: value}``
+over ``ncols`` columns, clear them to integers and keep a sparse reduced
+echelon form.  The reduced row echelon form is unique, so the kernel basis and
+the solution with free variables zero must equal the oracle's exactly once
+densified, whatever the row order or the elimination strategy.
 """
 
 import random
@@ -50,17 +51,27 @@ def _cases(seed, count):
         yield rng, _random_matrix(rng, nrows, ncols, rank)
 
 
-def _all_fractions(vectors):
-    return all(isinstance(v, Fraction) for vec in vectors for v in vec)
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(vec, ncols):
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def _sparse_fractions(vectors):
+    """Every stored entry is a nonzero Fraction."""
+    return all(isinstance(v, Fraction) and v for vec in vectors for v in vec.values())
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kernel_matches_oracle(seed):
     ranks = set()
     for _, rows in _cases(seed, 60):
-        got = rational_kernel(rows)
-        assert got == fraction_kernel(rows)
-        assert _all_fractions(got)
+        ncols = len(rows[0])
+        got = rational_kernel(_sparse(rows), ncols)
+        assert [_dense(vec, ncols) for vec in got] == fraction_kernel(rows)
+        assert _sparse_fractions(got)
         ranks.add(len(got) == 0)
     assert ranks == {True, False}  # full column rank and rank-deficient both seen
 
@@ -74,65 +85,78 @@ def test_solve_matches_oracle(seed):
         consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
         arbitrary = [_entry(rng) for _ in rows]
         for rhs in (consistent, arbitrary):
-            got = rational_solve(rows, rhs)
-            assert got == fraction_solve(rows, rhs)
+            got = rational_solve(_sparse(rows), rhs, ncols)
             outcomes.add(got is not None)
-            if got is not None:
-                assert _all_fractions([got])
-                assert [sum((a * x for a, x in zip(row, got)), Fraction(0))
+            if got is None:
+                assert fraction_solve(rows, rhs) is None
+            else:
+                dense = _dense(got, ncols)
+                assert dense == fraction_solve(rows, rhs)
+                assert _sparse_fractions([got])
+                assert [sum((a * x for a, x in zip(row, dense)), Fraction(0))
                         for row in rows] == rhs
-        assert rational_solve(rows, consistent) is not None
+        assert rational_solve(_sparse(rows), consistent, ncols) is not None
     assert outcomes == {True, False}
 
 
 def test_integer_entries_and_row_order():
-    rows = [[2, 4, -6], [1, 2, -3], [0, 3, 3], [0, 0, 0]]
-    expected = fraction_kernel([[Fraction(v) for v in row] for row in rows])
-    assert rational_kernel(rows) == expected == [[Fraction(5), Fraction(-1), Fraction(1)]]
-    assert rational_kernel(rows[::-1]) == expected
+    # explicit zeros and an empty row are allowed
+    rows = [{0: 2, 1: 4, 2: -6}, {0: 1, 1: 2, 2: -3}, {0: 0, 1: 3, 2: 3}, {}]
+    dense = [[Fraction(row.get(c, 0)) for c in range(3)] for row in rows]
+    expected = [{0: Fraction(5), 1: Fraction(-1), 2: Fraction(1)}]
+    assert rational_kernel(rows, 3) == expected
+    assert [_dense(vec, 3) for vec in expected] == fraction_kernel(dense)
+    assert rational_kernel(rows[::-1], 3) == expected
 
 
 def test_homo_matrices_match_oracle(monkeypatch):
     seen = []
 
-    def checked(rows):
-        got = rational_kernel(rows)
-        assert got == fraction_kernel(rows)
+    def checked(rows, ncols):
+        got = rational_kernel(rows, ncols)
+        dense = [_dense(row, ncols) for row in rows]
+        assert [_dense(vec, ncols) for vec in got] == fraction_kernel(dense)
         seen.append(len(rows))
         return got
 
     monkeypatch.setattr(verify, "rational_kernel", checked)
-    for degree in range(2, 8):
+    for degree in range(2, 10):
         _, report = verify.homo_kernel(degree)
         assert report.passed
-    assert len(seen) >= 4  # odd degrees with no two-letter classes build no matrix
+    assert len(seen) >= 5  # odd degrees with no two-letter classes build no matrix
 
 
 def test_solve_rejects_more_equations_than_right_hand_sides():
     # zip() used to drop the second equation and return [1]
     with pytest.raises(ValueError):
-        rational_solve([[Fraction(1)], [Fraction(1)]], [Fraction(1)])
+        rational_solve([{0: Fraction(1)}, {0: Fraction(1)}], [Fraction(1)], 1)
     with pytest.raises(ValueError):
-        rational_solve([[Fraction(1)]], [Fraction(1), Fraction(2)])
+        rational_solve([{0: Fraction(1)}], [Fraction(1), Fraction(2)], 1)
     with pytest.raises(ValueError):
-        rational_solve([], [Fraction(1)])
+        rational_solve([], [Fraction(1)], 1)
 
 
-@pytest.mark.parametrize("rows", [
-    [[1, 2], [3]],       # short later row: used to raise IndexError
-    [[1], [2, 3]],       # long later row: its extra entry used to be ignored
-    [[1, 0], [0, 1, 1]],
-], ids=["short", "long", "long-last-row"])
-def test_ragged_rows_raise_value_error(rows):
+@pytest.mark.parametrize("rows, ncols", [
+    ([{0: 1, 1: 2}, {2: 3}], 2),     # past the end in a later row; column 2 is not the rhs
+    ([{1: 1}, {-1: 2}], 2),          # negative column
+    ([{0: 1}, {0: 0, 3: 0}], 2),     # out of range with a zero value
+    ([{0: 1}, {1: 1}, {0: 1, 2: 1}], 2),  # after full rank, when no more rows are eliminated
+], ids=["past-end", "negative", "zero-value", "after-full-rank"])
+def test_out_of_range_columns_raise_value_error(rows, ncols):
     with pytest.raises(ValueError):
-        rational_kernel(rows)
+        rational_kernel(rows, ncols)
     with pytest.raises(ValueError):
-        rational_solve(rows, [0] * len(rows))
+        rational_solve(rows, [0] * len(rows), ncols)
 
 
 def test_empty_inputs():
-    assert rational_kernel([]) == []
-    assert rational_solve([], []) is None
-    assert rational_kernel([[]]) == []
-    assert rational_solve([[]], [Fraction(0)]) == []
-    assert rational_solve([[]], [Fraction(1)]) is None
+    # with no equations every unit vector spans the kernel and zero is the solution
+    assert rational_kernel([], 0) == []
+    assert rational_kernel([], 3) == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    assert rational_solve([], [], 0) == {}
+    assert rational_solve([], [], 2) == {}
+    assert rational_kernel([{}], 0) == []
+    assert rational_kernel([{}, {}], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
+    assert rational_solve([{}], [Fraction(0)], 0) == {}
+    assert rational_solve([{}], [Fraction(1)], 0) is None
+    assert rational_solve([{}], [Fraction(1)], 2) is None

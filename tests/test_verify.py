@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import kvquad.cli as cli
+import kvquad.tangential as tangential
+import kvquad.verify as verify
 from kvquad import (
     AssocSeries,
     KVSolution,
@@ -117,6 +120,27 @@ def test_verify_prop_last_with_combination(sol6):
     U = simplicial_combination(sol6)
     report = verify_prop_last([U, TangentialDerivation.zero(3, 6)])
     assert report.passed
+
+
+def test_verify_all_acts_on_the_combination_once(monkeypatch, capsys):
+    # propU and propLast both need act(U, ch(x,y,z)); the defect is memoized on U
+    combinations, acted = [], []
+    build, original_act = cli.simplicial_combination, tangential.act
+
+    def built(s):
+        combinations.append(build(s))
+        return combinations[-1]
+
+    def counted(u, a):
+        acted.append(u)
+        return original_act(u, a)
+
+    monkeypatch.setattr(cli, "simplicial_combination", built)
+    monkeypatch.setattr(tangential, "act", counted)
+    monkeypatch.setattr(verify, "act", counted, raising=False)  # in case a verifier calls it itself
+    assert cli.main(["verify", "--suite", "all", "--order", "6"]) == 0
+    [U] = combinations
+    assert sum(u is U for u in acted) == 1
 
 
 def test_verify_prop_last_gauge_difference(sol6):
