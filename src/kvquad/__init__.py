@@ -66,7 +66,6 @@ from .tangential import (
     simplicial,
 )
 from .solver import (
-    AB_to_ab,
     KVSolution,
     ab_to_AB,
     canonical_solution,

@@ -16,7 +16,7 @@ import json
 import random
 import sys
 
-from .sampling import random_lie_pairs
+from .sampling import random_gauge_pairs
 from .solver import KVSolution, canonical_solution, gauge_family, standard_gauge_pairs
 from .tangential import TangentialDerivation
 from .lie import bch_multi
@@ -154,8 +154,7 @@ def _cmd_verify(args) -> int:
         if suite == "theorem":
             reports.append(verify_theorem(solution2))
             if loaded is None:
-                rng = random.Random(args.seed)
-                pairs = random_lie_pairs(rng, 2, max(order2 - 1, 1), 2)
+                pairs = random_gauge_pairs(random.Random(args.seed), order2, 2)
                 for member in gauge_family(solution2, pairs)[1:]:
                     reports.append(verify_theorem(member))
             reports.append(check_full_trace_equation(solution2))

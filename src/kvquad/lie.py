@@ -257,16 +257,27 @@ def substitute(a: LieElement, args) -> LieElement:
     return substitute_many([a], args)[0]
 
 
+def _termwise(a: LieElement, f) -> LieElement:
+    """f, a map of term dicts, applied to a's coordinates and alike to a known word expansion."""
+    out = LieElement._make(a.arity, a.order, f(a._terms))
+    words = getattr(a, "_assoc", None)
+    if words is not None:
+        object.__setattr__(out, "_assoc", AssocSeries._make(a.arity, a.order, f(words._terms)))
+    return out
+
+
 def scale(a: LieElement, t: Rational) -> LieElement:
     """Substitute x_i -> t*x_i: the degree-k part, and a known word expansion's, picks up t^k."""
     powers = [Fraction(t) ** k for k in range(a.order + 1)]
-    scaled = LieElement._make(a.arity, a.order,
-                              {w: c * powers[len(w)] for w, c in a._terms.items()})
-    words = getattr(a, "_assoc", None)
-    if words is not None:
-        object.__setattr__(scaled, "_assoc", AssocSeries._make(
-            a.arity, a.order, {w: c * powers[len(w)] for w, c in words._terms.items()}))
-    return scaled
+    return _termwise(a, lambda terms: {w: c * powers[len(w)] for w, c in terms.items()})
+
+
+def without_letters(a: LieElement, letters) -> LieElement:
+    """a without its terms x_i, i in letters; a known word expansion loses the words x_i."""
+    drop = {bytes([i]) for i in letters}  # no bracketing but x_i's own expands to the word x_i
+    if drop.isdisjoint(a._terms):
+        return a
+    return _termwise(a, lambda terms: {w: c for w, c in terms.items() if w not in drop})
 
 
 def ch_t(t: Rational, order: int, arity: int = 2) -> LieElement:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .lie import LieElement
 from .lyndon import lyndon_words
 from .tangential import TangentialDerivation
+from .traces import trace_pairing
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Fraction:
@@ -41,4 +42,21 @@ def random_lie_pairs(rng: random.Random, arity: int, order: int,
         right = random_lie_element(rng, arity, order, terms=3)
         if not left.is_zero() and not right.is_zero():
             pairs.append((left, right))
+    return pairs
+
+
+def random_gauge_pairs(rng: random.Random, order: int,
+                       count: int) -> list[tuple[LieElement, LieElement]]:
+    """Pairs (l, r) with deg l + deg r <= order + 1 and tr(l r) nonzero.
+
+    A gauge shift at this order transports the tuple of tr(l r); a zero
+    pairing, such as tr(u [u, v]) = 0, would give the solution back.
+    """
+    pairs = []
+    while len(pairs) < count:
+        d = rng.randint(1, order)
+        pair = (random_lie_element(rng, 2, d, terms=3),
+                random_lie_element(rng, 2, order + 1 - d, terms=3))
+        if not trace_pairing(*(a.with_order(order + 1) for a in pair)).is_zero():
+            pairs.append(pair)
     return pairs

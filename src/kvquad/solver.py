@@ -29,6 +29,7 @@ from .lie import (
     generator,
     kernel_series,
     scale,
+    without_letters,
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
@@ -114,11 +115,7 @@ def kv_rhs(order: int) -> LieElement:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    ch = scale(bch(order), -1)
-    rhs = LieElement._make(2, order, {w: c for w, c in ch.terms.items() if len(w) > 1})
-    words = {w: c for w, c in ch.expand().terms.items() if len(w) > 1}
-    object.__setattr__(rhs, "_assoc", AssocSeries._make(2, order, words))
-    return rhs
+    return without_letters(scale(bch(order), -1), range(2))
 
 
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
@@ -161,18 +158,9 @@ def ab_to_AB(a: LieElement, b: LieElement, method: str = "unspecified") -> KVSol
     A = (t/(1-e^{-t}))(ad_x) a and B = (t/(e^t-1))(ad_y) b; these kernels
     invert the operators relating the two forms of the equation.
     """
-    if a.arity != 2 or b.arity != 2 or a.order != b.order:
-        raise ValueError("expected two-letter Lie series of one common order")
     A = apply_operator_series(kernel_series("t/(1-exp(-t))", a.order), 0, a)
     B = apply_operator_series(kernel_series("t/(exp(t)-1)", b.order), 1, b)
     return KVSolution(A, B, method=method)
-
-
-def AB_to_ab(A: LieElement, B: LieElement) -> tuple[LieElement, LieElement]:
-    """Inverse of :func:`ab_to_AB`: apply the reciprocal kernels."""
-    a = apply_operator_series(kernel_series("t/(1-exp(-t))", A.order).inverse(), 0, A)
-    b = apply_operator_series(kernel_series("t/(exp(t)-1)", B.order).inverse(), 1, B)
-    return a, b
 
 
 def kv1_residual(s: KVSolution) -> LieElement:
@@ -223,25 +211,24 @@ def canonical_solution(order: int) -> KVSolution:
 def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     """s followed by its shifts along homogeneous-equation solutions.
 
-    Each pair (l, r) of two-letter Lie polynomials induces, through the
-    quadratic trace expression tr(l*r), a tuple (a', b') with
-    [x, a'] + [y, b'] = 0; shifting the bracket factorization of s by it gives
-    another solution.  The pairing is computed one order higher so the
-    extracted tuple is complete through the solution order.
+    Each pair (l, r) of two-letter Lie polynomials induces, through tr(l*r)
+    taken one order higher, a tuple (a', b') with [x, a'] + [y, b'] = 0
+    through the order of s.  :func:`ab_to_AB` is linear, so s plus the
+    transported tuple is the member that the shifted factorization gives.
     """
-    base_a, base_b = AB_to_ab(s.A, s.B)
     family = [s]
     for left, right in pairs:
         p = trace_pairing(left.with_order(s.order + 1), right.with_order(s.order + 1))
-        shift_a, shift_b = quadratic_trace_tuple(p)
-        shifted = ab_to_AB(base_a + shift_a, base_b + shift_b,
-                           method=f"{s.method}+gauge")
-        family.append(shifted)
+        shift = ab_to_AB(*quadratic_trace_tuple(p))
+        family.append(KVSolution(s.A + shift.A, s.B + shift.B, method=f"{s.method}+gauge"))
     return family
 
 
 def standard_gauge_pairs(count: int, order: int) -> list[tuple[LieElement, LieElement]]:
-    """A deterministic catalog of Lie pairs for gauge shifts."""
+    """A deterministic catalog of Lie pairs for gauge shifts, in an order golden outputs pin.
+
+    Entries 1, 2, 4, 5 and 8 are (u, [u, v]); tr(u [u, v]) = 0 by invariance, so they give s again.
+    """
     x, y = generator(2, 0, order), generator(2, 1, order)
     xy = bracket(x, y)
     xxy = bracket(x, xy)

@@ -21,26 +21,11 @@ from .lie import (
     generator,
     lie_from_words,
     substitute_many,
+    without_letters,
 )
 from .lyndon import commutator
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
 from .words import ArityMismatchError, AssocSeries, Rational, _accumulate, substitute_words
-
-
-def _strip_own_linear(index: int, a: LieElement) -> LieElement:
-    """a without its x_index term; a kept word expansion loses the word x_index alike."""
-    key = bytes([index])
-    if key not in a.terms:
-        return a
-    terms = dict(a.terms)
-    del terms[key]
-    stripped = LieElement._make(a.arity, a.order, terms)
-    words = getattr(a, "_assoc", None)
-    if words is not None:  # the bracketing of a letter is the letter itself
-        kept = dict(words._terms)
-        del kept[key]
-        object.__setattr__(stripped, "_assoc", AssocSeries._make(a.arity, a.order, kept))
-    return stripped
 
 
 class TangentialDerivation:
@@ -63,7 +48,7 @@ class TangentialDerivation:
                     f"component {i} has arity {a.arity}, expected {arity}")
             if a.order != order:
                 raise ValueError("components must share one truncation order")
-            normalized.append(_strip_own_linear(i, a))
+            normalized.append(without_letters(a, (i,)))
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "components", tuple(normalized))
@@ -259,7 +244,7 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
     components = []
     for i, terms in enumerate(raw):
         try:
-            components.append(assoc_to_lie(AssocSeries._make(arity, max(order - 1, 0), terms)))
+            components.append(lie_from_words(AssocSeries._make(arity, max(order - 1, 0), terms)))
         except NotLieError as exc:
             raise NotLieError(
                 f"slot {i} of the correspondence is not a Lie series "

@@ -8,8 +8,10 @@ Campbell-Hausdorff series, a product of exponentials and a logarithm;
 ``lyndon_image_substitute`` is the former Lie substitution, which builds
 the image of each standard bracketing from the images of its factors;
 ``fraction_lyndon_coordinates`` is the former Lyndon peel in ``Fraction``
-arithmetic; and ``random_assoc_series`` draws seeded inputs for the
-property suites.
+arithmetic; ``inverse_transport`` and ``inverse_route_gauge_family`` are
+the former route to gauge members, which inverted the whole solution and
+transported each shifted factorization forward again; and
+``random_assoc_series`` draws seeded inputs for the property suites.
 """
 
 import itertools
@@ -17,9 +19,12 @@ import math
 import random
 from fractions import Fraction
 
-from kvquad.lie import LieElement, assoc_to_lie
+from kvquad.lie import LieElement, apply_operator_series, assoc_to_lie, kernel_series
 from kvquad.lyndon import bracket_expansion, commutator, is_lyndon, standard_factorization
 from kvquad.sampling import random_rational
+from kvquad.solver import ab_to_AB
+from kvquad.tangential import quadratic_trace_tuple
+from kvquad.traces import trace_pairing
 from kvquad.words import AssocSeries, log, word_to_str
 
 Word = tuple[int, ...]
@@ -374,3 +379,21 @@ def random_assoc_series(rng: random.Random, arity: int, order: int,
         w = bytes(rng.randrange(arity) for _ in range(degree))
         out[w] = random_rational(rng)
     return AssocSeries(arity, order, out)
+
+
+def inverse_transport(A: LieElement, B: LieElement) -> tuple[LieElement, LieElement]:
+    """The factorization (a, b) of a pair (A, B): the reciprocal kernels of ``ab_to_AB``."""
+    a = apply_operator_series(kernel_series("t/(1-exp(-t))", A.order).inverse(), 0, A)
+    b = apply_operator_series(kernel_series("t/(exp(t)-1)", B.order).inverse(), 1, B)
+    return a, b
+
+
+def inverse_route_gauge_family(s, pairs) -> list:
+    """s and its gauge members, each transported from the shifted factorization of s."""
+    base_a, base_b = inverse_transport(s.A, s.B)
+    family = [s]
+    for left, right in pairs:
+        p = trace_pairing(left.with_order(s.order + 1), right.with_order(s.order + 1))
+        shift_a, shift_b = quadratic_trace_tuple(p)
+        family.append(ab_to_AB(base_a + shift_a, base_b + shift_b, method=f"{s.method}+gauge"))
+    return family

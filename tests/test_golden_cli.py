@@ -2,8 +2,11 @@
 
 The SHA-256 digests pin the complete stdout of representative runs, so a
 changed JSON key order (``arity``, ``order``, ``basis``/``space``, ``terms``),
-number format or summary line fails here.  The gauge run also pins the
-coefficients that ``AB_to_ab`` and ``ab_to_AB`` produce for gauge members.
+number format or summary line fails here.  The two gauge runs also pin the
+coefficients of the gauge members, each the solution plus the shift that
+``ab_to_AB`` transports; the order-10 run covers the full catalog, and its
+digest was recorded from the former route, which inverted the whole solution
+and transported each shifted factorization forward again.
 The series run pins the univariate kernel checks of the order-10 canonical
 solution; its digest was recorded before those series became one-letter
 word series.  The homo runs print one verdict per degree, for degrees 2-10
@@ -33,6 +36,8 @@ GOLDEN = [
      "ff99cc39f16e37e50e3db68fe35d4cbecc5ea5241924771607dd39d7d8e80a49"),
     (("solve-kv", "--order", "7", "--gauge", "4"), 0,
      "3f27d1dc4b656540493cb7979794a8cf6a2a8b605d85526d661a1fa218152725"),
+    (("solve-kv", "--order", "10", "--gauge", "10"), 0,
+     "d101ddceab06fb104ead58d7f068e589bb7b3d508815e7a4b0b259d6fa908578"),
     (("verify", "--suite", "series", "--order", "10", "--json"), 0,
      "6fd4c8b0c54ab304c47056ba535ddadd87dfb9d63286a317e4dab8e58f338eb6"),
     (("verify", "--suite", "homo", "--order", "10"), 0,

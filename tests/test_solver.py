@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from kvquad import (
-    AB_to_ab,
     KVSolution,
     LieElement,
     ab_to_AB,
@@ -16,12 +15,22 @@ from kvquad import (
     generator,
     kv1_residual,
     kv_rhs,
+    quadratic_trace_tuple,
     standard_gauge_pairs,
+    trace_pairing,
     word_from_str,
 )
-from kvquad.sampling import random_lie_element
+from kvquad.sampling import random_gauge_pairs, random_lie_element, random_lie_pairs
 
-from oracles import dynkin_bch, oadd, oscale, right_nested, to_word_dict
+from oracles import (
+    dynkin_bch,
+    inverse_route_gauge_family,
+    inverse_transport,
+    oadd,
+    oscale,
+    right_nested,
+    to_word_dict,
+)
 
 
 def lyndon(order, spec):
@@ -133,6 +142,14 @@ def test_ab_to_AB_zero():
     assert s.A.is_zero() and s.B.is_zero()
 
 
+def test_ab_to_AB_rejects_mismatched_inputs():
+    two, three = LieElement.zero(2, 4), LieElement.zero(3, 4)
+    for a, b in ((two, LieElement.zero(2, 3)), (three, two), (two, three),
+                 (LieElement.zero(1, 4), two), (two, LieElement.zero(1, 4))):
+        with pytest.raises(ValueError):
+            ab_to_AB(a, b)
+
+
 def test_ab_to_AB_kernel_expansion():
     # a = y: A picks up the t/(1-e^{-t}) chain y + [x,y]/2 + [x,[x,y]]/12 + 0 + ...
     y = generator(2, 1, 6)
@@ -151,7 +168,16 @@ def test_ab_AB_roundtrip():
         a = random_lie_element(rng, 2, 8, terms=4)
         b = random_lie_element(rng, 2, 8, terms=4)
         s = ab_to_AB(a, b)
-        assert AB_to_ab(s.A, s.B) == (a, b)
+        assert inverse_transport(s.A, s.B) == (a, b)
+        assert ab_to_AB(*inverse_transport(s.A, s.B)) == s
+
+
+def test_ab_to_AB_is_additive():
+    rng = random.Random(503)
+    for order in range(1, 9):
+        a1, b1, a2, b2 = (random_lie_element(rng, 2, order, terms=4) for _ in range(4))
+        s1, s2 = ab_to_AB(a1, b1), ab_to_AB(a2, b2)
+        assert ab_to_AB(a1 + a2, b1 + b2) == KVSolution(s1.A + s2.A, s1.B + s2.B)
 
 
 def test_canonical_solution_residual_vanishes(sol8):
@@ -209,11 +235,71 @@ def test_gauge_family_members_solve(sol6):
     assert family[3].a_scalar == sol6.a_scalar + 2
 
 
+def test_gauge_family_matches_inverse_route():
+    # members are s plus the transported shift; the oracle inverts s and
+    # transports each shifted factorization instead.  Odd seeds use a pair
+    # that does not solve the equation.
+    moved = 0
+    for order in range(1, 9):
+        for seed in range(3):
+            rng = random.Random(600 + 10 * order + seed)
+            if seed % 2:
+                s = KVSolution(random_lie_element(rng, 2, order), random_lie_element(rng, 2, order),
+                               method="random")
+                assert not kv1_residual(s).is_zero()
+            else:
+                s = canonical_solution(order)
+            pairs = random_lie_pairs(rng, 2, order, 3)
+            family = gauge_family(s, pairs)
+            assert ([m.to_json_dict() for m in family]
+                    == [m.to_json_dict() for m in inverse_route_gauge_family(s, pairs)])
+            moved += sum(m.A != s.A and m.B != s.B for m in family[1:])
+    assert moved >= 40  # most of the 72 shifts move both components
+
+
 def test_standard_gauge_pairs_catalog():
     pairs = standard_gauge_pairs(5, 6)
     assert len(pairs) == 5
     with pytest.raises(ValueError):
         standard_gauge_pairs(99, 6)
+
+
+@pytest.mark.parametrize("order", [7, 9])
+def test_standard_gauge_pairs_dead_entries(order):
+    # (u, [u, v]) pairs to zero by invariance, tr(u [u, v]) = 0, so those
+    # catalog members are the solution again
+    pairs = standard_gauge_pairs(10, order)
+    dead = [i for i, (left, right) in enumerate(pairs)
+            if trace_pairing(left.with_order(order + 1), right.with_order(order + 1)).is_zero()]
+    assert dead == [1, 2, 4, 5, 8]
+    s = canonical_solution(order)
+    family = gauge_family(s, pairs)
+    assert [i for i, member in enumerate(family[1:]) if member == s] == dead
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_random_gauge_pairs_fit_and_pair(order):
+    # the tuple of every drawn pair is nonzero, so is its shift: the transport
+    # is invertible (test_ab_AB_roundtrip)
+    for seed in range(40):
+        pairs = random_gauge_pairs(random.Random(seed), order, 2)
+        assert len(pairs) == 2
+        for left, right in pairs:
+            assert max(map(len, left.terms)) + max(map(len, right.terms)) <= order + 1
+            p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
+            assert not all(a.is_zero() for a in quadratic_trace_tuple(p))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_random_gauge_pairs_shift_the_solution(order):
+    # on the zero pair each member is its shift; a zero shift would give s back.
+    # Orders 9-12 rest on the nonzero tuples checked above: transporting their
+    # shifts costs about ten times as much as orders 1-8 together.
+    zero = LieElement.zero(2, order)
+    s = KVSolution(zero, zero)
+    for seed in range(40):
+        family = gauge_family(s, random_gauge_pairs(random.Random(seed), order, 2))
+        assert all(member != s for member in family[1:])
 
 
 def test_flow_check_canonical(sol6):

@@ -271,6 +271,9 @@ def test_key_vanishing_and_symmetric_partials():
             assert balance.is_zero()
             u = derivation_from_quadratic_trace(p)
             assert div_quad(u).is_zero()
+            for a_i in components:  # the peeled words are kept as the expansion
+                assert a_i._assoc.order == a_i.order
+                assert a_i._assoc.terms == LieElement(arity, a_i.order, a_i.terms).expand().terms
 
 
 def test_derivation_json_roundtrip():
