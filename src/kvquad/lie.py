@@ -5,10 +5,12 @@ Conversion to the word basis expands each bracketing; ``assoc_to_lie``, the
 one way back, peels lexicographically least words degree by degree, and a
 least word that is not Lyndon proves the part is not Lie.  Powers of one ad
 and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on words
-through one nested-ad kernel and project once.  The Campbell-Hausdorff
-series (word coefficients from Goldberg's formula, projected by the peel),
-generator substitution, degree scaling and univariate operator kernels in a
-single adjoint slot all live here.
+through one nested-ad kernel and project once.  The word expansion and the
+nested-ad kernel sum integer numerators over one denominator and build one
+``Fraction`` per word.  The Campbell-Hausdorff series (word coefficients
+from Goldberg's formula, projected by the peel), generator substitution,
+degree scaling and univariate operator kernels in a single adjoint slot all
+live here.
 """
 
 import functools
@@ -16,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .lyndon import (
+    _commutator_ints,
     bracket_expansion,
     commutator,
     is_lyndon,
@@ -27,7 +30,8 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     Rational,
     RationalUnivariateSeries,
     _SparseSeries,
-    _accumulate,
+    _numerators,
+    _over,
     substitute_letter_linear,
     substitute_words,
     univariate_substitute,
@@ -79,15 +83,21 @@ class LieElement(_SparseSeries):
         return raised
 
     def expand(self) -> AssocSeries:
-        """The canonical embedding into the free associative algebra."""
+        """The canonical embedding into the free associative algebra.
+
+        The bracket expansions are integer maps, so the coordinates' numerators
+        over their common denominator are summed in integers, and each word
+        gets one ``Fraction``.
+        """
         try:
             return self._assoc
         except AttributeError:
-            out: dict[bytes, Fraction] = {}
-            for w, c in self._terms.items():
+            coords, d = _numerators(self._terms)
+            out: dict[bytes, int] = {}
+            for w, n in coords.items():
                 for v, k in bracket_expansion(w).items():
-                    _accumulate(out, v, c * k)
-            assoc = AssocSeries._make(self.arity, self.order, out)
+                    out[v] = out.get(v, 0) + n * k
+            assoc = AssocSeries._make(self.arity, self.order, _over(out, d))
             object.__setattr__(self, "_assoc", assoc)
             return assoc
 
@@ -333,26 +343,36 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
     raise ValueError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
 
 
+def _ad_ints(terms: dict, z_words: dict, order: int) -> dict[bytes, int]:
+    """``_ad_words`` on integer word maps; zeros dropped."""
+    out: dict[bytes, int] = {}
+    by_first: dict[int, dict[bytes, int]] = {}
+    for w, c in terms.items():
+        if not w:
+            for v, k in z_words.items():
+                if len(v) <= order:
+                    out[v] = out.get(v, 0) + c * k
+        elif len(w) < order:
+            by_first.setdefault(w[0], {})[w[1:]] = c
+    for i, rest in by_first.items():
+        inner = _ad_ints(rest, z_words, order - 1)
+        for v, k in _commutator_ints({bytes([i]): 1}, inner, order).items():
+            out[v] = out.get(v, 0) + k
+    return {w: n for w, n in out.items() if n}
+
+
 def _ad_words(terms, z_words, order: int) -> dict[bytes, Fraction]:
     """Sum of c * ad_w z over the words w of ``terms``, in the word basis.
 
     ad_w z = [w_0, [w_1, [..., [w_last, z]]]] with z given by its word map.
     Words sharing a first letter share that outermost bracket, and each level
     down truncates one degree lower, at what the brackets still to come keep.
+    The sum is bilinear in ``terms`` and ``z_words``, so it runs on their
+    integer numerators and is divided once by the product of their denominators.
     """
-    out: dict[bytes, Fraction] = {}
-    by_first: dict[int, dict[bytes, Fraction]] = {}
-    for w, c in terms.items():
-        if not w:
-            for v, k in z_words.items():
-                if len(v) <= order:
-                    _accumulate(out, v, c * k)
-        elif len(w) < order:
-            by_first.setdefault(w[0], {})[w[1:]] = c
-    for i, rest in by_first.items():
-        for v, k in commutator({bytes([i]): 1}, _ad_words(rest, z_words, order - 1), order).items():
-            _accumulate(out, v, k)
-    return out
+    t, dt = _numerators(terms)
+    z, dz = _numerators(z_words)
+    return _over(_ad_ints(t, z, order), dt * dz)
 
 
 def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement) -> dict[bytes, Fraction]:

@@ -9,12 +9,14 @@ keyed by the word bytes: they only depend on the letters, not on the ambient
 alphabet size.  Peeling least words against these expansions gives Lyndon
 coordinates and decides Lie membership in one pass.  ``commutator`` is the
 one word-basis bracket that every Lie operation of the package builds on.
+The commutator and the peel run on integer numerators over one denominator
+and build one ``Fraction`` per output word.
 """
 
-import math
+import heapq
 from fractions import Fraction
 
-from .words import _accumulate, word_to_str
+from .words import _by_length, _numerators, _over, word_to_str
 
 _expansion_cache: dict[bytes, dict[bytes, int]] = {}
 
@@ -55,21 +57,31 @@ def standard_factorization(w: bytes) -> tuple[bytes, bytes]:
     return w[: len(w) - len(v)], v
 
 
-def commutator(left: dict, right: dict, order: int) -> dict:
-    """left * right - right * left for word-keyed maps; words beyond ``order`` and zeros dropped."""
-    by_length: dict[int, list] = {}  # skip whole lengths, as most pairs may not fit
-    for wr, cr in right.items():
-        by_length.setdefault(len(wr), []).append((wr, cr))
-    result = {}
+def _commutator_ints(left: dict, right: dict, order: int) -> dict[bytes, int]:
+    """left * right - right * left for integer word maps; words beyond ``order`` and zeros dropped."""
+    by_length = _by_length(right)  # skip whole lengths, as most pairs may not fit
+    result: dict[bytes, int] = {}
     for wl, cl in left.items():
         room = order - len(wl)
         for length, items in by_length.items():
             if length <= room:
                 for wr, cr in items:
                     c = cr if cl == 1 else cl * cr
-                    _accumulate(result, wl + wr, c)
-                    _accumulate(result, wr + wl, -c)
-    return result
+                    w = wl + wr
+                    result[w] = result.get(w, 0) + c
+                    w = wr + wl
+                    result[w] = result.get(w, 0) - c
+    return {w: n for w, n in result.items() if n}
+
+
+def commutator(left: dict, right: dict, order: int) -> dict[bytes, Fraction]:
+    """left * right - right * left for word-keyed maps; words beyond ``order`` and zeros dropped.
+
+    Computed on integer numerators over the product of the two maps' denominators.
+    """
+    nl, dl = _numerators(left)
+    nr, dr = _numerators(right)
+    return _over(_commutator_ints(nl, nr, order), dl * dr)
 
 
 def bracket_expansion(w: bytes) -> dict[bytes, int]:
@@ -86,7 +98,7 @@ def bracket_expansion(w: bytes) -> dict[bytes, int]:
         result = {w: 1}
     else:
         u, v = standard_factorization(w)
-        result = commutator(bracket_expansion(u), bracket_expansion(v), len(w))
+        result = _commutator_ints(bracket_expansion(u), bracket_expansion(v), len(w))
     _expansion_cache[w] = result
     return result
 
@@ -101,23 +113,33 @@ def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fract
     otherwise the loop meets a non-Lyndon least word and raises ValueError
     naming it.  The peel is linear, so it runs on integer numerators over
     the common denominator of the input.
+
+    The least remaining word comes from a heap with lazy deletion: a word is
+    pushed when it enters ``remaining``, and a popped word that has since
+    cancelled is skipped.  Every live word has an entry, so the least live
+    word is the one tested, and no word re-enters once peeled, since each
+    subtraction only reaches words above the one peeled (Reutenauer, Free
+    Lie Algebras, 1993, section 5.1).
     """
-    denominator = math.lcm(*(c.denominator for c in degree_terms.values()))
-    remaining = {w: c.numerator * (denominator // c.denominator)
-                 for w, c in degree_terms.items()}
-    coords: dict[bytes, Fraction] = {}
+    remaining, denominator = _numerators(degree_terms)
+    heap = list(remaining)
+    heapq.heapify(heap)
+    coords: dict[bytes, int] = {}
     while remaining:
-        w = min(remaining)
+        w = heapq.heappop(heap)
+        if w not in remaining:
+            continue
         if not is_lyndon(w):
             raise ValueError(f"word {word_to_str(w)!r} obstructs Lie membership")
-        n = remaining.pop(w)
-        coords[w] = Fraction(n, denominator)
+        n = coords[w] = remaining.pop(w)
         for v, k in bracket_expansion(w).items():
             if v == w:
                 continue
             cur = remaining.get(v, 0) - n * k
             if cur:
+                if v not in remaining:
+                    heapq.heappush(heap, v)
                 remaining[v] = cur
             else:
                 remaining.pop(v, None)
-    return coords
+    return _over(coords, denominator)

@@ -14,12 +14,13 @@ characterization used as a cross-check.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from .lie import (
     LieElement,
+    _ad_ints,
     _ad_polynomial,
-    _ad_words,
     _exp_minus_one,
     apply_operator_series,
     assoc_to_lie,
@@ -33,7 +34,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
-from .words import AssocSeries, _accumulate
+from .words import AssocSeries, _numerators, _over
 
 
 class KVSolution:
@@ -125,8 +126,9 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     w -> [w_0, [w_1, [..., w_last]]] = [x_{w_0}, ad_u x_j], u = w_1 ... w_{last-1},
     j = w_last (Dynkin-Specht-Wever).  The factor of x_i therefore sums
     coeff(w)/|w| * ad_u x_j over the words w starting with letter i, one
-    nested-ad computation per first and last letter.  Requires zero constant
-    and degree-one parts.
+    nested-ad computation per first and last letter, on integer numerators
+    over the common denominator of r times lcm(2, ..., order + 1), which
+    clears every 1/|w|.  Requires zero constant and degree-one parts.
 
     The degree-k words of r produce degree-(k-1) factor terms, so the factors
     are complete only through r.order - 1; that is their default order.  The
@@ -140,15 +142,18 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     expanded = r.expand()
     if expanded.constant_term or not expanded.homogeneous_part(1).is_zero():
         raise ValueError("factorization input must start in degree two")
-    groups: dict[tuple[int, int], dict[bytes, Fraction]] = {}
-    for w, c in expanded.terms.items():
+    numerators, d = _numerators(expanded._terms)
+    lengths = math.lcm(*range(2, order + 2))  # a multiple of every |w| kept below
+    groups: dict[tuple[int, int], dict[bytes, int]] = {}
+    for w, n in numerators.items():
         if len(w) - 1 <= order:
-            groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = Fraction(c, len(w))
-    sides: list[dict[bytes, Fraction]] = [{}, {}]
+            groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = n * (lengths // len(w))
+    sides: list[dict[bytes, int]] = [{}, {}]
     for (first, last), middles in groups.items():
-        for v, c in _ad_words(middles, {bytes([last]): 1}, order).items():
-            _accumulate(sides[first], v, c)
-    a, b = (assoc_to_lie(AssocSeries._make(2, order, side)) for side in sides)
+        side = sides[first]
+        for v, n in _ad_ints(middles, {bytes([last]): 1}, order).items():
+            side[v] = side.get(v, 0) + n
+    a, b = (assoc_to_lie(AssocSeries._make(2, order, _over(side, d * lengths))) for side in sides)
     return a, b
 
 
@@ -174,24 +179,32 @@ def kv1_residual(s: KVSolution) -> LieElement:
 
     The sum is formed in the word basis, where a Lie series vanishes exactly
     when its expansion does: each operator is ad of u = sum_k phi_k x_i^k
-    acting on the word expansion (Horner's scheme).  The sum is projected back
-    to the Lyndon basis once, and names the witness when it is not zero.  The
-    result is memoized on the solution, which is immutable, on first use.
+    acting on the word expansion (Horner's scheme).  The two operator terms
+    and the right-hand side are summed as integer numerators over one
+    denominator, so the cancellation costs no ``Fraction`` arithmetic.  The
+    sum is projected back to the Lyndon basis once, and names the witness
+    when it is not zero.  The result is memoized on the solution, which is
+    immutable, on first use.
     """
     try:
         return s._residual
     except AttributeError:
         pass
     order = s.order + 1
-    words: dict[bytes, Fraction] = {}
+    rhs, d = _numerators(kv_rhs(order).expand()._terms)
+    parts = [(rhs, d, -1)]
     for index, (sign, component) in enumerate(((-1, s.A), (1, s.B))):
         component = component.with_order(order)
-        u = _ad_polynomial(_exp_minus_one(order, sign), index, component)
-        for w, c in _ad_words(u, component.expand()._terms, order).items():
-            _accumulate(words, w, c)
-    for w, c in kv_rhs(order).expand().terms.items():
-        _accumulate(words, w, -c)
-    residual = assoc_to_lie(AssocSeries._make(2, order, words))
+        u, du = _numerators(_ad_polynomial(_exp_minus_one(order, sign), index, component))
+        z, dz = _numerators(component.expand()._terms)
+        parts.append((_ad_ints(u, z, order), du * dz, 1))
+    d = math.lcm(*(di for _, di, _ in parts))
+    words: dict[bytes, int] = {}
+    for ints, di, sign in parts:
+        scale_to_d = sign * (d // di)
+        for w, n in ints.items():
+            words[w] = words.get(w, 0) + scale_to_d * n
+    residual = assoc_to_lie(AssocSeries._make(2, order, _over(words, d)))
     object.__setattr__(s, "_residual", residual)
     return residual
 

@@ -11,7 +11,11 @@ the Lie series of :mod:`kvquad.lie`, the trace series of :mod:`kvquad.traces`
 and the power series in one variable, which are word series over one letter.
 ``substitute_words``, the associative substitution of word maps for letters,
 is the one kernel behind Lie substitution, the simplicial embeddings and
-trace substitution; it computes in integers over one denominator.
+trace substitution.  It and the other word kernels (``mul`` and the Leibniz
+splice ``substitute_letter_linear`` here, the Lyndon expansion, commutator,
+nested ad and peel in :mod:`kvquad.lyndon` and :mod:`kvquad.lie`) accumulate
+integer numerators over one denominator, set by ``_numerators``, and build
+one reduced ``Fraction`` per output word through ``_over``.
 """
 
 import math
@@ -291,12 +295,6 @@ class AssocSeries(_SparseSeries):
             return mul(self, other)
         return _SparseSeries.__mul__(self, other)
 
-    def _by_degree(self):
-        buckets: dict[int, list] = {}
-        for w, c in self._terms.items():
-            buckets.setdefault(len(w), []).append((w, c))
-        return buckets
-
 
 def _accumulate(d: dict, w: bytes, c: Fraction):
     cur = d.get(w)
@@ -311,13 +309,41 @@ def _accumulate(d: dict, w: bytes, c: Fraction):
             del d[w]
 
 
+def _numerators(terms) -> tuple[dict[bytes, int], int]:
+    """Integer numerators of a word map over d, the lcm of its denominators, and d.
+
+    Values may be ``Fraction`` or ``int``; an empty map has d = 1.
+    """
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
+
+
+def _over(ints: dict, d: int) -> dict[bytes, Fraction]:
+    """The nonzero integers of a word map divided by d, as reduced ``Fraction``s."""
+    return {w: Fraction(n, d) for w, n in ints.items() if n}
+
+
+def _by_length(terms: dict) -> dict[int, list]:
+    """The items of a word map grouped by word length, so whole lengths can be skipped."""
+    buckets: dict[int, list] = {}
+    for w, c in terms.items():
+        buckets.setdefault(len(w), []).append((w, c))
+    return buckets
+
+
 def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
-    """Concatenation product, truncated at min(a.order, b.order)."""
+    """Concatenation product, truncated at min(a.order, b.order).
+
+    The products of numerators are summed in integers over the product of
+    the two operands' denominators, one ``Fraction`` per output word.
+    """
     a._check_compatible(b)
     order = min(a.order, b.order)
-    out: dict[bytes, Fraction] = {}
-    b_buckets = b._by_degree()
-    for wa, ca in a._terms.items():
+    na, da = _numerators(a._terms)
+    nb, db = _numerators(b._terms)
+    out: dict[bytes, int] = {}
+    b_buckets = _by_length(nb)
+    for wa, ca in na.items():
         room = order - len(wa)
         if room < 0:
             continue
@@ -325,8 +351,9 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
             if lb > room:
                 continue
             for wb, cb in items:
-                _accumulate(out, wa + wb, ca * cb)
-    return type(a)._make(a.arity, order, out)
+                w = wa + wb
+                out[w] = out.get(w, 0) + ca * cb
+    return type(a)._make(a.arity, order, _over(out, da * db))
 
 
 def _horner_words(terms: dict, images, room: int) -> dict:
@@ -369,15 +396,12 @@ def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
     """
     if any(b"" in image for image in images):
         raise ValueError("substituted images must have zero constant term")
-    d = math.lcm(*(c.denominator for image in images for c in image.values()))
-    t = math.lcm(*(c.denominator for c in terms.values()))
-    scaled = [{u: c.numerator * (d // c.denominator) for u, c in image.items()}
-              for image in images]
-    numerators = {w: c.numerator * (t // c.denominator) * d ** (order - len(w))
-                  for w, c in terms.items() if len(w) <= order}
-    denominator = t * d ** order
-    return {w: Fraction(n, denominator)
-            for w, n in _horner_words(numerators, scaled, order).items()}
+    scaled = [_numerators(image) for image in images]
+    d = math.lcm(*(di for _, di in scaled))
+    scaled = [{u: n * (d // di) for u, n in nums.items()} for nums, di in scaled]
+    numerators, t = _numerators({w: c for w, c in terms.items() if len(w) <= order})
+    numerators = {w: n * d ** (order - len(w)) for w, n in numerators.items()}
+    return _over(_horner_words(numerators, scaled, order), t * d ** order)
 
 
 class RationalUnivariateSeries(AssocSeries):
@@ -581,14 +605,17 @@ def substitute_letter_linear(a: AssocSeries, index: int, z: AssocSeries) -> Asso
 
     Replaces one occurrence of letter ``index`` by ``z`` in every word of
     ``a``, summed over occurrences.  ``z`` may live over a larger alphabet;
-    the result does too.
+    the result does too.  The splice is bilinear, so it sums products of
+    integer numerators over the product of the two denominators.
     """
     if z.arity < a.arity:
         z = z.with_arity(a.arity)
     order = min(a.order, z.order)
-    z_buckets = z._by_degree()
-    out: dict[bytes, Fraction] = {}
-    for w, c in a._terms.items():
+    na, da = _numerators(a._terms)
+    nz, dz = _numerators(z._terms)
+    z_buckets = _by_length(nz)
+    out: dict[bytes, int] = {}
+    for w, c in na.items():
         for pos, letter in enumerate(w):
             if letter != index:
                 continue
@@ -598,5 +625,6 @@ def substitute_letter_linear(a: AssocSeries, index: int, z: AssocSeries) -> Asso
                 if lz > room:
                     continue
                 for wz, cz in items:
-                    _accumulate(out, head + wz + tail, c * cz)
-    return AssocSeries._make(z.arity, order, out)
+                    v = head + wz + tail
+                    out[v] = out.get(v, 0) + c * cz
+    return AssocSeries._make(z.arity, order, _over(out, da * dz))

@@ -8,7 +8,11 @@ Campbell-Hausdorff series, a product of exponentials and a logarithm;
 ``lyndon_image_substitute`` is the former Lie substitution, which builds
 the image of each standard bracketing from the images of its factors;
 ``fraction_lyndon_coordinates`` is the former Lyndon peel in ``Fraction``
-arithmetic; ``inverse_transport`` and ``inverse_route_gauge_family`` are
+arithmetic; ``fraction_expand``, ``fraction_commutator``,
+``fraction_ad_words``, ``fraction_mul`` and
+``fraction_substitute_letter_linear`` are the former word kernels, which
+accumulated every product as a ``Fraction`` (here without their length
+buckets); ``inverse_transport`` and ``inverse_route_gauge_family`` are
 the former route to gauge members, which inverted the whole solution and
 transported each shifted factorization forward again; and
 ``random_assoc_series`` draws seeded inputs for the property suites.
@@ -25,7 +29,7 @@ from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
 from kvquad.traces import trace_pairing
-from kvquad.words import AssocSeries, log, word_to_str
+from kvquad.words import AssocSeries, _accumulate, log, word_to_str
 
 Word = tuple[int, ...]
 
@@ -200,6 +204,69 @@ def fraction_lyndon_coordinates(degree_terms: dict) -> dict:
                 if not remaining[v]:
                     del remaining[v]
     return coords
+
+
+def fraction_expand(a: LieElement) -> dict:
+    """Word expansion of a Lie series, one ``Fraction`` product per bracket-expansion word."""
+    out: dict[bytes, Fraction] = {}
+    for w, c in a.terms.items():
+        for v, k in bracket_expansion(w).items():
+            _accumulate(out, v, c * k)
+    return out
+
+
+def fraction_commutator(left: dict, right: dict, order: int) -> dict:
+    """left * right - right * left on word maps in ``Fraction``; words beyond ``order`` dropped."""
+    result: dict[bytes, Fraction] = {}
+    for wl, cl in left.items():
+        for wr, cr in right.items():
+            if len(wl) + len(wr) <= order:
+                c = Fraction(cl) * cr
+                _accumulate(result, wl + wr, c)
+                _accumulate(result, wr + wl, -c)
+    return result
+
+
+def fraction_ad_words(terms: dict, z_words: dict, order: int) -> dict:
+    """Sum of c * [w_0, [w_1, [..., z]]] over the words w of ``terms``, in ``Fraction``."""
+    out: dict[bytes, Fraction] = {}
+    by_first: dict[int, dict[bytes, Fraction]] = {}
+    for w, c in terms.items():
+        if not w:
+            for v, k in z_words.items():
+                if len(v) <= order:
+                    _accumulate(out, v, Fraction(c) * k)
+        elif len(w) < order:
+            by_first.setdefault(w[0], {})[w[1:]] = c
+    for i, rest in by_first.items():
+        inner = fraction_ad_words(rest, z_words, order - 1)
+        for v, k in fraction_commutator({bytes([i]): 1}, inner, order).items():
+            _accumulate(out, v, k)
+    return out
+
+
+def fraction_mul(a: AssocSeries, b: AssocSeries) -> dict:
+    """Words of the concatenation product through min(a.order, b.order), in ``Fraction``."""
+    order = min(a.order, b.order)
+    out: dict[bytes, Fraction] = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            if len(wa) + len(wb) <= order:
+                _accumulate(out, wa + wb, ca * cb)
+    return out
+
+
+def fraction_substitute_letter_linear(a: AssocSeries, index: int, z: AssocSeries) -> dict:
+    """Words of the Leibniz splice of z into each occurrence of letter ``index``, in ``Fraction``."""
+    order = min(a.order, z.order)
+    out: dict[bytes, Fraction] = {}
+    for w, c in a.terms.items():
+        for pos, letter in enumerate(w):
+            if letter == index:
+                for wz, cz in z.terms.items():
+                    if len(w) - 1 + len(wz) <= order:
+                        _accumulate(out, w[:pos] + wz + w[pos + 1:], c * cz)
+    return out
 
 
 def series_inverse(coeffs: list[Fraction]) -> list[Fraction]:

@@ -19,6 +19,9 @@ product-and-logarithm construction that Goldberg's formula replaced.  The ``all 
 pins propU, propLast and cocycle one order above the benchmark's propU job;
 its digest was recorded from the Lyndon-bracketing substitution and the
 ``Fraction`` peel that the word substitution kernel and the integer peel
+replaced.  The ``solve-kv --order 12`` run pins every order-12 coefficient
+of the canonical solution; its digest was recorded from the ``Fraction``
+word kernels that the integer expansion, nested ad, product and splice
 replaced.
 Update a digest only together with an intended, documented output change.
 """
@@ -54,6 +57,8 @@ GOLDEN = [
      "834e1529b0f851211e49b4b05db87b996ae8d491af728891fc5e6da6cf6c8ded"),
     (("verify", "--suite", "all", "--order", "8"), 0,
      "d19a8290cef896d4c0d0dd7fcd2260625d674e40a04cb47bf446f75a0f2d576c"),
+    (("solve-kv", "--order", "12"), 0,
+     "526614c6023b7411dddeb08bc1e91b9ebd7c20e0736b253d206dfd366942775a"),
 ]
 
 

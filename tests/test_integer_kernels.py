@@ -1,0 +1,230 @@
+"""The integer word kernels against their ``Fraction`` references.
+
+``LieElement.expand``, ``lyndon.commutator``, the nested-ad kernel
+``lie._ad_words``, ``words.mul`` and ``words.substitute_letter_linear`` sum
+integer numerators over one denominator and build one ``Fraction`` per word.
+These seeded tests compare each with the former ``Fraction`` body kept in
+``tests/oracles.py`` and with an independent tuple-word oracle, on
+coefficients over pairwise coprime denominators (7, 11, 13 and 10007, so a
+lost or doubled denominator factor changes the value), on empty maps and on
+terms that cancel exactly, and check that every stored coefficient is a
+nonzero reduced ``Fraction``.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from kvquad import AssocSeries, LieElement, lyndon_words, mul
+from kvquad.lie import _ad_words
+from kvquad.lyndon import commutator, standard_factorization
+from kvquad.words import substitute_letter_linear
+
+from oracles import (
+    ad_power_series,
+    derivation_action,
+    fraction_ad_words,
+    fraction_commutator,
+    fraction_expand,
+    fraction_mul,
+    fraction_substitute_letter_linear,
+    oadd,
+    omul,
+    oscale,
+    to_word_dict,
+)
+
+DENOMINATORS = (1, 7, 11, 13, 10007, 7 * 11, 13 * 10007, 7 * 11 * 13 * 10007)
+
+
+def coprime_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice(DENOMINATORS))
+
+
+def word_map(rng: random.Random, arity: int, max_len: int, terms: int, min_len: int = 0) -> dict:
+    return {bytes(rng.randrange(arity) for _ in range(rng.randint(min_len, max_len))):
+            coprime_rational(rng) for _ in range(terms)}
+
+
+def tuple_map(terms: dict) -> dict:
+    return {tuple(w): Fraction(c) for w, c in terms.items()}
+
+
+def assert_reduced(terms):
+    for c in terms.values():
+        assert type(c) is Fraction and c
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def bracketing(w: bytes) -> dict:
+    """Tuple-word expansion of the standard bracketing of a Lyndon word, by two products."""
+    if len(w) == 1:
+        return {tuple(w): Fraction(1)}
+    u, v = (bracketing(f) for f in standard_factorization(w))
+    return oadd(omul(u, v, len(w)), oscale(omul(v, u, len(w)), -1))
+
+
+def random_lie(rng: random.Random, arity: int, order: int, terms: int) -> LieElement:
+    basis = lyndon_words(arity, order)
+    return LieElement(arity, order, {rng.choice(basis): coprime_rational(rng) for _ in range(terms)})
+
+
+@pytest.mark.parametrize("arity, order", [(2, 7), (3, 5)])
+def test_expand_matches_fraction_expansion(arity, order):
+    rng = random.Random(1200 + arity)
+    for terms in (0, 1, 3, 8, 20):
+        a = random_lie(rng, arity, order, terms)
+        got = a.expand().terms
+        assert_reduced(got)
+        assert dict(got) == fraction_expand(a)
+        expected = {}
+        for w, c in a.terms.items():
+            expected = oadd(expected, oscale(bracketing(w), c))
+        assert tuple_map(got) == expected
+
+
+def test_expand_drops_words_that_cancel():
+    """For Lyndon words l1, l2 of one degree whose expansions share a word v,
+    the coordinates are chosen so that v cancels exactly."""
+    rng = random.Random(1210)
+    checked = 0
+    for degree in (4, 5, 6):
+        basis = [w for w in lyndon_words(2, degree) if len(w) == degree]
+        for l1, l2 in zip(basis, basis[1:]):
+            e1, e2 = bracketing(l1), bracketing(l2)
+            shared = sorted(set(e1) & set(e2))
+            if not shared:
+                continue
+            v = shared[0]
+            c1 = coprime_rational(rng)
+            c2 = -c1 * e1[v] / e2[v]
+            got = LieElement(2, degree, {l1: c1, l2: c2}).expand().terms
+            assert bytes(v) not in got
+            assert_reduced(got)
+            assert tuple_map(got) == oadd(oscale(e1, c1), oscale(e2, c2))
+            checked += 1
+    assert checked >= 5
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_commutator_matches_fraction_commutator(arity):
+    rng = random.Random(1300 + arity)
+    for trial in range(30):
+        order = rng.randint(0, 7)
+        left = word_map(rng, arity, 4, rng.randint(0, 4))
+        right = word_map(rng, arity, 5, rng.randint(0, 8))
+        if trial % 5 == 0:
+            right = dict(left)  # [a, a] = 0: every word cancels
+        got = commutator(left, right, order)
+        assert_reduced(got)
+        assert got == fraction_commutator(left, right, order)
+        L, R = tuple_map(left), tuple_map(right)
+        assert tuple_map(got) == oadd(omul(L, R, order), oscale(omul(R, L, order), -1))
+        if trial % 5 == 0:
+            assert got == {}
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_ad_words_matches_fraction_nested_ad(arity):
+    rng = random.Random(1400 + arity)
+    for trial in range(30):
+        order = rng.randint(1, 7)
+        terms = word_map(rng, arity, 4, rng.randint(0, 6))
+        z = word_map(rng, arity, 4, rng.randint(0, 6), min_len=1)
+        got = _ad_words(terms, z, order)
+        assert_reduced(got)
+        assert got == fraction_ad_words(terms, z, order)
+
+
+def test_ad_words_powers_match_the_operator_oracle():
+    rng = random.Random(1410)
+    for arity, order in ((2, 7), (3, 5)):
+        for index in range(arity):
+            phi = [coprime_rational(rng) for _ in range(order + 1)]
+            terms = {bytes([index]) * k: c for k, c in enumerate(phi) if k < order}
+            z = word_map(rng, arity, order, 6, min_len=1)
+            got = _ad_words(terms, z, order)
+            assert_reduced(got)
+            assert tuple_map(got) == ad_power_series(phi, index, tuple_map(z), order)
+
+
+def test_ad_words_on_empty_and_cancelling_input():
+    z = {b"\x00": Fraction(3, 10007), b"\x00\x01": Fraction(-5, 7)}
+    assert _ad_words({}, z, 4) == {}
+    assert _ad_words({b"\x01": Fraction(2, 11)}, {}, 4) == {}
+    assert _ad_words({b"\x00": Fraction(1, 13)}, {b"\x00": Fraction(1, 11)}, 4) == {}  # [x, x]
+    # ad_x ad_y - ad_y ad_x = ad_[x, y], which kills [x, y] and keeps [[x, y], x]
+    terms = {b"\x00\x01": Fraction(1, 7), b"\x01\x00": Fraction(-1, 7)}
+    xy = {b"\x00\x01": Fraction(1, 10007), b"\x01\x00": Fraction(-1, 10007)}
+    assert _ad_words(terms, xy, 4) == fraction_ad_words(terms, xy, 4) == {}
+    z = {**xy, b"\x00": Fraction(1, 13)}
+    got = _ad_words(terms, z, 4)
+    assert_reduced(got)
+    xy_x = commutator(commutator({b"\x00": 1}, {b"\x01": 1}, 2), {b"\x00": 1}, 3)
+    assert got == fraction_ad_words(terms, z, 4) == {w: c / (7 * 13) for w, c in xy_x.items()}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_mul_matches_fraction_product(arity):
+    rng = random.Random(1500 + arity)
+    for trial in range(30):
+        order_a, order_b = rng.randint(0, 6), rng.randint(0, 6)
+        a = AssocSeries(arity, order_a, word_map(rng, arity, order_a, rng.randint(0, 6)))
+        b = AssocSeries(arity, order_b, word_map(rng, arity, order_b, rng.randint(0, 6)))
+        got = mul(a, b)
+        assert got.order == min(order_a, order_b)
+        assert_reduced(got.terms)
+        assert dict(got.terms) == fraction_mul(a, b)
+        assert to_word_dict(got) == omul(to_word_dict(a), to_word_dict(b), got.order)
+
+
+def test_mul_drops_products_that_cancel():
+    # x * yz and xy * z both give xyz; p r + q s = 0
+    p, q, s = Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)
+    r = -q * s / p
+    a = AssocSeries(3, 3, {b"\x00": p, b"\x00\x01": q})
+    b = AssocSeries(3, 3, {b"\x01\x02": r, b"\x02": s})
+    got = mul(a, b)
+    assert b"\x00\x01\x02" not in got.terms
+    assert_reduced(got.terms)
+    assert dict(got.terms) == fraction_mul(a, b) == {b"\x00\x02": p * s}
+    assert mul(a, AssocSeries.zero(3, 3)).is_zero()
+    assert mul(AssocSeries.zero(3, 3), b).is_zero()
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_substitute_letter_linear_matches_fraction_splice(arity):
+    rng = random.Random(1600 + arity)
+    for trial in range(30):
+        order = rng.randint(1, 6)
+        a = AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 8)))
+        z_arity = arity + trial % 2  # a direction over one fresh letter, half of the time
+        z = AssocSeries(z_arity, order, word_map(rng, z_arity, order, rng.randint(0, 5)))
+        index = rng.randrange(arity)
+        got = substitute_letter_linear(a, index, z)
+        assert got.arity == z_arity
+        assert_reduced(got.terms)
+        assert dict(got.terms) == fraction_substitute_letter_linear(a, index, z)
+
+
+def test_substitute_letter_linear_matches_the_derivation_oracle():
+    rng = random.Random(1610)
+    for arity, order in ((2, 6), (3, 5)):
+        for index in range(arity):
+            a = AssocSeries(arity, order, word_map(rng, arity, order, 10))
+            a_i = word_map(rng, arity, order - 1, 4, min_len=1)
+            image = commutator({bytes([index]): 1}, a_i, order)
+            got = substitute_letter_linear(a, index, AssocSeries(arity, order, image))
+            components = [tuple_map(a_i) if i == index else {} for i in range(arity)]
+            assert to_word_dict(got) == derivation_action(components, to_word_dict(a), order)
+
+
+def test_substitute_letter_linear_drops_splices_that_cancel():
+    # xy -> yy and yx -> yy with opposite signs
+    a = AssocSeries(2, 3, {b"\x00\x01": Fraction(1, 7), b"\x01\x00": Fraction(-1, 7)})
+    z = AssocSeries(2, 3, {b"\x01": Fraction(1, 10007)})
+    assert substitute_letter_linear(a, 0, z).is_zero()
+    assert substitute_letter_linear(a, 0, AssocSeries.zero(2, 3)).is_zero()
+    assert substitute_letter_linear(AssocSeries.zero(2, 3), 0, z).is_zero()

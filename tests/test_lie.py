@@ -36,8 +36,9 @@ from kvquad import (
     univariate_substitute,
     word_from_str,
 )
-from kvquad.lyndon import lyndon_coordinates
+from kvquad.lyndon import bracket_expansion, lyndon_coordinates
 from kvquad.sampling import random_lie_element, random_rational
+from kvquad.words import word_to_str
 
 from oracles import (
     bernoulli_kernel,
@@ -259,17 +260,72 @@ def peel_or_message(peel, part):
         return str(exc)
 
 
+def cancel_and_recreate(rng, arity: int, order: int):
+    """Homogeneous inputs in which the peel removes a word and later brings it back.
+
+    Take Lyndon words w1 < w2 whose bracket expansions both meet a word
+    v > w2, with coefficients k1 and k2, and the input a1 E(w1) + a2 E(w2)
+    + c v.  With c = -a2 k2, v cancels when w1 is peeled and w2's peel
+    re-creates it.  With c = -(a1 k1 + a2 k2), v is absent from the input and
+    first enters when w1 is peeled, so the heap must take it then.  A Lyndon
+    v enters as c E(v), so the input is Lie with coordinates a1, a2, c; a
+    non-Lyndon v enters as the bare word and obstructs, met only after it
+    came back.  Yields (words, expected peel outcome) for the first triple of
+    each kind found at each degree from 4.
+    """
+    for degree in range(4, order + 1):
+        basis = [w for w in lyndon_words(arity, degree) if len(w) == degree]
+        found = set()
+        for i, w1 in enumerate(basis):
+            for w2 in basis[i + 1:]:
+                e1, e2 = bracket_expansion(w1), bracket_expansion(w2)
+                for v in sorted(set(e1) & set(e2)):
+                    lie = is_lyndon(v)
+                    if v <= w2 or lie in found:
+                        continue
+                    found.add(lie)
+                    a1, a2 = random_rational(rng) or 1, random_rational(rng) or 1
+                    for c in (-a2 * e2[v], -a1 * e1[v] - a2 * e2[v]):
+                        if not c:
+                            continue
+                        if lie:
+                            words = LieElement(arity, order, {w1: a1, w2: a2, v: c}).expand()
+                            expected = {w1: a1, w2: a2, v: c}
+                        else:
+                            words = (LieElement(arity, order, {w1: a1, w2: a2}).expand()
+                                     + AssocSeries.from_word(arity, order, v, c))
+                            expected = (f"word {word_to_str(v)!r} obstructs Lie membership "
+                                        f"(degree {degree})", degree)
+                        # v is present and cancels at w1's peel, or absent and enters there
+                        start = words.coefficient(v)
+                        assert (start, start - a1 * e1[v]) in (
+                            (a1 * e1[v], 0), (0, -a1 * e1[v]))
+                        yield words, expected
+
+
 @pytest.mark.parametrize("arity, order", [(2, 8), (3, 6)])
 def test_integer_peel_matches_fraction_peel(arity, order):
-    """Same coordinates on Lie input; same obstructing word and degree otherwise."""
+    """Same coordinates on Lie input; same obstructing word and degree otherwise.
+
+    Besides random inputs, the peel meets words that cancel and come back
+    (``cancel_and_recreate``); a heap that lost such a word would stop early.
+    """
     rng = random.Random(940 + arity)
-    failures = 0
+    cases = []
     for trial in range(16):
         words = random_lie_element(rng, arity, order, terms=8).expand()
         if trial % 2:
             w = bytes(rng.randrange(arity) for _ in range(rng.randint(2, order)))
             words = words + AssocSeries.from_word(arity, order, w, random_rational(rng) or 1)
+        cases.append((words, None))
+    rebuilt = list(cancel_and_recreate(rng, arity, order))
+    obstructed = sum(isinstance(outcome, tuple) for _, outcome in rebuilt)
+    assert 0 < obstructed < len(rebuilt)
+    failures = 0
+    for words, outcome in cases + rebuilt:
         expected = fraction_peel_outcome(words)
+        if outcome is not None:
+            assert expected == outcome
         for k in range(1, order + 1):
             part = dict(words.homogeneous_part(k).terms)
             assert peel_or_message(lyndon_coordinates, part) == peel_or_message(
@@ -280,7 +336,8 @@ def test_integer_peel_matches_fraction_peel(arity, order):
             failures += 1
             got = str(err), err.degree
         assert got == expected
-    assert failures >= 4
+    assert failures >= 4 + obstructed
+
 
 def test_substitute_relabeling():
     one_letter = generator(1, 0, 6)
