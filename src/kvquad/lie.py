@@ -2,15 +2,14 @@
 
 A Lie series is stored by its coordinates on standard Lyndon bracketings.
 Conversion to the word basis expands each bracketing; ``assoc_to_lie``, the
-one way back, peels lexicographically least words degree by degree, and a
-least word that is not Lyndon proves the part is not Lie.  Powers of one ad
-and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on words
-through one nested-ad kernel and project once.  The word expansion and the
-nested-ad kernel sum integer numerators over one denominator and build one
-``Fraction`` per word.  The Campbell-Hausdorff series (word coefficients
-from Goldberg's formula, projected by the peel), generator substitution,
-degree scaling and univariate operator kernels in a single adjoint slot all
-live here.
+one way back, peels least words degree by degree (a non-Lyndon least word
+proves the part is not Lie) and keeps its emptied input as the ``expand()``
+memo.  Powers of one ad and the extended adjoint action ad_w z =
+[w_0, [w_1, [..., z]]] act on words through one nested-ad kernel, a letter
+bracket per level, and project once; it and the word expansion sum integer
+numerators over one denominator.  The Campbell-Hausdorff series (Goldberg's
+word coefficients, projected by the peel), generator substitution, degree
+scaling and univariate operator kernels in one adjoint slot all live here.
 """
 
 import functools
@@ -18,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .lyndon import (
-    _commutator_ints,
+    _letter_bracket,
     bracket_expansion,
     commutator,
     is_lyndon,
@@ -30,11 +29,13 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     Rational,
     RationalUnivariateSeries,
     _SparseSeries,
+    _linear_sum,
     _numerators,
     _over,
     substitute_letter_linear,
     substitute_words,
     univariate_substitute,
+    word_to_str,
 )
 
 
@@ -59,9 +60,9 @@ class LieElement(_SparseSeries):
     _tag_required = False
 
     def _check_key(self, w: bytes):
+        super()._check_key(w)  # first, so the letters below are known to print
         if not is_lyndon(w):
-            raise ValueError(f"{w!r} is not a Lyndon word")
-        super()._check_key(w)
+            raise ValueError(f"{word_to_str(w)!r} is not a Lyndon word")
 
     degree_part = _SparseSeries.homogeneous_part
     # kept in the class's own __dict__, where perfbench/tracer.py looks it up
@@ -85,19 +86,15 @@ class LieElement(_SparseSeries):
     def expand(self) -> AssocSeries:
         """The canonical embedding into the free associative algebra.
 
-        The bracket expansions are integer maps, so the coordinates' numerators
-        over their common denominator are summed in integers, and each word
-        gets one ``Fraction``.
+        The coordinates' numerators over their common denominator times the
+        integer bracket expansions, summed in integers by ``_linear_sum``.
         """
         try:
             return self._assoc
         except AttributeError:
             coords, d = _numerators(self._terms)
-            out: dict[bytes, int] = {}
-            for w, n in coords.items():
-                for v, k in bracket_expansion(w).items():
-                    out[v] = out.get(v, 0) + n * k
-            assoc = AssocSeries._make(self.arity, self.order, _over(out, d))
+            words = _linear_sum((n, bracket_expansion(w), d) for w, n in coords.items())
+            assoc = AssocSeries._make(self.arity, self.order, words)
             object.__setattr__(self, "_assoc", assoc)
             return assoc
 
@@ -117,7 +114,9 @@ def assoc_to_lie(a: AssocSeries) -> LieElement:
 
     The Lyndon peel of each homogeneous part either empties it, which writes
     it as a combination of Lyndon bracketings, or meets a non-Lyndon least
-    word; that raises NotLieError at the part's degree.
+    word; that raises NotLieError at the part's degree.  So ``a`` is exactly
+    the result's word expansion: it is kept, as a plain ``AssocSeries``, as
+    the ``expand()`` memo, set before any other thread can see the result.
     """
     if a.constant_term:
         raise NotLieError("nonzero constant term", 0)
@@ -130,18 +129,9 @@ def assoc_to_lie(a: AssocSeries) -> LieElement:
             coords.update(lyndon_coordinates(by_degree[k]))
         except ValueError as exc:
             raise NotLieError(str(exc), k) from None
-    return LieElement._make(a.arity, a.order, coords)
-
-
-def lie_from_words(a: AssocSeries) -> LieElement:
-    """``assoc_to_lie``, keeping ``a`` as the result's ``expand()`` memo.
-
-    The peel only returns when it emptied every part, so ``a`` is exactly
-    the result's word expansion.  The memo is set before the element is
-    returned, so no other thread sees it unset.
-    """
-    series = assoc_to_lie(a)
-    object.__setattr__(series, "_assoc", a)
+    series = LieElement._make(a.arity, a.order, coords)
+    words = a if type(a) is AssocSeries else AssocSeries._make(a.arity, a.order, a._terms)
+    object.__setattr__(series, "_assoc", words)
     return series
 
 
@@ -209,12 +199,11 @@ def log_exp_product(arity: int, order: int) -> LieElement:
 
     The word coefficients come from Goldberg's formula and the Lyndon peel of
     ``assoc_to_lie`` both projects and certifies them: a wrong coefficient
-    raises NotLieError.  An emptied peel means the words are exactly the
-    series' expansion, so they are kept as its ``expand()`` memo.
+    raises NotLieError; the words stay as the series' ``expand()`` memo.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return lie_from_words(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
+    return assoc_to_lie(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
 
 
 def bch_multi(arity: int, order: int) -> LieElement:
@@ -234,8 +223,7 @@ def substitute_many(elements, args) -> list[LieElement]:
 
     Each element's words go through the associative substitution kernel
     ``substitute_words`` on the arguments' word expansions and are peeled
-    once; the peel empties them, so they are kept as the result's
-    ``expand()`` memo.
+    once, which keeps them as the result's ``expand()`` memo.
     """
     args = tuple(args)
     if not args:
@@ -258,7 +246,7 @@ def substitute_many(elements, args) -> list[LieElement]:
     for a in elements:
         order = min(a.order, args_order)
         words = substitute_words(a.expand()._terms, images, order)
-        out.append(lie_from_words(AssocSeries._make(arity_out, order, words)))
+        out.append(assoc_to_lie(AssocSeries._make(arity_out, order, words)))
     return out
 
 
@@ -355,8 +343,7 @@ def _ad_ints(terms: dict, z_words: dict, order: int) -> dict[bytes, int]:
         elif len(w) < order:
             by_first.setdefault(w[0], {})[w[1:]] = c
     for i, rest in by_first.items():
-        inner = _ad_ints(rest, z_words, order - 1)
-        for v, k in _commutator_ints({bytes([i]): 1}, inner, order).items():
+        for v, k in _letter_bracket(i, _ad_ints(rest, z_words, order - 1), order).items():
             out[v] = out.get(v, 0) + k
     return {w: n for w, n in out.items() if n}
 
@@ -414,15 +401,11 @@ def directional_derivative(a, index: int, z):
     kind.  ``z`` may live over an extended alphabet (one fresh letter models
     the free direction slot); the result then lives there too.
     """
-    if isinstance(z, LieElement):
-        z_ass = z.expand()
-    elif isinstance(z, AssocSeries):
-        z_ass = z
-    else:
+    if not isinstance(z, AssocSeries | LieElement):
         raise TypeError(f"direction must be a series, got {type(z).__name__}")
-    if isinstance(a, AssocSeries):
-        return substitute_letter_linear(a, index, z_ass)
-    if isinstance(a, LieElement):
-        spliced = substitute_letter_linear(a.expand(), index, z_ass)
-        return assoc_to_lie(spliced)
-    raise TypeError(f"expected a series, got {type(a).__name__}")
+    if not isinstance(a, AssocSeries | LieElement):
+        raise TypeError(f"expected a series, got {type(a).__name__}")
+    is_lie = isinstance(a, LieElement)
+    words = substitute_letter_linear(a.expand() if is_lie else a, index,
+                                     z.expand() if isinstance(z, LieElement) else z)
+    return assoc_to_lie(words) if is_lie else words

@@ -8,9 +8,9 @@ canonical basis used for Lie series.  Expansions are cached process-wide,
 keyed by the word bytes: they only depend on the letters, not on the ambient
 alphabet size.  Peeling least words against these expansions gives Lyndon
 coordinates and decides Lie membership in one pass.  ``commutator`` is the
-one word-basis bracket that every Lie operation of the package builds on.
-The commutator and the peel run on integer numerators over one denominator
-and build one ``Fraction`` per output word.
+one word-basis bracket, and ``_letter_bracket`` its case [x_i, v], built by
+prefixing and suffixing the letter.  They and the peel run on integer
+numerators over one denominator and build one ``Fraction`` per output word.
 """
 
 import heapq
@@ -52,7 +52,7 @@ def standard_factorization(w: bytes) -> tuple[bytes, bytes]:
     Both factors are Lyndon and u < v.
     """
     if len(w) < 2 or not is_lyndon(w):
-        raise ValueError(f"{w!r} is not a Lyndon word of length >= 2")
+        raise ValueError(f"{word_to_str(w)!r} is not a Lyndon word of length >= 2")
     v = min(w[i:] for i in range(1, len(w)))
     return w[: len(w) - len(v)], v
 
@@ -72,6 +72,19 @@ def _commutator_ints(left: dict, right: dict, order: int) -> dict[bytes, int]:
                     w = wr + wl
                     result[w] = result.get(w, 0) - c
     return {w: n for w, n in result.items() if n}
+
+
+def _letter_bracket(index: int, terms: dict, order: int) -> dict[bytes, int]:
+    """[x_index, v] = x_index v - v x_index for an integer word map v; words beyond ``order`` and zeros dropped."""
+    letter = bytes([index])
+    out: dict[bytes, int] = {}
+    for w, n in terms.items():
+        if len(w) < order:
+            v = letter + w
+            out[v] = out.get(v, 0) + n
+            v = w + letter
+            out[v] = out.get(v, 0) - n
+    return {w: n for w, n in out.items() if n}
 
 
 def commutator(left: dict, right: dict, order: int) -> dict[bytes, Fraction]:

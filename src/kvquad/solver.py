@@ -34,7 +34,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
-from .words import AssocSeries, _numerators, _over
+from .words import AssocSeries, _linear_sum, _numerators
 
 
 class KVSolution:
@@ -148,12 +148,10 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     for w, n in numerators.items():
         if len(w) - 1 <= order:
             groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = n * (lengths // len(w))
-    sides: list[dict[bytes, int]] = [{}, {}]
+    sides: list[list] = [[], []]
     for (first, last), middles in groups.items():
-        side = sides[first]
-        for v, n in _ad_ints(middles, {bytes([last]): 1}, order).items():
-            side[v] = side.get(v, 0) + n
-    a, b = (assoc_to_lie(AssocSeries._make(2, order, _over(side, d * lengths))) for side in sides)
+        sides[first].append((1, _ad_ints(middles, {bytes([last]): 1}, order), d * lengths))
+    a, b = (assoc_to_lie(AssocSeries._make(2, order, _linear_sum(parts))) for parts in sides)
     return a, b
 
 
@@ -191,20 +189,13 @@ def kv1_residual(s: KVSolution) -> LieElement:
     except AttributeError:
         pass
     order = s.order + 1
-    rhs, d = _numerators(kv_rhs(order).expand()._terms)
-    parts = [(rhs, d, -1)]
+    parts = [(-1, *_numerators(kv_rhs(order).expand()._terms))]
     for index, (sign, component) in enumerate(((-1, s.A), (1, s.B))):
         component = component.with_order(order)
         u, du = _numerators(_ad_polynomial(_exp_minus_one(order, sign), index, component))
         z, dz = _numerators(component.expand()._terms)
-        parts.append((_ad_ints(u, z, order), du * dz, 1))
-    d = math.lcm(*(di for _, di, _ in parts))
-    words: dict[bytes, int] = {}
-    for ints, di, sign in parts:
-        scale_to_d = sign * (d // di)
-        for w, n in ints.items():
-            words[w] = words.get(w, 0) + scale_to_d * n
-    residual = assoc_to_lie(AssocSeries._make(2, order, _over(words, d)))
+        parts.append((1, _ad_ints(u, z, order), du * dz))
+    residual = assoc_to_lie(AssocSeries._make(2, order, _linear_sum(parts)))
     object.__setattr__(s, "_residual", residual)
     return residual
 

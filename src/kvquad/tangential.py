@@ -17,15 +17,23 @@ from .lie import (
     NotLieError,
     assoc_to_lie,
     bch_multi,
-    directional_derivative,
     generator,
-    lie_from_words,
     substitute_many,
     without_letters,
 )
-from .lyndon import commutator
+from .lyndon import _letter_bracket
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
-from .words import ArityMismatchError, AssocSeries, Rational, _accumulate, substitute_words
+from .words import (
+    ArityMismatchError,
+    AssocSeries,
+    Rational,
+    _common_numerators,
+    _linear_sum,
+    _numerators,
+    _over,
+    _splice_ints,
+    substitute_words,
+)
 
 
 class TangentialDerivation:
@@ -126,20 +134,18 @@ class TangentialDerivation:
 def act(u: TangentialDerivation, a):
     """Apply the derivation; accepts an AssocSeries or LieElement, same kind out.
 
-    Each image [x_i, a_i] is spliced into the word expansion of ``a``; a Lie
-    result is projected back to the Lyndon basis once.
+    The images [x_i, a_i], over one denominator, are spliced together into
+    the words of ``a`` through min(a.order, u.order), or a.order for the zero
+    derivation; a Lie result is projected back to the Lyndon basis once.
     """
     if a.arity != u.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {a.arity}")
     is_lie = isinstance(a, LieElement)
-    words = a.expand() if is_lie else a
-    result = AssocSeries.zero(a.arity, a.order)
-    for i, a_i in enumerate(u.components):
-        if a_i.is_zero():
-            continue
-        image = commutator({bytes([i]): 1}, a_i.expand()._terms, u.order)
-        result = result + directional_derivative(
-            words, i, AssocSeries._make(u.arity, u.order, image))
+    order = a.order if u.is_zero() else min(a.order, u.order)
+    expansions, d = _common_numerators([a_i.expand()._terms for a_i in u.components])
+    images = {i: _letter_bracket(i, e, order) for i, e in enumerate(expansions) if e}
+    words, da = _numerators((a.expand() if is_lie else a)._terms)
+    result = AssocSeries._make(a.arity, order, _over(_splice_ints(words, images, order), da * d))
     return assoc_to_lie(result) if is_lie else result
 
 
@@ -191,7 +197,7 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[dict, dict,
 def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
     """Embed a two-letter derivation into three letters; see ``simplicial_words``."""
     maps = simplicial_words(u, pattern)
-    lie = {id(words): lie_from_words(AssocSeries._make(3, u.order, words)) for words in maps}
+    lie = {id(words): assoc_to_lie(AssocSeries._make(3, u.order, words)) for words in maps}
     return TangentialDerivation([lie[id(words)] for words in maps])
 
 
@@ -236,25 +242,23 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
     test; a failure means p was not a combination of tr(Lie * Lie) terms.
     The a_i may still carry x_i-linear terms: no normalization is applied.
     """
-    arity, order = p.arity, p.order
+    arity, order = p.arity, max(p.order - 1, 0)  # the order of every a_i
     raw: list[dict[bytes, Fraction]] = [{} for _ in range(arity)]
     for w, c in p.terms.items():
         for pos, letter in enumerate(w):
-            _accumulate(raw[letter], w[pos + 1:] + w[:pos], c)
+            v = w[pos + 1:] + w[:pos]
+            raw[letter][v] = raw[letter][v] + c if v in raw[letter] else c
     components = []
     for i, terms in enumerate(raw):
         try:
-            components.append(lie_from_words(AssocSeries._make(arity, max(order - 1, 0), terms)))
+            components.append(assoc_to_lie(AssocSeries._make(arity, order, terms)))
         except NotLieError as exc:
             raise NotLieError(
                 f"slot {i} of the correspondence is not a Lie series "
                 f"(the trace expression lies outside the quadratic span): {exc}",
                 exc.degree) from None
-    balance: dict[bytes, Fraction] = {}
-    for i, a_i in enumerate(components):
-        for w, c in commutator({bytes([i]): 1}, a_i.expand()._terms, a_i.order).items():
-            _accumulate(balance, w, c)
-    if balance:
+    expansions, d = _common_numerators([a_i.expand()._terms for a_i in components])
+    if _linear_sum((1, _letter_bracket(i, e, order), d) for i, e in enumerate(expansions)):
         raise ValueError("extracted tuple violates sum_i [x_i, a_i] = 0")
     return tuple(components)
 

@@ -19,7 +19,6 @@ from .words import (
     ArityMismatchError,
     AssocSeries,
     _SparseSeries,
-    _accumulate,
     substitute_words,
     word_to_str,
 )
@@ -88,24 +87,26 @@ class QuadTraceSeries(_SparseSeries):
             raise ValueError(f"{word_to_str(w)!r} is not a canonical class representative")
 
 
-def tr(a: AssocSeries) -> TraceSeries:
-    """Project a series onto cyclic words."""
+def _project(space, a: AssocSeries, canonical):
+    """Sum the terms of ``a`` into their classes; ``canonical`` gives (representative, sign) or None."""
     out: dict[bytes, Fraction] = {}
     for w, c in a.terms.items():
-        _accumulate(out, canonical_rotation(w), c)
-    return TraceSeries._make(a.arity, a.order, out)
+        canon = canonical(w)
+        if canon is not None:
+            rep, sign = canon
+            c = c if sign == 1 else -c
+            out[rep] = out[rep] + c if rep in out else c
+    return space._make(a.arity, a.order, out)
+
+
+def tr(a: AssocSeries) -> TraceSeries:
+    """Project a series onto cyclic words."""
+    return _project(TraceSeries, a, lambda w: (canonical_rotation(w), 1))
 
 
 def tr_quad(a: AssocSeries) -> QuadTraceSeries:
     """Project a series onto cyclic words modulo signed reversal."""
-    out: dict[bytes, Fraction] = {}
-    for w, c in a.terms.items():
-        canon = quad_canonical(w)
-        if canon is None:
-            continue
-        rep, sign = canon
-        _accumulate(out, rep, c if sign == 1 else -c)
-    return QuadTraceSeries._make(a.arity, a.order, out)
+    return _project(QuadTraceSeries, a, quad_canonical)
 
 
 def trace_pairing(a: LieElement, b: LieElement) -> TraceSeries:

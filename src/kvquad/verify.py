@@ -16,10 +16,10 @@ from fractions import Fraction
 from .lie import (
     LieElement,
     RationalUnivariateSeries,
+    assoc_to_lie,
     bch,
     generator,
     kernel_series,
-    lie_from_words,
     substitute,
     univariate_substitute,
 )
@@ -28,7 +28,7 @@ from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
 from .tangential import TangentialDerivation, ch_defect, div_quad, divergence_words, simplicial_words
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
-from .words import AssocSeries, format_rational, word_to_str
+from .words import AssocSeries, _linear_sum, _numerators, format_rational, word_to_str
 
 
 @dataclass(frozen=True)
@@ -182,17 +182,16 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
 def simplicial_combination(s: KVSolution) -> TangentialDerivation:
     """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B).
 
-    The four embeddings are summed in words and each component is peeled
-    once, keeping its words as the ``expand()`` memo that ``act`` reads.
+    The four embeddings are summed as integer word maps and each component is
+    peeled once, keeping its words as the ``expand()`` memo that ``act`` reads.
     """
     u = s.derivation()
-    sums: list[dict] = [{}, {}, {}]
+    sums: list[list] = [[], [], []]
     for pattern, sign in (("1,2", 1), ("12,3", 1), ("1,23", -1), ("2,3", -1)):
-        for total, words in zip(sums, simplicial_words(u, pattern)):
-            for w, c in words.items():
-                total[w] = total.get(w, 0) + (c if sign > 0 else -c)
+        for parts, words in zip(sums, simplicial_words(u, pattern)):
+            parts.append((sign, *_numerators(words)))
     return TangentialDerivation(
-        [lie_from_words(AssocSeries._make(3, u.order, total)) for total in sums])
+        [assoc_to_lie(AssocSeries._make(3, u.order, _linear_sum(parts))) for parts in sums])
 
 
 def verify_prop_U(s: KVSolution, combination: TangentialDerivation | None = None) -> VerificationReport:

@@ -12,10 +12,10 @@ and the power series in one variable, which are word series over one letter.
 ``substitute_words``, the associative substitution of word maps for letters,
 is the one kernel behind Lie substitution, the simplicial embeddings and
 trace substitution.  It and the other word kernels (``mul`` and the Leibniz
-splice ``substitute_letter_linear`` here, the Lyndon expansion, commutator,
-nested ad and peel in :mod:`kvquad.lyndon` and :mod:`kvquad.lie`) accumulate
-integer numerators over one denominator, set by ``_numerators``, and build
-one reduced ``Fraction`` per output word through ``_over``.
+splice ``_splice_ints`` here; expansion, brackets, nested ad and peel in
+:mod:`kvquad.lyndon` and :mod:`kvquad.lie`) sum integer numerators over one
+denominator (``_numerators``, ``_common_numerators``, ``_linear_sum``) and
+build one ``Fraction`` per output word (``_over``).
 """
 
 import math
@@ -180,7 +180,7 @@ class _SparseSeries:
         out = dict(self._terms)
         order = min(self.order, other.order)
         for w, c in other._terms.items():
-            _accumulate(out, w, c)
+            out[w] = out[w] + c if w in out else c  # a new word stores c: 0 + c costs a Fraction add
         return type(self)._make(
             self.arity, order, {w: c for w, c in out.items() if len(w) <= order})
 
@@ -296,19 +296,6 @@ class AssocSeries(_SparseSeries):
         return _SparseSeries.__mul__(self, other)
 
 
-def _accumulate(d: dict, w: bytes, c: Fraction):
-    cur = d.get(w)
-    if cur is None:
-        if c:
-            d[w] = c
-    else:
-        tot = cur + c
-        if tot:
-            d[w] = tot
-        else:
-            del d[w]
-
-
 def _numerators(terms) -> tuple[dict[bytes, int], int]:
     """Integer numerators of a word map over d, the lcm of its denominators, and d.
 
@@ -318,9 +305,28 @@ def _numerators(terms) -> tuple[dict[bytes, int], int]:
     return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
 
 
+def _common_numerators(maps) -> tuple[list[dict[bytes, int]], int]:
+    """Integer numerators of several word maps over d, the lcm of all their denominators, and d."""
+    scaled = [_numerators(terms) for terms in maps]
+    d = math.lcm(*(di for _, di in scaled))
+    return [{w: n * (d // di) for w, n in nums.items()} for nums, di in scaled], d
+
+
 def _over(ints: dict, d: int) -> dict[bytes, Fraction]:
     """The nonzero integers of a word map divided by d, as reduced ``Fraction``s."""
     return {w: Fraction(n, d) for w, n in ints.items() if n}
+
+
+def _linear_sum(parts) -> dict[bytes, Fraction]:
+    """sum of k * ints / d over (k, ints, d) parts, k an integer, in integers over the lcm of the d."""
+    parts = list(parts)
+    d = math.lcm(*(di for _, _, di in parts))
+    out: dict[bytes, int] = {}
+    for k, ints, di in parts:
+        k *= d // di
+        for w, n in ints.items():
+            out[w] = out.get(w, 0) + k * n
+    return _over(out, d)
 
 
 def _by_length(terms: dict) -> dict[int, list]:
@@ -396,9 +402,7 @@ def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
     """
     if any(b"" in image for image in images):
         raise ValueError("substituted images must have zero constant term")
-    scaled = [_numerators(image) for image in images]
-    d = math.lcm(*(di for _, di in scaled))
-    scaled = [{u: n * (d // di) for u, n in nums.items()} for nums, di in scaled]
+    scaled, d = _common_numerators(images)
     numerators, t = _numerators({w: c for w, c in terms.items() if len(w) <= order})
     numerators = {w: n * d ** (order - len(w)) for w, n in numerators.items()}
     return _over(_horner_words(numerators, scaled, order), t * d ** order)
@@ -571,7 +575,7 @@ class Decomposition:
         for i, part in enumerate(self.partials):
             suffix = bytes([i])
             for w, c in part._terms.items():
-                _accumulate(out, w + suffix, c)
+                out[w + suffix] = c
         return AssocSeries._make(self.arity, self.order, out)
 
 
@@ -580,7 +584,7 @@ def decompose(a: AssocSeries) -> Decomposition:
     partial_terms: list[dict[bytes, Fraction]] = [{} for _ in range(a.arity)]
     for w, c in a._terms.items():
         if w:
-            _accumulate(partial_terms[w[-1]], w[:-1], c)
+            partial_terms[w[-1]][w[:-1]] = c
     sub_order = max(a.order - 1, 0)
     partials = tuple(AssocSeries._make(a.arity, sub_order, d) for d in partial_terms)
     return Decomposition(constant=a.constant_term, partials=partials, order=a.order)
@@ -600,31 +604,36 @@ def left_letter_mul(index: int, a: AssocSeries, order: int | None = None) -> Ass
         {prefix + w: c for w, c in a._terms.items() if len(w) + 1 <= order})
 
 
+def _splice_ints(terms: dict, images: dict, order: int) -> dict[bytes, int]:
+    """Leibniz splice on integer maps: c_w k_u w[:p] u w[p+1:] for each u in images[w[p]].
+
+    Summed over the words w of ``terms`` and the positions p of the letters
+    that have an image; words beyond ``order`` are dropped.
+    """
+    buckets = {i: _by_length(image) for i, image in images.items()}
+    out: dict[bytes, int] = {}
+    for w, c in terms.items():
+        room = order - (len(w) - 1)
+        for pos, letter in enumerate(w):
+            head, tail = w[:pos], w[pos + 1:]
+            for length, items in buckets.get(letter, {}).items():
+                if length <= room:
+                    for u, k in items:
+                        v = head + u + tail
+                        out[v] = out.get(v, 0) + c * k
+    return out
+
+
 def substitute_letter_linear(a: AssocSeries, index: int, z: AssocSeries) -> AssocSeries:
     """Leibniz substitution derivative on the word level.
 
     Replaces one occurrence of letter ``index`` by ``z`` in every word of
-    ``a``, summed over occurrences.  ``z`` may live over a larger alphabet;
-    the result does too.  The splice is bilinear, so it sums products of
-    integer numerators over the product of the two denominators.
+    ``a``, summed over occurrences: the splice of the one image ``z``, on
+    integer numerators over the product of the two denominators.  ``z`` may
+    live over a larger alphabet; the result does too.
     """
-    if z.arity < a.arity:
-        z = z.with_arity(a.arity)
     order = min(a.order, z.order)
     na, da = _numerators(a._terms)
     nz, dz = _numerators(z._terms)
-    z_buckets = _by_length(nz)
-    out: dict[bytes, int] = {}
-    for w, c in na.items():
-        for pos, letter in enumerate(w):
-            if letter != index:
-                continue
-            head, tail = w[:pos], w[pos + 1:]
-            room = order - (len(w) - 1)
-            for lz, items in z_buckets.items():
-                if lz > room:
-                    continue
-                for wz, cz in items:
-                    v = head + wz + tail
-                    out[v] = out.get(v, 0) + c * cz
-    return AssocSeries._make(z.arity, order, _over(out, da * dz))
+    return AssocSeries._make(max(a.arity, z.arity), order,
+                             _over(_splice_ints(na, {index: nz}, order), da * dz))

@@ -12,7 +12,7 @@ arithmetic; ``fraction_expand``, ``fraction_commutator``,
 ``fraction_ad_words``, ``fraction_mul`` and
 ``fraction_substitute_letter_linear`` are the former word kernels, which
 accumulated every product as a ``Fraction`` (here without their length
-buckets); ``inverse_transport`` and ``inverse_route_gauge_family`` are
+buckets, through this module's own ``_accumulate``); ``inverse_transport`` and ``inverse_route_gauge_family`` are
 the former route to gauge members, which inverted the whole solution and
 transported each shifted factorization forward again; and
 ``random_assoc_series`` draws seeded inputs for the property suites.
@@ -29,9 +29,18 @@ from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
 from kvquad.traces import trace_pairing
-from kvquad.words import AssocSeries, _accumulate, log, word_to_str
+from kvquad.words import AssocSeries, log, word_to_str
 
 Word = tuple[int, ...]
+
+
+def _accumulate(d: dict, w, c: Fraction):
+    """d[w] += c in ``Fraction``, deleting the entry when it cancels."""
+    total = d.get(w, 0) + c
+    if total:
+        d[w] = total
+    else:
+        d.pop(w, None)
 
 
 def oadd(d1: dict, d2: dict) -> dict:

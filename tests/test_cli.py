@@ -134,3 +134,15 @@ def test_solution_with_an_exponent_coefficient_is_refused_at_once(tmp_path, caps
 
 def test_verify_without_any_check_is_usage_error(capsys):
     _assert_one_error_line(*run(capsys, "verify", "--suite", "homo", "--order", "1"))
+
+
+def test_solution_with_a_non_lyndon_key_names_the_word(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "3", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data["A"]["terms"].append({"word": "ba", "coeff": "1/2"})
+    out_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--suite", "series", "--solution", str(out_file))
+    _assert_one_error_line(code, out, err)
+    assert "'ba' is not a Lyndon word" in err
+    assert "Traceback" not in err and "\\x" not in err

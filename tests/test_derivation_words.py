@@ -123,7 +123,7 @@ def test_act_on_trace_matches_per_class_sum(project, space, u_order, g_order):
 
 def test_quadratic_trace_tuple_rejects_brackets_that_do_not_cancel(monkeypatch):
     """The balance check sum_i [x_i, a_i] = 0 runs on word maps; an extra y in a_x breaks it."""
-    project = kvquad.tangential.lie_from_words
+    project = kvquad.tangential.assoc_to_lie
     slots = []
 
     def perturbed(a):
@@ -133,6 +133,6 @@ def test_quadratic_trace_tuple_rejects_brackets_that_do_not_cancel(monkeypatch):
 
     p = trace_pairing(LieElement(2, 3, {b"\x00\x01": 1}), LieElement(2, 3, {b"\x00": 1}))
     assert quadratic_trace_tuple(p)  # balanced without the perturbation
-    monkeypatch.setattr(kvquad.tangential, "lie_from_words", perturbed)
+    monkeypatch.setattr(kvquad.tangential, "assoc_to_lie", perturbed)
     with pytest.raises(ValueError, match="sum_i"):
         quadratic_trace_tuple(p)

@@ -8,9 +8,13 @@ These seeded tests compare each with the former ``Fraction`` body kept in
 coefficients over pairwise coprime denominators (7, 11, 13 and 10007, so a
 lost or doubled denominator factor changes the value), on empty maps and on
 terms that cancel exactly, and check that every stored coefficient is a
-nonzero reduced ``Fraction``.
+nonzero reduced ``Fraction``.  The integer helpers they share, the letter
+bracket ``lyndon._letter_bracket``, the multi-letter splice
+``words._splice_ints``, the sum ``words._linear_sum`` and the common
+denominator ``words._common_numerators``, are checked the same way.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -19,8 +23,15 @@ import pytest
 
 from kvquad import AssocSeries, LieElement, lyndon_words, mul
 from kvquad.lie import _ad_words
-from kvquad.lyndon import commutator, standard_factorization
-from kvquad.words import substitute_letter_linear
+from kvquad.lyndon import _letter_bracket, commutator, standard_factorization
+from kvquad.words import (
+    _common_numerators,
+    _linear_sum,
+    _numerators,
+    _over,
+    _splice_ints,
+    substitute_letter_linear,
+)
 
 from oracles import (
     ad_power_series,
@@ -228,3 +239,88 @@ def test_substitute_letter_linear_drops_splices_that_cancel():
     assert substitute_letter_linear(a, 0, z).is_zero()
     assert substitute_letter_linear(a, 0, AssocSeries.zero(2, 3)).is_zero()
     assert substitute_letter_linear(AssocSeries.zero(2, 3), 0, z).is_zero()
+
+
+def fraction_sum(maps) -> dict:
+    """Coefficientwise sum of word maps in ``Fraction``, zeros dropped."""
+    return functools.reduce(oadd, maps, {})
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_letter_bracket_matches_fraction_commutator(arity):
+    rng = random.Random(1700 + arity)
+    for trial in range(40):
+        order = rng.randint(0, 7)
+        index = rng.randrange(arity)
+        terms = word_map(rng, arity, 6, rng.randint(0, 8)) if trial % 7 else {}
+        ints, d = _numerators(terms)
+        got = _over(_letter_bracket(index, ints, order), d)
+        assert_reduced(got)
+        assert got == fraction_commutator({bytes([index]): 1}, terms, order)
+
+
+def test_letter_bracket_drops_words_that_cancel():
+    # [x, x^3] = 0, and in [x, xy + yx] the word xyx cancels
+    assert _letter_bracket(0, {b"\x00" * 3: 7}, 5) == {}
+    got = _letter_bracket(0, {b"\x00\x01": 11, b"\x01\x00": 11}, 3)
+    assert got == {b"\x00\x00\x01": 11, b"\x01\x00\x00": -11}
+    assert _letter_bracket(1, {}, 4) == {}
+    assert _letter_bracket(1, {b"\x00": 13}, 1) == {}  # [y, x] lies beyond order 1
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_splice_of_several_letters_is_the_sum_of_one_letter_splices(arity):
+    rng = random.Random(1800 + arity)
+    for trial in range(30):
+        order = rng.randint(1, 6)
+        a = AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 8)))
+        letters = rng.sample(range(arity), rng.randint(0, arity))
+        zs = {i: AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 5), min_len=1))
+              for i in letters}
+        scaled, d = _common_numerators([z.terms for z in zs.values()])
+        na, da = _numerators(a.terms)
+        got = _over(_splice_ints(na, dict(zip(zs, scaled)), order), da * d)
+        assert_reduced(got)
+        assert got == fraction_sum(fraction_substitute_letter_linear(a, i, z) for i, z in zs.items())
+
+
+def test_splice_drops_words_that_cancel_across_letters():
+    # xz -> yz through x -> p y, and yz -> yz through y -> q y, with c1 p + c2 q = 0
+    p, q, c1 = Fraction(1, 7), Fraction(-1, 11), Fraction(3, 13)
+    c2 = -c1 * p / q
+    na, da = _numerators({b"\x00\x02": c1, b"\x01\x02": c2, b"\x02": Fraction(1, 10007)})
+    (nx, ny), d = _common_numerators([{b"\x01": p}, {b"\x01": q}])
+    assert _over(_splice_ints(na, {0: nx, 1: ny}, 2), da * d) == {}
+    assert _splice_ints(na, {}, 2) == {}
+    assert _splice_ints({}, {0: nx}, 2) == {}
+
+
+def test_linear_sum_matches_fraction_sum():
+    rng = random.Random(1900)
+    for trial in range(40):
+        parts, expected = [], []
+        for _ in range(rng.randint(0, 4)):
+            terms = word_map(rng, 3, 5, rng.randint(0, 6))
+            k = rng.choice([-1, 1, rng.randint(-5, 5)])
+            ints, d = _numerators(terms)
+            parts.append((k, ints, d))
+            expected.append({w: k * c for w, c in terms.items()})
+            if trial % 3 == 0:  # the same map with the opposite multiplier cancels it
+                parts.append((-k, ints, d))
+                expected.append({w: -k * c for w, c in terms.items()})
+        got = _linear_sum(iter(parts))
+        assert_reduced(got)
+        assert got == fraction_sum(expected)
+    assert _linear_sum([]) == {}
+    assert _linear_sum([(1, {}, 7), (-1, {b"\x00": 0}, 11)]) == {}
+
+
+def test_common_numerators_share_the_lcm_of_the_denominators():
+    rng = random.Random(1910)
+    maps = [word_map(rng, 2, 4, n) for n in (0, 1, 5, 9)]
+    scaled, d = _common_numerators(maps)
+    assert d == math.lcm(*(c.denominator for terms in maps for c in terms.values()))
+    assert [{w: Fraction(n, d) for w, n in ints.items()} for ints in scaled] == maps
+    assert all(type(n) is int for ints in scaled for n in ints.values())
+    assert _common_numerators([]) == ([], 1)
+    assert _common_numerators([{}, {}]) == ([{}, {}], 1)

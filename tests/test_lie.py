@@ -84,8 +84,19 @@ def test_standard_factorization():
     assert standard_factorization(b"\x00\x01") == (b"\x00", b"\x01")
     assert standard_factorization(word_from_str("aab")) == (b"\x00", word_from_str("ab"))
     assert standard_factorization(word_from_str("aabb")) == (b"\x00", word_from_str("abb"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'ba' is not a Lyndon word"):
         standard_factorization(b"\x01\x00")
+
+
+def test_lie_keys_are_checked_for_length_and_letters_then_named_as_words():
+    with pytest.raises(ValueError, match="'ba' is not a Lyndon word"):
+        LieElement(2, 3, {b"\x01\x00": 1})
+    with pytest.raises(ValueError, match="beyond arity 2"):
+        LieElement(2, 3, {b"\x00\x02": 1})  # 'ac' is Lyndon, but not over two letters
+    with pytest.raises(ValueError, match="exceeds order 1"):
+        LieElement(2, 1, {b"\x01\x00": 1})
+    with pytest.raises(ValueError):
+        LieElement(2, 3, {bytes([27, 0]): 1})  # beyond 'z' and beyond the arity
 
 
 # --- embedding and projection -----------------------------------------------
