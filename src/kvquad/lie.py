@@ -32,10 +32,10 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     _linear_sum,
     _numerators,
     _over,
+    _word_name,
     substitute_letter_linear,
     substitute_words,
     univariate_substitute,
-    word_to_str,
 )
 
 
@@ -60,9 +60,9 @@ class LieElement(_SparseSeries):
     _tag_required = False
 
     def _check_key(self, w: bytes):
-        super()._check_key(w)  # first, so the letters below are known to print
+        super()._check_key(w)
         if not is_lyndon(w):
-            raise ValueError(f"{word_to_str(w)!r} is not a Lyndon word")
+            raise ValueError(f"{_word_name(w)} is not a Lyndon word")
 
     degree_part = _SparseSeries.homogeneous_part
     # kept in the class's own __dict__, where perfbench/tracer.py looks it up

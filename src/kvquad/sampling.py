@@ -11,7 +11,7 @@ from fractions import Fraction
 from .lie import LieElement
 from .lyndon import lyndon_words
 from .tangential import TangentialDerivation
-from .traces import trace_pairing
+from .traces import TraceSeries, trace_pairing
 
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Fraction:
@@ -46,17 +46,19 @@ def random_lie_pairs(rng: random.Random, arity: int, order: int,
 
 
 def random_gauge_pairs(rng: random.Random, order: int,
-                       count: int) -> list[tuple[LieElement, LieElement]]:
-    """Pairs (l, r) with deg l + deg r <= order + 1 and tr(l r) nonzero.
+                       count: int) -> list[tuple[LieElement, LieElement, TraceSeries]]:
+    """Triples (l, r, tr(l r)) with deg l + deg r <= order + 1 and tr(l r) nonzero.
 
-    A gauge shift at this order transports the tuple of tr(l r); a zero
-    pairing, such as tr(u [u, v]) = 0, would give the solution back.
+    A gauge shift at this order transports the tuple of tr(l r), taken at
+    order + 1; a zero pairing, such as tr(u [u, v]) = 0, would give the
+    solution back.  ``solver.gauge_family`` reuses the pairing tested here.
     """
     pairs = []
     while len(pairs) < count:
         d = rng.randint(1, order)
-        pair = (random_lie_element(rng, 2, d, terms=3),
-                random_lie_element(rng, 2, order + 1 - d, terms=3))
-        if not trace_pairing(*(a.with_order(order + 1) for a in pair)).is_zero():
-            pairs.append(pair)
+        left = random_lie_element(rng, 2, d, terms=3)
+        right = random_lie_element(rng, 2, order + 1 - d, terms=3)
+        p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
+        if not p.is_zero():
+            pairs.append((left, right, p))
     return pairs

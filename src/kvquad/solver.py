@@ -43,10 +43,13 @@ class KVSolution:
     Instances produced by :func:`ab_to_AB` from a factorization of the
     Campbell-Hausdorff defect have exactly zero residual through their order;
     :func:`kv1_residual` certifies that.  Deserialized instances are taken as
-    given and must be re-certified.
+    given and must be re-certified.  A member of :func:`gauge_family` keeps
+    its base solution and its shift, through which its checks are summed.
     """
 
-    __slots__ = ("A", "B", "order", "method", "_residual")  # residual: filled on first use
+    # filled on first use: the residual and the projected divergences; set by
+    # gauge_family: (base solution, shift)
+    __slots__ = ("A", "B", "order", "method", "_residual", "_divergence", "_gauge")
 
     def __init__(self, A: LieElement, B: LieElement, method: str = "unspecified"):
         if A.arity != 2 or B.arity != 2:
@@ -57,6 +60,7 @@ class KVSolution:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "order", A.order)
         object.__setattr__(self, "method", method)
+        object.__setattr__(self, "_divergence", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KVSolution is immutable")
@@ -180,17 +184,23 @@ def kv1_residual(s: KVSolution) -> LieElement:
     acting on the word expansion (Horner's scheme).  The two operator terms
     and the right-hand side are summed as integer numerators over one
     denominator, so the cancellation costs no ``Fraction`` arithmetic.  The
-    sum is projected back to the Lyndon basis once, and names the witness
-    when it is not zero.  The result is memoized on the solution, which is
-    immutable, on first use.
+    operators are linear, so a gauge member's sum is its base's residual
+    plus the operator terms of its shift alone.  The sum is projected back
+    to the Lyndon basis once, and names the witness when it is not zero.
+    The result is memoized on the solution, which is immutable, on first use.
     """
     try:
         return s._residual
     except AttributeError:
         pass
     order = s.order + 1
-    parts = [(-1, *_numerators(kv_rhs(order).expand()._terms))]
-    for index, (sign, component) in enumerate(((-1, s.A), (1, s.B))):
+    gauge = getattr(s, "_gauge", None)
+    if gauge is None:
+        parts, operand = [(-1, *_numerators(kv_rhs(order).expand()._terms))], s
+    else:
+        base, operand = gauge
+        parts = [(1, *_numerators(kv1_residual(base).expand()._terms))]
+    for index, (sign, component) in enumerate(((-1, operand.A), (1, operand.B))):
         component = component.with_order(order)
         u, du = _numerators(_ad_polynomial(_exp_minus_one(order, sign), index, component))
         z, dz = _numerators(component.expand()._terms)
@@ -219,12 +229,18 @@ def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     taken one order higher, a tuple (a', b') with [x, a'] + [y, b'] = 0
     through the order of s.  :func:`ab_to_AB` is linear, so s plus the
     transported tuple is the member that the shifted factorization gives.
+    An entry (l, r, p) hands in that pairing p, which is then not formed
+    again.  Each member keeps s and its shift, so its residual and trace
+    sides are those of s plus the shift's terms; nothing is computed here.
     """
     family = [s]
-    for left, right in pairs:
-        p = trace_pairing(left.with_order(s.order + 1), right.with_order(s.order + 1))
+    for left, right, *paired in pairs:
+        p = paired[0] if paired else trace_pairing(left.with_order(s.order + 1),
+                                                    right.with_order(s.order + 1))
         shift = ab_to_AB(*quadratic_trace_tuple(p))
-        family.append(KVSolution(s.A + shift.A, s.B + shift.B, method=f"{s.method}+gauge"))
+        member = KVSolution(s.A + shift.A, s.B + shift.B, method=f"{s.method}+gauge")
+        object.__setattr__(member, "_gauge", (s, shift))
+        family.append(member)
     return family
 
 

@@ -32,7 +32,7 @@ from .words import (
     _numerators,
     _over,
     _splice_ints,
-    substitute_words,
+    _substitute_ints,
 )
 
 
@@ -161,8 +161,8 @@ def ch_defect(u: TangentialDerivation) -> LieElement:
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
 
 
-def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[dict, dict, dict]:
-    """Word maps of the three components of a simplicial embedding.
+def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict, int], ...]:
+    """Word maps of the three components of a simplicial embedding, as (integers, denominator).
 
     For u = (A, B) the four patterns give
       1,2  -> (A(x,y), B(x,y), 0)
@@ -170,8 +170,9 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[dict, dict,
       12,3 -> (A(ch(x,y),z), A(ch(x,y),z), B(ch(x,y),z))
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
     with ch the two-letter Campbell-Hausdorff series.  A and B are
-    substituted on their word expansions by ``substitute_words``, so the
-    maps are Lie but not yet projected; a repeated component is one map.
+    substituted on their word expansions by Horner's scheme in integers
+    (``substitute_words`` before its last division), so the maps are Lie
+    but not yet projected; a repeated component is one map.
     """
     if u.arity != 2:
         raise ArityMismatchError("simplicial maps embed arity-2 derivations")
@@ -189,16 +190,17 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[dict, dict,
     else:
         args = (x, substitute_many([bch_multi(2, order)], (y, z))[0])
     images = [arg.expand()._terms for arg in args]
-    A, B = (substitute_words(a.expand()._terms, images, order) for a in u.components)
-    return {"1,2": (A, B, {}), "2,3": ({}, A, B),
+    A, B = (_substitute_ints(a.expand()._terms, images, order) for a in u.components)
+    zero = ({}, 1)
+    return {"1,2": (A, B, zero), "2,3": (zero, A, B),
             "12,3": (A, A, B), "1,23": (A, B, B)}[pattern]
 
 
 def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
     """Embed a two-letter derivation into three letters; see ``simplicial_words``."""
     maps = simplicial_words(u, pattern)
-    lie = {id(words): assoc_to_lie(AssocSeries._make(3, u.order, words)) for words in maps}
-    return TangentialDerivation([lie[id(words)] for words in maps])
+    lie = {id(m): assoc_to_lie(AssocSeries._make(3, u.order, _over(*m))) for m in maps}
+    return TangentialDerivation([lie[id(m)] for m in maps])
 
 
 def divergence_words(components) -> AssocSeries:

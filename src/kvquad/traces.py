@@ -19,6 +19,7 @@ from .words import (
     ArityMismatchError,
     AssocSeries,
     _SparseSeries,
+    _word_name,
     substitute_words,
     word_to_str,
 )
@@ -59,7 +60,7 @@ class TraceSeries(_SparseSeries):
     def _check_key(self, w: bytes):
         super()._check_key(w)
         if w != canonical_rotation(w):
-            raise ValueError(f"{word_to_str(w)!r} is not a canonical rotation")
+            raise ValueError(f"{_word_name(w)} is not a canonical rotation")
 
     def _name(self, w: bytes) -> str:
         return f"[{word_to_str(w)}]" if w else "[1]"
@@ -81,10 +82,10 @@ class QuadTraceSeries(_SparseSeries):
         super()._check_key(w)
         canon = quad_canonical(w)
         if canon is None:
-            raise ValueError(f"{word_to_str(w)!r} denotes the zero class")
+            raise ValueError(f"{_word_name(w)} denotes the zero class")
         rep, sign = canon
         if rep != w or sign != 1:
-            raise ValueError(f"{word_to_str(w)!r} is not a canonical class representative")
+            raise ValueError(f"{_word_name(w)} is not a canonical class representative")
 
 
 def _project(space, a: AssocSeries, canonical):

@@ -28,7 +28,7 @@ from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
 from .tangential import TangentialDerivation, ch_defect, div_quad, divergence_words, simplicial_words
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
-from .words import AssocSeries, _linear_sum, _numerators, format_rational, word_to_str
+from .words import AssocSeries, _linear_sum, format_rational, word_to_str
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,32 @@ def _bernoulli_side(order: int) -> AssocSeries:
     return f_x + f_y - univariate_substitute(f, bch(order).expand())
 
 
+@functools.lru_cache(maxsize=8)
+def _projected_bernoulli_side(order: int, project):
+    """Half the projection of ``_bernoulli_side(order)``, the right side of the trace identity."""
+    return project(_bernoulli_side(order)) * Fraction(1, 2)
+
+
+def _divergence_side(s: KVSolution, project):
+    """The projection of x*(d_x A) + y*(d_y B), memoized on the solution per projection.
+
+    Both the divergence words and the projection are linear, so a gauge
+    member's side is its base's side plus the projection of its shift's words.
+    """
+    try:
+        return s._divergence[project]
+    except KeyError:
+        pass
+    gauge = getattr(s, "_gauge", None)
+    if gauge is None:
+        side = project(divergence_words((s.A, s.B)))
+    else:
+        base, shift = gauge
+        side = _divergence_side(base, project) + project(divergence_words((shift.A, shift.B)))
+    s._divergence[project] = side
+    return side
+
+
 def _trace_identity_sides(s: KVSolution, project):
     """Both sides of the trace identity for (A, B) under the projection ``project``.
 
@@ -151,9 +177,7 @@ def _trace_identity_sides(s: KVSolution, project):
     x-linear term of A counts).  Right: half the projection of
     f(x) + f(y) - f(ch(x,y)) with f the Bernoulli kernel t/(e^t-1) - 1 + t/2.
     """
-    lhs = project(divergence_words((s.A, s.B)))
-    rhs = project(_bernoulli_side(s.order)) * Fraction(1, 2)
-    return lhs, rhs
+    return _divergence_side(s, project), _projected_bernoulli_side(s.order, project)
 
 
 def quadratic_divergence_sides(s: KVSolution) -> tuple[QuadTraceSeries, QuadTraceSeries]:
@@ -188,8 +212,8 @@ def simplicial_combination(s: KVSolution) -> TangentialDerivation:
     u = s.derivation()
     sums: list[list] = [[], [], []]
     for pattern, sign in (("1,2", 1), ("12,3", 1), ("1,23", -1), ("2,3", -1)):
-        for parts, words in zip(sums, simplicial_words(u, pattern)):
-            parts.append((sign, *_numerators(words)))
+        for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
+            parts.append((sign, ints, d))
     return TangentialDerivation(
         [assoc_to_lie(AssocSeries._make(3, u.order, _linear_sum(parts))) for parts in sums])
 

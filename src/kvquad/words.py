@@ -41,6 +41,11 @@ def word_to_str(w: bytes) -> str:
     return "".join(_ALPHABET[letter] for letter in w)
 
 
+def _word_name(w: bytes) -> str:
+    """A word for messages: quoted letters, or its letter indices when one is beyond 'z'."""
+    return repr(word_to_str(w)) if all(letter < 26 for letter in w) else str(list(w))
+
+
 def word_from_str(s: str) -> bytes:
     """Decode a word from its 'a'..'z' string form."""
     letters = []
@@ -102,10 +107,10 @@ class _SparseSeries:
 
     def _check_key(self, w: bytes):
         if len(w) > self.order:
-            raise ValueError(f"{self._key_kind} {word_to_str(w)!r} exceeds order {self.order}")
+            raise ValueError(f"{self._key_kind} {_word_name(w)} exceeds order {self.order}")
         if any(letter >= self.arity for letter in w):
             raise ValueError(
-                f"{self._key_kind} {word_to_str(w)!r} uses letters beyond arity {self.arity}")
+                f"{self._key_kind} {_word_name(w)} uses letters beyond arity {self.arity}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -400,12 +405,23 @@ def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
     denominator D and the terms over T, the numerator of c_w is scaled by
     D^(order-|w|), so every product lies over T * D^order.
     """
+    return _over(*_substitute_ints(terms, images, order))
+
+
+def _substitute_ints(terms, images, order: int) -> tuple[dict[bytes, int], int]:
+    """``substitute_words`` as integer numerators over the lcm of its denominators, as ``_numerators``.
+
+    The Horner sum lies over T * D^order; dividing it and its numerators by
+    their common gcd leaves exactly the lcm of the reduced denominators.
+    """
     if any(b"" in image for image in images):
         raise ValueError("substituted images must have zero constant term")
     scaled, d = _common_numerators(images)
     numerators, t = _numerators({w: c for w, c in terms.items() if len(w) <= order})
     numerators = {w: n * d ** (order - len(w)) for w, n in numerators.items()}
-    return _over(_horner_words(numerators, scaled, order), t * d ** order)
+    ints, d = _horner_words(numerators, scaled, order), t * d ** order
+    g = math.gcd(d, *ints.values())
+    return {w: n // g for w, n in ints.items()}, d // g
 
 
 class RationalUnivariateSeries(AssocSeries):
@@ -509,23 +525,15 @@ class RationalUnivariateSeries(AssocSeries):
 def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> AssocSeries:
     """phi(a) = sum of phi_k a^k for a word series with zero constant term.
 
-    The one power loop: ``exp`` and ``log`` substitute their coefficient series.
+    phi's words are the powers of its one letter, so phi(a) is ``substitute_words``
+    with that letter's image a, Horner's scheme in integers; ``exp`` and ``log``
+    substitute their coefficient series.  The result has the type of ``a``.
     """
     if a.constant_term:
         raise ValueError("substitution into a univariate series needs zero constant term")
     if phi.order < a.order:
         raise ValueError("univariate series truncated below the word-series order")
-    unit = a.unit(a.arity, a.order)
-    result = unit * phi.coefficient(0)
-    power = unit
-    for k in range(1, a.order + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        ck = phi.coefficient(k)
-        if ck:
-            result = result + power * ck
-    return result
+    return type(a)._make(a.arity, a.order, substitute_words(phi._terms, [a._terms], a.order))
 
 
 def exp(a: AssocSeries) -> AssocSeries:

@@ -12,9 +12,12 @@ arithmetic; ``fraction_expand``, ``fraction_commutator``,
 ``fraction_ad_words``, ``fraction_mul`` and
 ``fraction_substitute_letter_linear`` are the former word kernels, which
 accumulated every product as a ``Fraction`` (here without their length
-buckets, through this module's own ``_accumulate``); ``inverse_transport`` and ``inverse_route_gauge_family`` are
-the former route to gauge members, which inverted the whole solution and
-transported each shifted factorization forward again; and
+buckets, through this module's own ``_accumulate``);
+``fraction_univariate_substitute`` is the former power loop phi(a) = sum
+phi_k a^k, which ``product_log_ch`` uses as its logarithm;
+``inverse_transport`` and ``inverse_route_gauge_family`` are the former
+route to gauge members, which inverted the whole solution and transported
+each shifted factorization forward again; and
 ``random_assoc_series`` draws seeded inputs for the property suites.
 """
 
@@ -29,7 +32,7 @@ from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
 from kvquad.traces import trace_pairing
-from kvquad.words import AssocSeries, log, word_to_str
+from kvquad.words import AssocSeries, RationalUnivariateSeries, word_to_str
 
 Word = tuple[int, ...]
 
@@ -154,13 +157,42 @@ def dynkin_bch(order: int) -> dict:
     return {w: c for w, c in total.items() if c}
 
 
+def fraction_univariate_substitute(phi, a) -> dict:
+    """phi(a) = sum of phi_k a^k as a word map, by the former power loop in ``Fraction``.
+
+    Each power is the last one times ``a``, word by word; ``phi`` is read
+    through ``coefficient(k)`` and ``a``, with zero constant term, through
+    ``terms``.  Words beyond a.order are dropped.
+    """
+    assert not a.terms.get(b""), "oracle substitution needs zero constant term"
+    result: dict[bytes, Fraction] = {}
+    power = {b"": Fraction(1)}
+    for k in range(a.order + 1):
+        if k:
+            product: dict[bytes, Fraction] = {}
+            for w1, c1 in power.items():
+                for w2, c2 in a.terms.items():
+                    if len(w1) + len(w2) <= a.order:
+                        _accumulate(product, w1 + w2, c1 * c2)
+            power = product
+        for w, c in power.items():
+            _accumulate(result, w, phi.coefficient(k) * c)
+    return result
+
+
 def product_log_ch(arity: int, order: int) -> AssocSeries:
-    """log(e^{x_0} ... e^{x_{arity-1}}) in words, as a product of exponentials and a logarithm."""
+    """log(e^{x_0} ... e^{x_{arity-1}}) in words, as a product of exponentials and a logarithm.
+
+    The logarithm is the power loop of ``fraction_univariate_substitute``, not the library's ``log``.
+    """
     product = AssocSeries.unit(arity, order)
     for i in range(arity):
         powers = {bytes([i]) * k: Fraction(1, math.factorial(k)) for k in range(order + 1)}
         product = product * AssocSeries(arity, order, powers)
-    return log(product)
+    log_series = RationalUnivariateSeries(
+        order, {k: Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)})
+    return AssocSeries(arity, order, fraction_univariate_substitute(
+        log_series, product - AssocSeries.unit(arity, order)))
 
 
 def lyndon_image_substitute(elements, args) -> list[LieElement]:

@@ -22,7 +22,10 @@ its digest was recorded from the Lyndon-bracketing substitution and the
 replaced.  The ``solve-kv --order 12`` run pins every order-12 coefficient
 of the canonical solution; its digest was recorded from the ``Fraction``
 word kernels that the integer expansion, nested ad, product and splice
-replaced.
+replaced.  The ``theorem --order 10 --seed 5 --json`` run pins the per-degree
+kv1, theorem and full-trace lines of the canonical solution and of two
+randomly drawn gauge members; its digest was recorded from the full
+recomputation of every member that the checks by linearity replaced.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -59,6 +62,8 @@ GOLDEN = [
      "d19a8290cef896d4c0d0dd7fcd2260625d674e40a04cb47bf446f75a0f2d576c"),
     (("solve-kv", "--order", "12"), 0,
      "526614c6023b7411dddeb08bc1e91b9ebd7c20e0736b253d206dfd366942775a"),
+    (("verify", "--suite", "theorem", "--order", "10", "--seed", "5", "--json"), 0,
+     "0874b1be8690cbcdc151664c0aae1637ab007d07fc921ec19245e8045e696d61"),
 ]
 
 

@@ -12,6 +12,11 @@ nonzero reduced ``Fraction``.  The integer helpers they share, the letter
 bracket ``lyndon._letter_bracket``, the multi-letter splice
 ``words._splice_ints``, the sum ``words._linear_sum`` and the common
 denominator ``words._common_numerators``, are checked the same way.
+``words.univariate_substitute``, behind ``exp`` and ``log``, is Horner's
+scheme of ``substitute_words``; it is compared with the former power loop
+``oracles.fraction_univariate_substitute`` and with the tuple-word
+``oexp``/``olog``, and ``_substitute_ints``, the integer form of the
+simplicial maps, with the numerators of ``substitute_words``.
 """
 
 import functools
@@ -21,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from kvquad import AssocSeries, LieElement, lyndon_words, mul
+from kvquad import AssocSeries, LieElement, RationalUnivariateSeries, exp, log, lyndon_words, mul
 from kvquad.lie import _ad_words
 from kvquad.lyndon import _letter_bracket, commutator, standard_factorization
 from kvquad.words import (
@@ -30,7 +35,10 @@ from kvquad.words import (
     _numerators,
     _over,
     _splice_ints,
+    _substitute_ints,
     substitute_letter_linear,
+    substitute_words,
+    univariate_substitute,
 )
 
 from oracles import (
@@ -41,7 +49,10 @@ from oracles import (
     fraction_expand,
     fraction_mul,
     fraction_substitute_letter_linear,
+    fraction_univariate_substitute,
     oadd,
+    oexp,
+    olog,
     omul,
     oscale,
     to_word_dict,
@@ -324,3 +335,86 @@ def test_common_numerators_share_the_lcm_of_the_denominators():
     assert all(type(n) is int for ints in scaled for n in ints.values())
     assert _common_numerators([]) == ([], 1)
     assert _common_numerators([{}, {}]) == ([{}, {}], 1)
+
+
+def random_phi(rng: random.Random, order: int) -> RationalUnivariateSeries:
+    """A one-letter series with a nonzero constant term, some gaps and coprime denominators."""
+    coeffs = {k: coprime_rational(rng) for k in range(order + 1) if k == 0 or rng.random() < 0.7}
+    return RationalUnivariateSeries(order, coeffs)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_univariate_substitute_matches_the_power_loop(arity):
+    rng = random.Random(2000 + arity)
+    for trial in range(12):
+        order = rng.randint(1, 6)
+        a = AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 5), min_len=1))
+        phi = random_phi(rng, order + trial % 3)  # phi may run past the order of a
+        got = univariate_substitute(phi, a)
+        assert type(got) is AssocSeries and (got.arity, got.order) == (arity, order)
+        assert_reduced(got.terms)
+        assert dict(got.terms) == fraction_univariate_substitute(phi, a)
+        assert got.constant_term == phi.coefficient(0)
+
+
+def test_univariate_substitute_keeps_a_univariate_argument():
+    rng = random.Random(2010)
+    for _ in range(10):
+        order = rng.randint(1, 8)
+        a = RationalUnivariateSeries(order, {k: coprime_rational(rng) for k in range(1, order + 1)
+                                             if rng.random() < 0.6})
+        phi = random_phi(rng, order)
+        got = univariate_substitute(phi, a)
+        assert type(got) is RationalUnivariateSeries and got.order == order
+        assert dict(got.terms) == fraction_univariate_substitute(phi, a)
+        assert type(exp(a)) is RationalUnivariateSeries
+        assert log(exp(a)) == a
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_exp_and_log_match_the_tuple_oracles(arity):
+    rng = random.Random(2020 + arity)
+    for _ in range(8):
+        order = rng.randint(1, 6)
+        a = AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 5), min_len=1))
+        e = exp(a)
+        assert tuple_map(e.terms) == oexp(tuple_map(a.terms), order)
+        one_plus = a + AssocSeries.unit(arity, order)
+        assert tuple_map(log(one_plus).terms) == olog(tuple_map(one_plus.terms), order)
+        assert log(e) == a
+
+
+def test_univariate_substitute_drops_powers_that_cancel():
+    # phi(t) = t - t^2 at a = x + x^2: x + x^2 - (x^2 + 2x^3 + x^4) through order 3
+    phi = RationalUnivariateSeries(3, {1: 1, 2: -1})
+    a = AssocSeries(1, 3, {b"\x00": 1, b"\x00\x00": 1})
+    got = univariate_substitute(phi, a)
+    assert dict(got.terms) == {b"\x00": 1, b"\x00\x00\x00": -2}
+    assert univariate_substitute(phi, AssocSeries.zero(2, 3)).is_zero()
+    assert univariate_substitute(RationalUnivariateSeries(3, {0: Fraction(3, 7)}),
+                                 AssocSeries.zero(2, 3)).terms == {b"": Fraction(3, 7)}
+
+
+def test_univariate_substitute_refuses_bad_input():
+    a = AssocSeries(2, 4, {b"\x00\x01": Fraction(1, 7)})
+    with pytest.raises(ValueError, match="truncated below"):
+        univariate_substitute(RationalUnivariateSeries(3, {0: 1, 1: 1}), a)
+    with pytest.raises(ValueError, match="zero constant term"):
+        univariate_substitute(RationalUnivariateSeries(4, {1: 1}), a + AssocSeries.unit(2, 4))
+    with pytest.raises(ValueError):
+        exp(a + AssocSeries.unit(2, 4))
+    with pytest.raises(ValueError):
+        log(a)
+
+
+def test_substitute_ints_are_the_numerators_of_substitute_words():
+    # the integer maps of the simplicial embeddings lie over the lcm of the
+    # reduced denominators, as _numerators puts them
+    rng = random.Random(2030)
+    for _ in range(20):
+        order = rng.randint(1, 5)
+        terms = word_map(rng, 2, order + 1, rng.randint(0, 6))
+        images = [word_map(rng, 3, 2, rng.randint(0, 3), min_len=1) for _ in range(2)]
+        ints, d = _substitute_ints(terms, images, order)
+        assert (ints, d) == _numerators(substitute_words(terms, images, order))
+        assert all(ints.values())

@@ -284,9 +284,10 @@ def test_random_gauge_pairs_fit_and_pair(order):
     for seed in range(40):
         pairs = random_gauge_pairs(random.Random(seed), order, 2)
         assert len(pairs) == 2
-        for left, right in pairs:
+        for left, right, paired in pairs:
             assert max(map(len, left.terms)) + max(map(len, right.terms)) <= order + 1
             p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
+            assert paired == p and paired.order == order + 1  # the pairing gauge_family reuses
             assert not all(a.is_zero() for a in quadratic_trace_tuple(p))
 
 

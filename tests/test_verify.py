@@ -39,7 +39,7 @@ from kvquad import (
     word_from_str,
 )
 from kvquad.sampling import random_tangential_derivation
-from kvquad.verify import _bernoulli_side
+from kvquad.verify import _bernoulli_side, _projected_bernoulli_side
 
 from oracles import bernoulli_kernel
 
@@ -290,7 +290,8 @@ def test_report_json_lines(sol6):
 
 def test_first_use_memos_under_threads(sol6):
     # four threads race on the first-use memos of one fresh solution (its
-    # word expansions and residual) and on the Bernoulli-side cache
+    # word expansions, residual and projected left sides) and on the
+    # Bernoulli-side caches
     checks = (verify_kv1, verify_theorem, check_full_trace_equation)
 
     def run(s, shift=0):
@@ -301,6 +302,7 @@ def test_first_use_memos_under_threads(sol6):
     data = sol6.to_json_dict()
     serial = run(KVSolution.from_json_dict(data))
     _bernoulli_side.cache_clear()
+    _projected_bernoulli_side.cache_clear()
     shared = KVSolution.from_json_dict(data)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)

@@ -6,6 +6,9 @@ import pytest
 from kvquad import (
     ArityMismatchError,
     AssocSeries,
+    LieElement,
+    QuadTraceSeries,
+    TraceSeries,
     decompose,
     exp,
     format_rational,
@@ -182,6 +185,19 @@ def test_series_validation():
     with pytest.raises(ValueError):
         AssocSeries(2, 1, {b"\x00\x00": 1})  # word beyond order
     assert AssocSeries(2, 3, {b"\x00": 0}).is_zero()  # zero coefficients dropped
+
+
+def test_keys_beyond_z_are_named_by_letter_indices():
+    # such a word cannot be printed in letters; the message names its indices
+    for cls in (AssocSeries, LieElement, TraceSeries, QuadTraceSeries):
+        with pytest.raises(ValueError, match=r"^(word|class) \[27, 0\] uses letters beyond arity 2$"):
+            cls(2, 3, {bytes([27, 0]): 1})
+        with pytest.raises(ValueError, match=r"^(word|class) \[27, 0\] exceeds order 1$"):
+            cls(30, 1, {bytes([27, 0]): 1})
+    with pytest.raises(ValueError, match=r"^\[28, 27\] is not a Lyndon word$"):
+        LieElement(30, 3, {bytes([28, 27]): 1})
+    with pytest.raises(ValueError, match=r"^word 'ac' uses letters beyond arity 2$"):
+        AssocSeries(2, 3, {b"\x00\x02": 1})
 
 
 def test_json_roundtrip():
