@@ -8,12 +8,15 @@ memo.  Powers of one ad and the extended adjoint action ad_w z =
 [w_0, [w_1, [..., z]]] act on words through one nested-ad kernel, a letter
 bracket per level, and project once; it and the word expansion sum integer
 numerators over one denominator.  The Campbell-Hausdorff series (Goldberg's
-word coefficients, projected by the peel), generator substitution, degree
-scaling and univariate operator kernels in one adjoint slot all live here.
+word coefficients, projected by the peel; a lower order is truncated from a
+held higher one), generator substitution, degree scaling and univariate
+operator kernels in one adjoint slot all live here.
 """
 
 import functools
 import math
+import threading
+import weakref
 from fractions import Fraction
 
 from .lyndon import (
@@ -55,7 +58,8 @@ class LieElement(_SparseSeries):
     Instances are immutable.
     """
 
-    __slots__ = ("_assoc",)  # the word expansion, computed on first use
+    # the word expansion, computed on first use; weak references for the CH registry
+    __slots__ = ("_assoc", "__weakref__")
     _tag = ("basis", "lyndon")
     _tag_required = False
 
@@ -67,6 +71,13 @@ class LieElement(_SparseSeries):
     degree_part = _SparseSeries.homogeneous_part
     # kept in the class's own __dict__, where perfbench/tracer.py looks it up
     to_json_dict = _SparseSeries.to_json_dict
+
+    def truncated(self, order: int) -> "LieElement":
+        """The terms through ``order``; a known word expansion is truncated alike."""
+        if order >= self.order:
+            return self
+        return _termwise(self, lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
+                         order)
 
     def with_order(self, order: int) -> "LieElement":
         """Reinterpret the stored terms at another truncation order.
@@ -206,11 +217,32 @@ def log_exp_product(arity: int, order: int) -> LieElement:
     return assoc_to_lie(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
 
 
+_built = weakref.WeakValueDictionary()  # (arity, order) -> a series from the cache above, while held
+_top_order: dict[int, int] = {}          # arity -> the highest order built
+_registering = threading.Lock()
+
+
 def bch_multi(arity: int, order: int) -> LieElement:
-    """log of the product of the generator exponentials, as a Lie series."""
+    """log of the product of the generator exponentials, as a Lie series.
+
+    The series through ``order`` is the truncation of any higher one in as
+    many letters, so a higher order still held (by the cache above or by a
+    caller) serves it, word expansion included; otherwise it is built at
+    the order asked, never higher.
+    """
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    return log_exp_product(arity, order)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    for higher in range(order + 1, _top_order.get(arity, 0) + 1):
+        series = _built.get((arity, higher))
+        if series is not None:
+            return series.truncated(order)
+    series = log_exp_product(arity, order)
+    with _registering:
+        _built[arity, order] = series
+        _top_order[arity] = max(order, _top_order.get(arity, 0))
+    return series
 
 
 def bch(order: int) -> LieElement:
@@ -255,12 +287,16 @@ def substitute(a: LieElement, args) -> LieElement:
     return substitute_many([a], args)[0]
 
 
-def _termwise(a: LieElement, f) -> LieElement:
-    """f, a map of term dicts, applied to a's coordinates and alike to a known word expansion."""
-    out = LieElement._make(a.arity, a.order, f(a._terms))
+def _termwise(a: LieElement, f, order: int | None = None) -> LieElement:
+    """f, a map of term dicts, applied to a's coordinates and alike to a known word expansion.
+
+    The result is truncated at ``order``, by default a's.
+    """
+    order = a.order if order is None else order
+    out = LieElement._make(a.arity, order, f(a._terms))
     words = getattr(a, "_assoc", None)
     if words is not None:
-        object.__setattr__(out, "_assoc", AssocSeries._make(a.arity, a.order, f(words._terms)))
+        object.__setattr__(out, "_assoc", AssocSeries._make(a.arity, order, f(words._terms)))
     return out
 
 

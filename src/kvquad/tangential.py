@@ -17,8 +17,6 @@ from .lie import (
     NotLieError,
     assoc_to_lie,
     bch_multi,
-    generator,
-    substitute_many,
     without_letters,
 )
 from .lyndon import _letter_bracket
@@ -159,6 +157,7 @@ def ch_defect(u: TangentialDerivation) -> LieElement:
 
 
 _SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
+_YZ = bytes([1, 2]) + bytes(range(2, 256))  # bytes.translate table: letters x, y become y, z
 
 
 def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict, int], ...]:
@@ -169,10 +168,12 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
       2,3  -> (0, A(y,z), B(y,z))
       12,3 -> (A(ch(x,y),z), A(ch(x,y),z), B(ch(x,y),z))
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
-    with ch the two-letter Campbell-Hausdorff series.  A and B are
-    substituted on their word expansions by Horner's scheme in integers
-    (``substitute_words`` before its last division), so the maps are Lie
-    but not yet projected; a repeated component is one map.
+    with ch the two-letter Campbell-Hausdorff series.  The maps are Lie but
+    not yet projected, and a repeated component is one map.  The letter
+    patterns relabel the numerators of A's and B's word expansions; the CH
+    patterns substitute both expansions in one Horner pass in integers
+    (``_substitute_ints`` on the pair), with the CH words as they stand, or
+    relabelled onto y, z, as one image and the remaining letter as the other.
     """
     if u.arity != 2:
         raise ArityMismatchError("simplicial maps embed arity-2 derivations")
@@ -180,17 +181,19 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
         raise ValueError(
             f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
     order = u.order
-    x, y, z = (generator(3, i, order) for i in range(3))
+    expansions = [a.expand()._terms for a in u.components]
     if pattern == "1,2":
-        args = (x, y)
+        A, B = map(_numerators, expansions)
     elif pattern == "2,3":
-        args = (y, z)
-    elif pattern == "12,3":
-        args = (substitute_many([bch_multi(2, order)], (x, y))[0], z)
+        A, B = (({w.translate(_YZ): n for w, n in ints.items()}, d)
+                for ints, d in map(_numerators, expansions))
     else:
-        args = (x, substitute_many([bch_multi(2, order)], (y, z))[0])
-    images = [arg.expand()._terms for arg in args]
-    A, B = (_substitute_ints(a.expand()._terms, images, order) for a in u.components)
+        ch = bch_multi(2, order).expand()._terms
+        if pattern == "12,3":
+            images = [ch, {b"\x02": 1}]
+        else:
+            images = [{b"\x00": 1}, {w.translate(_YZ): c for w, c in ch.items()}]
+        A, B = _substitute_ints(expansions, images, order)
     zero = ({}, 1)
     return {"1,2": (A, B, zero), "2,3": (zero, A, B),
             "12,3": (A, A, B), "1,23": (A, B, B)}[pattern]

@@ -408,20 +408,66 @@ def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
     return _over(*_substitute_ints(terms, images, order))
 
 
-def _substitute_ints(terms, images, order: int) -> tuple[dict[bytes, int], int]:
+def _substitute_ints(terms, images, order: int):
     """``substitute_words`` as integer numerators over the lcm of its denominators, as ``_numerators``.
 
     The Horner sum lies over T * D^order; dividing it and its numerators by
     their common gcd leaves exactly the lcm of the reduced denominators.
+    ``terms`` may be a list of word maps that share the images; the result
+    is then the list of their results, from one Horner pass over integers
+    that hold every map's numerator at a stride of K bits (Kronecker
+    substitution).  With d = D and S the largest sum of one image's
+    |numerators|, an output numerator is at most sum |n| * max(d, S)^order,
+    since d^(order-|w|) S^|w| <= max(d, S)^order; K is the bit length of
+    that bound plus a sign bit, so the packed sums split back by symmetric
+    residues (``_unpack``).
     """
     if any(b"" in image for image in images):
         raise ValueError("substituted images must have zero constant term")
     scaled, d = _common_numerators(images)
-    numerators, t = _numerators({w: c for w, c in terms.items() if len(w) <= order})
-    numerators = {w: n * d ** (order - len(w)) for w, n in numerators.items()}
-    ints, d = _horner_words(numerators, scaled, order), t * d ** order
-    g = math.gcd(d, *ints.values())
-    return {w: n // g for w, n in ints.items()}, d // g
+    several = isinstance(terms, list)
+    maps = [_numerators({w: c for w, c in m.items() if len(w) <= order})
+            for m in (terms if several else [terms])]
+    if len(maps) == 1:
+        numerators = {w: n * d ** (order - len(w)) for w, n in maps[0][0].items()}
+        sums = [_horner_words(numerators, scaled, order)]
+    else:
+        bound = max(sum(map(abs, nums.values())) for nums, _ in maps) * max(
+            [d, *(sum(map(abs, image.values())) for image in scaled)]) ** order
+        stride = bound.bit_length() + 1
+        packed: dict[bytes, int] = {}
+        for k, (nums, _) in enumerate(maps):
+            for w, n in nums.items():
+                packed[w] = packed.get(w, 0) + (n << stride * k)
+        packed = {w: p * d ** (order - len(w)) for w, p in packed.items()}
+        sums = _unpack(_horner_words(packed, scaled, order), stride, len(maps))
+    out = []
+    for ints, (_, t) in zip(sums, maps):
+        denominator = t * d ** order
+        g = math.gcd(denominator, *ints.values())
+        out.append(({w: n // g for w, n in ints.items()}, denominator // g))
+    return out if several else out[0]
+
+
+def _unpack(packed: dict, stride: int, count: int) -> list[dict[bytes, int]]:
+    """The ``count`` integer maps whose numerators sum to ``packed`` at ``stride`` bits each.
+
+    Each digit is read as the symmetric residue in [-2^(stride-1), 2^(stride-1)),
+    so every numerator must lie in that range; zeros are dropped.
+    """
+    half, mask = 1 << (stride - 1), (1 << stride) - 1
+    out: list[dict[bytes, int]] = [{} for _ in range(count)]
+    for w, p in packed.items():
+        for part in out[:-1]:
+            r = p & mask
+            if r >= half:
+                r -= mask + 1
+            if r:
+                part[w] = r
+            p = (p - r) >> stride
+        if p:
+            out[-1][w] = p
+    return out
 
 
 class RationalUnivariateSeries(AssocSeries):

@@ -25,7 +25,12 @@ word kernels that the integer expansion, nested ad, product and splice
 replaced.  The ``theorem --order 10 --seed 5 --json`` run pins the per-degree
 kv1, theorem and full-trace lines of the canonical solution and of two
 randomly drawn gauge members; its digest was recorded from the full
-recomputation of every member that the checks by linearity replaced.
+recomputation of every member that the checks by linearity replaced.  The
+``propU --order 9 --json`` run pins the simplicial combination two orders
+above the benchmark's propU job; its digest was recorded from the
+substitutions of generators and of ``ch`` rebuilt in three letters, one
+Horner pass per component, that the letter relabels and the shared pass
+replaced.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -64,6 +69,8 @@ GOLDEN = [
      "526614c6023b7411dddeb08bc1e91b9ebd7c20e0736b253d206dfd366942775a"),
     (("verify", "--suite", "theorem", "--order", "10", "--seed", "5", "--json"), 0,
      "0874b1be8690cbcdc151664c0aae1637ab007d07fc921ec19245e8045e696d61"),
+    (("verify", "--suite", "propU", "--order", "9", "--json"), 0,
+     "e2999effbaa69e84c138d6602f319df5508b469dd95091bdc22b02e5085bf677"),
 ]
 
 

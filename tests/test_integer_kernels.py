@@ -418,3 +418,62 @@ def test_substitute_ints_are_the_numerators_of_substitute_words():
         ints, d = _substitute_ints(terms, images, order)
         assert (ints, d) == _numerators(substitute_words(terms, images, order))
         assert all(ints.values())
+
+
+def big_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * (10**30 + rng.randint(-10**6, 10**6)),
+                    rng.choice(DENOMINATORS))
+
+
+def packed_images(rng: random.Random, arity: int) -> list[dict]:
+    """Images of ``arity`` letters in three letters: word maps, or single letters (unit or scaled)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [word_map(rng, 3, 2, rng.randint(1, 3), min_len=1) for _ in range(arity)]
+    scale = (lambda: Fraction(1)) if kind == 1 else (lambda: coprime_rational(rng))
+    return [{bytes([rng.randrange(3)]): scale()} for _ in range(arity)]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_packed_substitution_equals_one_map_at_a_time(arity):
+    # several maps through one Horner pass at a stride of K bits split back
+    # exactly, each over its own gcd; unit single-letter images and single
+    # words make a map's numerator reach the bound that sets the stride
+    rng = random.Random(1500 + arity)
+    for order in range(1, 9):
+        for _ in range(6):
+            images = packed_images(rng, arity)
+            maps = []
+            for _ in range(rng.randint(2, 3)):
+                size = rng.choice([0, 1, 1, 3, 8])
+                words = word_map(rng, arity, order + 1, size)
+                if rng.random() < 0.5:
+                    words = {w: big_rational(rng) for w in words}
+                maps.append(words)
+            got = _substitute_ints(maps, images, order)
+            assert got == [_substitute_ints(terms, images, order) for terms in maps]
+            for (ints, d), terms in zip(got, maps):
+                assert _over(ints, d) == substitute_words(terms, images, order)
+
+
+def test_packed_substitution_with_an_empty_map_and_a_cancelling_one():
+    # x y - y x cancels when x and y both become z; x y alone does not
+    x, y, z = b"\x00", b"\x01", b"\x02"
+    images = [{z: Fraction(3, 7)}, {z: Fraction(3, 7)}]
+    cancel = {x + y: Fraction(1, 11), y + x: Fraction(-1, 11), x: Fraction(5, 13)}
+    keep = {x + y: Fraction(2, 10007), x: Fraction(-10**30, 13)}
+    got = _substitute_ints([{}, cancel, keep], images, 4)
+    assert got == [_substitute_ints(terms, images, 4) for terms in ({}, cancel, keep)]
+    assert got[0] == ({}, 1)
+    assert set(got[1][0]) == {z}
+    assert set(got[2][0]) == {z, z + z}
+    assert _substitute_ints([{}, {}], images, 4) == [({}, 1), ({}, 1)]
+
+
+def test_packed_substitution_keeps_each_maps_own_denominator():
+    # the two maps' sums lie over different reduced denominators
+    images = [{b"\x00": Fraction(1, 7)}, {b"\x01": Fraction(2)}]
+    first = {b"\x00\x01": Fraction(7, 2)}    # 7/2 * 1/7 * 2 = 1
+    second = {b"\x01": Fraction(1, 10007)}   # 2/10007
+    assert _substitute_ints([first, second], images, 3) == [
+        ({b"\x00\x01": 1}, 1), ({b"\x01": 2}, 10007)]

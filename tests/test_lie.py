@@ -227,6 +227,72 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
     assert err.value.degree == len(word)
 
 
+@pytest.fixture
+def fresh_ch_caches():
+    """Empty the Campbell-Hausdorff cache and the registry of held series for one test."""
+    kvquad.lie.log_exp_product.cache_clear()
+    kvquad.lie._built.clear()
+    yield
+    kvquad.lie.log_exp_product.cache_clear()
+    kvquad.lie._built.clear()
+
+
+def built_orders(monkeypatch) -> list:
+    """Record the (arity, order) of every Campbell-Hausdorff series built from Goldberg's words."""
+    goldberg, built = kvquad.lie._goldberg_words, []
+
+    def recording(arity, order):
+        built.append((arity, order))
+        return goldberg(arity, order)
+
+    monkeypatch.setattr(kvquad.lie, "_goldberg_words", recording)
+    return built
+
+
+@pytest.mark.parametrize("arity, low, high", [(2, 7, 9), (2, 1, 4), (3, 4, 6)])
+def test_bch_multi_truncates_a_held_higher_order(monkeypatch, fresh_ch_caches, arity, low, high):
+    built = built_orders(monkeypatch)
+    bch_multi(arity, high)
+    got = bch_multi(arity, low)
+    assert built == [(arity, high)]  # the lower order was not built
+    fresh = kvquad.lie.log_exp_product.__wrapped__(arity, low)
+    assert got.to_json_dict() == fresh.to_json_dict()
+    assert got._assoc.order == low  # the truncated word expansion came along
+    assert got._assoc.terms == fresh._assoc.terms
+    with pytest.raises(ValueError):
+        bch_multi(arity, 0)
+
+
+def test_bch_multi_never_builds_above_the_order_asked(monkeypatch, fresh_ch_caches):
+    built = built_orders(monkeypatch)
+    for order in (5, 3, 6, 6, 4):
+        assert bch_multi(2, order).order == order
+    assert built == [(2, 5), (2, 6)]  # 3 from 5, 4 from 5 or 6; 6 again from the cache
+    assert bch_multi(3, 2).arity == 3  # another arity never serves from two letters
+    assert built[-1] == (3, 2)
+
+
+def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, fresh_ch_caches):
+    built = built_orders(monkeypatch)
+    bch_multi(2, 6)
+    kvquad.lie.log_exp_product.cache_clear()  # nothing holds the order-6 series now
+    gc.collect()
+    bch_multi(2, 4)
+    assert built == [(2, 6), (2, 4)]
+
+
+def test_lie_truncation_keeps_a_known_word_expansion():
+    rng = random.Random(1530)
+    a = random_lie_element(rng, 3, 6, terms=12)
+    a.expand()
+    for order in range(7):
+        cut = a.truncated(order)
+        assert cut.order == order and cut._assoc.order == order
+        assert cut._assoc.terms == LieElement(3, order, cut.terms).expand().terms
+    bare = LieElement(3, 6, a.terms)
+    assert not hasattr(bare.truncated(4), "_assoc")  # an unknown expansion is not computed
+
+
 # --- substitution, scaling --------------------------------------------------
 
 def fresh_words(series: LieElement) -> AssocSeries:

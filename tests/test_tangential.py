@@ -21,6 +21,7 @@ from kvquad import (
     div_quad,
     generator,
     left_letter_mul,
+    lyndon_words,
     quadratic_trace_tuple,
     simplicial,
     substitute,
@@ -32,7 +33,9 @@ from kvquad import (
     word_from_str,
 )
 from kvquad.sampling import random_lie_element, random_lie_pairs, random_tangential_derivation
-from kvquad.tangential import divergence_words
+from kvquad.solver import canonical_solution
+from kvquad.tangential import divergence_words, simplicial_words
+from kvquad.words import _over
 
 from oracles import lyndon_image_substitute
 
@@ -135,6 +138,37 @@ def test_simplicial_matches_lyndon_image_oracle(pattern):
     expected = {"1,2": (A3, B3, zero), "2,3": (zero, A3, B3),
                 "12,3": (A3, A3, B3), "1,23": (A3, B3, B3)}[pattern]
     assert simplicial(u, pattern) == TangentialDerivation(expected)
+
+
+def lyndon_route_embeddings(u: TangentialDerivation) -> dict:
+    """The four embeddings' component word maps, through the bracketing images of the oracle."""
+    order = u.order
+    x3, y3, z3 = (generator(3, i, order) for i in range(3))
+    ch = bch_multi(2, order)
+    ch_xy, ch_yz = (lyndon_image_substitute([ch], args)[0] for args in ((x3, y3), (y3, z3)))
+    out = {}
+    for pattern, args in (("1,2", (x3, y3)), ("2,3", (y3, z3)),
+                          ("12,3", (ch_xy, z3)), ("1,23", (x3, ch_yz))):
+        A3, B3 = (dict(a.expand().terms)
+                  for a in lyndon_image_substitute(list(u.components), args))
+        out[pattern] = {"1,2": (A3, B3, {}), "2,3": ({}, A3, B3),
+                        "12,3": (A3, A3, B3), "1,23": (A3, B3, B3)}[pattern]
+    return out
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_simplicial_words_match_the_lyndon_image_route(order):
+    """Relabels and the packed CH pass agree with substituting bracketings, word for word."""
+    rng = random.Random(1520 + order)
+    basis = lyndon_words(2, order)
+    mixed = TangentialDerivation([
+        LieElement(2, order, {w: Fraction(rng.randint(-10**6, 10**6), rng.choice((7, 11, 13, 10007)))
+                              for w in rng.sample(basis, min(5, len(basis)))})
+        for _ in range(2)])
+    for u in (canonical_solution(order).derivation(), mixed):
+        expected = lyndon_route_embeddings(u)
+        for pattern in ("1,2", "2,3", "12,3", "1,23"):
+            assert tuple(_over(*m) for m in simplicial_words(u, pattern)) == expected[pattern]
 
 
 def test_simplicial_tuple_shapes():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import kvquad.cli as cli
+import kvquad.lie as lie
 import kvquad.tangential as tangential
 import kvquad.verify as verify
 from kvquad import (
@@ -290,26 +291,39 @@ def test_report_json_lines(sol6):
 
 def test_first_use_memos_under_threads(sol6):
     # four threads race on the first-use memos of one fresh solution (its
-    # word expansions, residual and projected left sides) and on the
-    # Bernoulli-side caches
+    # word expansions, residual and projected left sides), on the
+    # Bernoulli-side caches, and on the Campbell-Hausdorff cache and its
+    # truncations, each thread asking for orders 7-10 in its own order
     checks = (verify_kv1, verify_theorem, check_full_trace_equation)
+    ch_orders = [list(range(7, 11)) for _ in range(4)]
+    for seed, orders in enumerate(ch_orders):
+        random.Random(1540 + seed).shuffle(orders)
 
-    def run(s, shift=0):
+    def run(s, shift=0, orders=()):
+        ch = {order: bch_multi(2, order) for order in orders}
         rotated = checks[shift:] + checks[:shift]
         lines = {check.__name__: check(s).to_json_lines() for check in rotated}
-        return [lines[check.__name__] for check in checks]
+        return [lines[check.__name__] for check in checks], ch
 
     data = sol6.to_json_dict()
-    serial = run(KVSolution.from_json_dict(data))
+    serial, _ = run(KVSolution.from_json_dict(data))
     _bernoulli_side.cache_clear()
     _projected_bernoulli_side.cache_clear()
+    lie.log_exp_product.cache_clear()
+    lie._built.clear()
     shared = KVSolution.from_json_dict(data)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run, shared, shift % 3) for shift in range(4)]
+            futures = [pool.submit(run, shared, shift % 3, ch_orders[shift]) for shift in range(4)]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert results == [serial] * 4
+    assert [lines for lines, _ in results] == [serial] * 4
+    for order in range(7, 11):
+        fresh = lie.log_exp_product.__wrapped__(2, order)
+        for _, ch in results:
+            assert ch[order].order == order
+            assert ch[order].to_json_dict() == fresh.to_json_dict()
+            assert ch[order].expand().terms == fresh.expand().terms
