@@ -1,6 +1,7 @@
 """Command line interface.
 
-Three subcommands: ``bch`` prints a truncated Campbell-Hausdorff series,
+Three subcommands: ``bch`` prints a truncated Campbell-Hausdorff series
+(refused up front when its word count would pass ``BCH_WORD_CEILING``),
 ``solve-kv`` constructs rational solution pairs (optionally a gauge family),
 and ``verify`` runs the identity suites degree by degree.  Exit codes: 0 when
 everything passes, 1 when a check fails, 2 on usage errors.
@@ -36,6 +37,9 @@ from .verify import (
 SUITES = ("theorem", "propU", "propLast", "cocycle", "homo", "series", "all")
 DEFAULT_TWO_LETTER_ORDER = 8
 DEFAULT_THREE_LETTER_ORDER = 6
+# bch builds up to sum_{k <= order} arity^k words; order 14 in two letters
+# (32767 words) peaks near 80 MB, and memory grows faster than the count
+BCH_WORD_CEILING = 100_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,6 +88,13 @@ def _cmd_bch(args) -> int:
         raise ValueError("arity must be between 1 and 26")
     if args.order < 1:
         raise ValueError("order must be >= 1")
+    words = 0
+    for k in range(args.order + 1):  # stops at the ceiling, however large the order
+        words += args.arity ** k
+        if words > BCH_WORD_CEILING:
+            raise ValueError(
+                f"bch over {args.arity} letters through order {args.order} would build more "
+                f"than the ceiling of {BCH_WORD_CEILING} words (the sum of arity^k for k <= order)")
     _emit(bch_multi(args.arity, args.order).to_json_dict(), args.out)
     return 0
 

@@ -1,16 +1,20 @@
-"""Truncated free Lie algebra in the Lyndon basis.
+"""Truncated free Lie algebra: word expansions first, Lyndon coordinates on read.
 
-A Lie series is stored by its coordinates on standard Lyndon bracketings.
-Conversion to the word basis expands each bracketing; ``assoc_to_lie``, the
-one way back, peels least words degree by degree (a non-Lyndon least word
-proves the part is not Lie) and keeps its emptied input as the ``expand()``
-memo.  Powers of one ad and the extended adjoint action ad_w z =
-[w_0, [w_1, [..., z]]] act on words through one nested-ad kernel, a letter
-bracket per level, and project once; it and the word expansion sum integer
-numerators over one denominator.  The Campbell-Hausdorff series (Goldberg's
-word coefficients, projected by the peel; a lower order is truncated from a
-held higher one), generator substitution, degree scaling and univariate
-operator kernels in one adjoint slot all live here.
+A Lie series is stored by its word expansion, the image under the canonical
+embedding into the free associative algebra.  The embedding is injective, so
+equality, sums, zero tests, scaling and truncation all run on words, and the
+package's operations build their results from words (``LieElement.from_words``).
+The coordinates on standard Lyndon bracketings are a memo filled on the first
+read: the Lyndon peel takes least words degree by degree, and a non-Lyndon
+least word proves a part is not Lie (``NotLieError``).  ``assoc_to_lie`` runs
+the peel at once, where it is the membership check.  An element made from
+coordinates keeps them and expands on the first ``expand()``.  Powers of one
+ad and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on
+words through one nested-ad kernel, a letter bracket per level; it and the
+word expansion sum integer numerators over one denominator.  The
+Campbell-Hausdorff series (Goldberg's word coefficients; a lower order is
+truncated from a held higher one), generator substitution, degree scaling and
+univariate operator kernels in one adjoint slot all live here.
 """
 
 import functools
@@ -51,33 +55,100 @@ class NotLieError(ValueError):
 
 
 class LieElement(_SparseSeries):
-    """Truncated Lie series: sparse Lyndon-word coordinates, exact rationals.
+    """Truncated Lie series over ``arity`` letters, exact rationals.
 
-    Keys of ``terms`` are Lyndon words of length between 1 and ``order``;
-    the element they denote is the corresponding standard bracketing.
+    The stored form is the word expansion (``expand()``), on which equality,
+    sums, zero tests, scaling and truncation run.  ``terms`` holds the
+    coordinates on standard Lyndon bracketings, keyed by Lyndon words of
+    length between 1 and ``order``: a memo that the first read peels from
+    the words (``NotLieError`` if they are not Lie), after which every read
+    is a plain slot read.  An element made from coordinates (the
+    constructor, ``_make``, JSON) keeps them and expands them on the first
+    ``expand()``; until then, scaling and truncation map its coordinates.
     Instances are immutable.
     """
 
-    # the word expansion, computed on first use; weak references for the CH registry
-    __slots__ = ("_assoc", "__weakref__")
+    # the word expansion; the two operands of a sum, until its coordinates are
+    # read; weak references for the CH registry.  Unset slots (``_assoc`` or
+    # the core's ``_terms``) are the memos still to compute.
+    __slots__ = ("_assoc", "_summands", "__weakref__")
     _tag = ("basis", "lyndon")
     _tag_required = False
+
+    @classmethod
+    def from_words(cls, words: AssocSeries) -> "LieElement":
+        """The Lie series whose word expansion is ``words``; nothing is checked yet.
+
+        The first coordinate read peels the words and raises NotLieError
+        there if they are not Lie; ``assoc_to_lie`` peels at once.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "arity", words.arity)
+        object.__setattr__(self, "order", words.order)
+        if type(words) is not AssocSeries:  # a one-letter RationalUnivariateSeries compares apart
+            words = AssocSeries._make(words.arity, words.order, words._terms)
+        object.__setattr__(self, "_assoc", words)
+        return self
+
+    def __getattr__(self, name):
+        # reached only for a slot never filled: the coordinates are peeled on
+        # first read, or, for a sum, added from its operands' own memos
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        summands = _stored(self, "_summands")
+        if summands is None:
+            coords = _peel(self._assoc)
+        else:  # the core's sum, on the operands' coordinates
+            coords = _SparseSeries.__add__(*summands)._terms
+        object.__setattr__(self, "_terms", coords)
+        object.__setattr__(self, "_summands", None)  # the operands are no longer needed
+        return coords
+
+    def __reduce__(self):
+        # a copy is rebuilt from the words and peels its own coordinates when read
+        return type(self).from_words, (self.expand(),)
 
     def _check_key(self, w: bytes):
         super()._check_key(w)
         if not is_lyndon(w):
             raise ValueError(f"{_word_name(w)} is not a Lyndon word")
 
-    degree_part = _SparseSeries.homogeneous_part
     # kept in the class's own __dict__, where perfbench/tracer.py looks it up
     to_json_dict = _SparseSeries.to_json_dict
 
-    def truncated(self, order: int) -> "LieElement":
-        """The terms through ``order``; a known word expansion is truncated alike."""
-        if order >= self.order:
-            return self
-        return _termwise(self, lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
-                         order)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.expand() == other.expand()
+
+    def is_zero(self) -> bool:
+        return self.expand().is_zero()
+
+    def __add__(self, other):
+        """The sum of the words; its coordinates, once read, are the sum of the operands'.
+
+        An operand that is itself an unread sum is not kept, so chains of
+        sums hold no more than one operand pair each.
+        """
+        self._check_compatible(other)
+        out = LieElement.from_words(self.expand() + other.expand())
+        if _stored(self, "_summands") is None and _stored(other, "_summands") is None:
+            object.__setattr__(out, "_summands", (self, other))
+        return out
+
+    def _termwise(self, f, order: int | None = None) -> "LieElement":
+        """f, a map of term dicts, applied to the words, or to coordinates never expanded.
+
+        Negation, scaling, truncation and the homogeneous parts of the core
+        all come here.  The result is truncated at ``order``, by default self's.
+        """
+        order = self.order if order is None else order
+        words = _stored(self, "_assoc")
+        if words is None:
+            return LieElement._make(self.arity, order, f(self._terms))
+        return LieElement.from_words(AssocSeries._make(self.arity, order, f(words._terms)))
+
+    degree_part = _SparseSeries.homogeneous_part
 
     def with_order(self, order: int) -> "LieElement":
         """Reinterpret the stored terms at another truncation order.
@@ -85,19 +156,16 @@ class LieElement(_SparseSeries):
         Lowering the order truncates.  Raising it declares the element a
         polynomial equal to its stored terms, which is only meaningful for
         explicitly constructed polynomials, not for truncations of series;
-        the raised copy reuses this element's word expansion.
+        a polynomial expands alike at every order.
         """
-        if order < self.order:
-            return self.truncated(order)
-        raised = LieElement._make(self.arity, order, self._terms)
-        words = AssocSeries._make(self.arity, order, self.expand()._terms)
-        object.__setattr__(raised, "_assoc", words)  # a polynomial expands alike at every order
-        return raised
+        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
+                              order)
 
     def expand(self) -> AssocSeries:
         """The canonical embedding into the free associative algebra.
 
-        The coordinates' numerators over their common denominator times the
+        Stored for every element the package builds; for one made from
+        coordinates, their numerators over the common denominator times the
         integer bracket expansions, summed in integers by ``_linear_sum``.
         """
         try:
@@ -113,6 +181,35 @@ class LieElement(_SparseSeries):
         return bracket(self, other)
 
 
+def _peel(words: AssocSeries) -> dict[bytes, Fraction]:
+    """Lyndon coordinates of Lie words, degree by degree.
+
+    The peel of each homogeneous part either empties it, which writes it as
+    a combination of Lyndon bracketings, or meets a non-Lyndon least word;
+    that raises NotLieError at the part's degree.
+    """
+    by_degree: dict[int, dict[bytes, Fraction]] = {}
+    for w, c in words._terms.items():
+        by_degree.setdefault(len(w), {})[w] = c
+    if 0 in by_degree:
+        raise NotLieError("nonzero constant term", 0)
+    coords: dict[bytes, Fraction] = {}
+    for k in sorted(by_degree):
+        try:
+            coords.update(lyndon_coordinates(by_degree[k]))
+        except ValueError as exc:
+            raise NotLieError(str(exc), k) from None
+    return coords
+
+
+def _stored(a: LieElement, slot: str):
+    """The slot's value, or None if it was never filled; this read neither peels nor expands."""
+    try:
+        return object.__getattribute__(a, slot)
+    except AttributeError:
+        return None
+
+
 def generator(arity: int, index: int, order: int) -> LieElement:
     """The generator x_index as a LieElement."""
     if not 0 <= index < arity:
@@ -121,28 +218,14 @@ def generator(arity: int, index: int, order: int) -> LieElement:
 
 
 def assoc_to_lie(a: AssocSeries) -> LieElement:
-    """Inverse of the embedding on the Lie subspace; checked degree by degree.
+    """Inverse of the embedding on the Lie subspace; checked degree by degree now.
 
-    The Lyndon peel of each homogeneous part either empties it, which writes
-    it as a combination of Lyndon bracketings, or meets a non-Lyndon least
-    word; that raises NotLieError at the part's degree.  So ``a`` is exactly
-    the result's word expansion: it is kept, as a plain ``AssocSeries``, as
-    the ``expand()`` memo, set before any other thread can see the result.
+    The Lyndon peel runs before the result is returned, so a series that is
+    not Lie raises NotLieError at the degree of its first non-Lie part.
+    ``a`` is exactly the result's word expansion, and is kept as such.
     """
-    if a.constant_term:
-        raise NotLieError("nonzero constant term", 0)
-    by_degree: dict[int, dict[bytes, Fraction]] = {}
-    for w, c in a.terms.items():
-        by_degree.setdefault(len(w), {})[w] = c
-    coords: dict[bytes, Fraction] = {}
-    for k in sorted(by_degree):
-        try:
-            coords.update(lyndon_coordinates(by_degree[k]))
-        except ValueError as exc:
-            raise NotLieError(str(exc), k) from None
-    series = LieElement._make(a.arity, a.order, coords)
-    words = a if type(a) is AssocSeries else AssocSeries._make(a.arity, a.order, a._terms)
-    object.__setattr__(series, "_assoc", words)
+    series = LieElement.from_words(a)
+    series.terms  # the first read peels: the membership check
     return series
 
 
@@ -151,7 +234,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     a._check_compatible(b)
     order = min(a.order, b.order)
     words = commutator(a.expand()._terms, b.expand()._terms, order)
-    return assoc_to_lie(AssocSeries._make(a.arity, order, words))
+    return LieElement.from_words(AssocSeries._make(a.arity, order, words))
 
 
 def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
@@ -208,13 +291,13 @@ def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
 def log_exp_product(arity: int, order: int) -> LieElement:
     """log(e^{x_0} e^{x_1} ... e^{x_{arity-1}}) as a Lie series.
 
-    The word coefficients come from Goldberg's formula and the Lyndon peel of
-    ``assoc_to_lie`` both projects and certifies them: a wrong coefficient
-    raises NotLieError; the words stay as the series' ``expand()`` memo.
+    The series is stored as Goldberg's word coefficients.  Its first
+    coordinate read peels them, which both projects and certifies them: a
+    wrong coefficient raises NotLieError there.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return assoc_to_lie(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
+    return LieElement.from_words(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
 
 
 _built = weakref.WeakValueDictionary()  # (arity, order) -> a series from the cache above, while held
@@ -254,8 +337,8 @@ def substitute_many(elements, args) -> list[LieElement]:
     """Apply the Lie homomorphism generator i -> args[i] to several elements.
 
     Each element's words go through the associative substitution kernel
-    ``substitute_words`` on the arguments' word expansions and are peeled
-    once, which keeps them as the result's ``expand()`` memo.
+    ``substitute_words`` on the arguments' word expansions; the results are
+    stored as those words.
     """
     args = tuple(args)
     if not args:
@@ -278,7 +361,7 @@ def substitute_many(elements, args) -> list[LieElement]:
     for a in elements:
         order = min(a.order, args_order)
         words = substitute_words(a.expand()._terms, images, order)
-        out.append(assoc_to_lie(AssocSeries._make(arity_out, order, words)))
+        out.append(LieElement.from_words(AssocSeries._make(arity_out, order, words)))
     return out
 
 
@@ -287,31 +370,18 @@ def substitute(a: LieElement, args) -> LieElement:
     return substitute_many([a], args)[0]
 
 
-def _termwise(a: LieElement, f, order: int | None = None) -> LieElement:
-    """f, a map of term dicts, applied to a's coordinates and alike to a known word expansion.
-
-    The result is truncated at ``order``, by default a's.
-    """
-    order = a.order if order is None else order
-    out = LieElement._make(a.arity, order, f(a._terms))
-    words = getattr(a, "_assoc", None)
-    if words is not None:
-        object.__setattr__(out, "_assoc", AssocSeries._make(a.arity, order, f(words._terms)))
-    return out
-
-
 def scale(a: LieElement, t: Rational) -> LieElement:
-    """Substitute x_i -> t*x_i: the degree-k part, and a known word expansion's, picks up t^k."""
+    """Substitute x_i -> t*x_i: the degree-k part of the stored form picks up t^k."""
     powers = [Fraction(t) ** k for k in range(a.order + 1)]
-    return _termwise(a, lambda terms: {w: c * powers[len(w)] for w, c in terms.items()})
+    return a._termwise(lambda terms: {w: c * powers[len(w)] for w, c in terms.items()})
 
 
 def without_letters(a: LieElement, letters) -> LieElement:
-    """a without its terms x_i, i in letters; a known word expansion loses the words x_i."""
+    """a without its terms x_i, i in letters: its words lose the one-letter words x_i."""
     drop = {bytes([i]) for i in letters}  # no bracketing but x_i's own expands to the word x_i
-    if drop.isdisjoint(a._terms):
+    if drop.isdisjoint(a.expand()._terms):
         return a
-    return _termwise(a, lambda terms: {w: c for w, c in terms.items() if w not in drop})
+    return a._termwise(lambda terms: {w: c for w, c in terms.items() if w not in drop})
 
 
 def ch_t(t: Rational, order: int, arity: int = 2) -> LieElement:
@@ -410,24 +480,24 @@ def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement) -> 
 def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
     """Sum of phi_k (ad of generator index)^k applied to a.
 
-    Computed in the word basis from one expansion of ``a``, then projected
-    to the Lyndon basis once.
+    Computed in the word basis from one expansion of ``a``, and stored as
+    those words.
     """
     words = _ad_words(_ad_polynomial(phi, index, a), a.expand()._terms, a.order)
-    return assoc_to_lie(AssocSeries._make(a.arity, a.order, words))
+    return LieElement.from_words(AssocSeries._make(a.arity, a.order, words))
 
 
 def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
     """Extended adjoint action: a word acts as nested bracketing onto z.
 
     The nested brackets are computed in the word basis, sharing the action
-    of common word prefixes, and the sum is projected to the Lyndon basis once.
+    of common word prefixes, and the result is stored as those words.
     """
     if a.arity != z.arity:
         raise ArityMismatchError(f"arity mismatch: {a.arity} vs {z.arity}")
     order = min(z.order, a.order + 1)
     words = _ad_words(a._terms, z.expand()._terms, order)
-    return assoc_to_lie(AssocSeries._make(z.arity, order, words))
+    return LieElement.from_words(AssocSeries._make(z.arity, order, words))
 
 
 def directional_derivative(a, index: int, z):
@@ -435,7 +505,9 @@ def directional_derivative(a, index: int, z):
 
     ``a`` may be an AssocSeries or a LieElement and the result has the same
     kind.  ``z`` may live over an extended alphabet (one fresh letter models
-    the free direction slot); the result then lives there too.
+    the free direction slot); the result then lives there too.  A Lie ``a``
+    along a Lie ``z`` gives Lie words, stored as they are; along any other
+    series the words are peeled at once, which checks that they are Lie.
     """
     if not isinstance(z, AssocSeries | LieElement):
         raise TypeError(f"direction must be a series, got {type(z).__name__}")
@@ -444,4 +516,6 @@ def directional_derivative(a, index: int, z):
     is_lie = isinstance(a, LieElement)
     words = substitute_letter_linear(a.expand() if is_lie else a, index,
                                      z.expand() if isinstance(z, LieElement) else z)
-    return assoc_to_lie(words) if is_lie else words
+    if not is_lie:
+        return words
+    return LieElement.from_words(words) if isinstance(z, LieElement) else assoc_to_lie(words)

@@ -23,7 +23,6 @@ from .lie import (
     _ad_polynomial,
     _exp_minus_one,
     apply_operator_series,
-    assoc_to_lie,
     bch,
     bracket,
     ch_t,
@@ -113,7 +112,7 @@ class KVSolution:
 
 @functools.lru_cache(maxsize=4)
 def kv_rhs(order: int) -> LieElement:
-    """x + y - ch(y, x): ch(-x, -y) without its degree-one part, in coordinates and words.
+    """x + y - ch(y, x): ch(-x, -y) without its degree-one part, stored as words.
 
     Cached per order, so the Campbell-Hausdorff word expansion it keeps is
     shared by ``factorize`` and every residual at that order.
@@ -155,7 +154,8 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     sides: list[list] = [[], []]
     for (first, last), middles in groups.items():
         sides[first].append((1, _ad_ints(middles, {bytes([last]): 1}, order), d * lengths))
-    a, b = (assoc_to_lie(AssocSeries._make(2, order, _linear_sum(parts))) for parts in sides)
+    a, b = (LieElement.from_words(AssocSeries._make(2, order, _linear_sum(parts)))
+            for parts in sides)
     return a, b
 
 
@@ -185,8 +185,8 @@ def kv1_residual(s: KVSolution) -> LieElement:
     and the right-hand side are summed as integer numerators over one
     denominator, so the cancellation costs no ``Fraction`` arithmetic.  The
     operators are linear, so a gauge member's sum is its base's residual
-    plus the operator terms of its shift alone.  The sum is projected back
-    to the Lyndon basis once, and names the witness when it is not zero.
+    plus the operator terms of its shift alone.  The sum is stored as its
+    words; only a nonzero residual is peeled, to name its witness.
     The result is memoized on the solution, which is immutable, on first use.
     """
     try:
@@ -205,7 +205,7 @@ def kv1_residual(s: KVSolution) -> LieElement:
         u, du = _numerators(_ad_polynomial(_exp_minus_one(order, sign), index, component))
         z, dz = _numerators(component.expand()._terms)
         parts.append((1, _ad_ints(u, z, order), du * dz))
-    residual = assoc_to_lie(AssocSeries._make(2, order, _linear_sum(parts)))
+    residual = LieElement.from_words(AssocSeries._make(2, order, _linear_sum(parts)))
     object.__setattr__(s, "_residual", residual)
     return residual
 
@@ -291,10 +291,10 @@ def flow_check(s: KVSolution, t_samples) -> bool:
         inv = 1 / t
         u_t = TangentialDerivation([scale(s.A, t) * inv, scale(s.B, t) * inv])
         lhs = act(u_t, ch_t(t, s.order))
-        rhs = LieElement._make(
+        rhs = LieElement.from_words(AssocSeries._make(
             2, s.order,
             {w: c * (len(w) - 1) * t ** (len(w) - 2)
-             for w, c in ch.terms.items() if len(w) >= 2})
+             for w, c in ch.expand().terms.items() if len(w) >= 2}))
         if lhs != rhs:
             return False
     return True

@@ -134,7 +134,7 @@ def act(u: TangentialDerivation, a):
 
     The images [x_i, a_i], over one denominator, are spliced together into
     the words of ``a`` through min(a.order, u.order), or a.order for the zero
-    derivation; a Lie result is projected back to the Lyndon basis once.
+    derivation; a Lie result is stored as those words.
     """
     if a.arity != u.arity:
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {a.arity}")
@@ -144,7 +144,7 @@ def act(u: TangentialDerivation, a):
     images = {i: _letter_bracket(i, e, order) for i, e in enumerate(expansions) if e}
     words, da = _numerators((a.expand() if is_lie else a)._terms)
     result = AssocSeries._make(a.arity, order, _over(_splice_ints(words, images, order), da * d))
-    return assoc_to_lie(result) if is_lie else result
+    return LieElement.from_words(result) if is_lie else result
 
 
 def ch_defect(u: TangentialDerivation) -> LieElement:
@@ -168,12 +168,12 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
       2,3  -> (0, A(y,z), B(y,z))
       12,3 -> (A(ch(x,y),z), A(ch(x,y),z), B(ch(x,y),z))
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
-    with ch the two-letter Campbell-Hausdorff series.  The maps are Lie but
-    not yet projected, and a repeated component is one map.  The letter
-    patterns relabel the numerators of A's and B's word expansions; the CH
-    patterns substitute both expansions in one Horner pass in integers
-    (``_substitute_ints`` on the pair), with the CH words as they stand, or
-    relabelled onto y, z, as one image and the remaining letter as the other.
+    with ch the two-letter Campbell-Hausdorff series.  The maps are Lie, and
+    a repeated component is one map.  The letter patterns relabel the
+    numerators of A's and B's word expansions; the CH patterns substitute
+    both expansions in one Horner pass in integers (``_substitute_ints`` on
+    the pair), with the CH words as they stand, or relabelled onto y, z, as
+    one image and the remaining letter as the other.
     """
     if u.arity != 2:
         raise ArityMismatchError("simplicial maps embed arity-2 derivations")
@@ -202,7 +202,7 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
 def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
     """Embed a two-letter derivation into three letters; see ``simplicial_words``."""
     maps = simplicial_words(u, pattern)
-    lie = {id(m): assoc_to_lie(AssocSeries._make(3, u.order, _over(*m))) for m in maps}
+    lie = {id(m): LieElement.from_words(AssocSeries._make(3, u.order, _over(*m))) for m in maps}
     return TangentialDerivation([lie[id(m)] for m in maps])
 
 

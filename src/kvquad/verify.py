@@ -16,7 +16,6 @@ from fractions import Fraction
 from .lie import (
     LieElement,
     RationalUnivariateSeries,
-    assoc_to_lie,
     bch,
     generator,
     kernel_series,
@@ -115,8 +114,13 @@ def _degree_report(check: str, order: int, witnesses: dict[int, Witness],
 
 
 def report_zero(check: str, series, gating: bool = True) -> VerificationReport:
-    """Per-degree zero check of any sparse series with sorted_items()."""
-    degrees_hit = {len(w) for w in series.terms}
+    """Per-degree zero check of any sparse series with sorted_items().
+
+    A Lie series is zero in a degree exactly when its words are, so its
+    degrees are read off its words; only a failing degree reads coordinates.
+    """
+    words = series.expand() if isinstance(series, LieElement) else series
+    degrees_hit = {len(w) for w in words.terms}
     return _degree_report(check, series.order,
                           {d: _leading_witness(series, d) for d in degrees_hit}, gating)
 
@@ -206,8 +210,8 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
 def simplicial_combination(s: KVSolution) -> TangentialDerivation:
     """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B).
 
-    The four embeddings are summed as integer word maps and each component is
-    peeled once, keeping its words as the ``expand()`` memo that ``act`` reads.
+    The four embeddings are summed as integer word maps, which are the
+    components' stored words: ``act`` reads them, and nothing here peels them.
     """
     u = s.derivation()
     sums: list[list] = [[], [], []]
@@ -215,7 +219,8 @@ def simplicial_combination(s: KVSolution) -> TangentialDerivation:
         for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
             parts.append((sign, ints, d))
     return TangentialDerivation(
-        [assoc_to_lie(AssocSeries._make(3, u.order, _linear_sum(parts))) for parts in sums])
+        [LieElement.from_words(AssocSeries._make(3, u.order, _linear_sum(parts)))
+         for parts in sums])
 
 
 def verify_prop_U(s: KVSolution, combination: TangentialDerivation | None = None) -> VerificationReport:

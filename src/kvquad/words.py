@@ -146,17 +146,18 @@ class _SparseSeries:
         """Terms sorted by (degree, word); the canonical iteration order."""
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    def _termwise(self, f, order: int | None = None):
+        """f, a map of term dicts, applied to the terms; truncated at ``order``, by default self's."""
+        return type(self)._make(self.arity, self.order if order is None else order, f(self._terms))
+
     def homogeneous_part(self, degree: int):
-        return type(self)._make(
-            self.arity, self.order,
-            {w: c for w, c in self._terms.items() if len(w) == degree})
+        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) == degree})
 
     def truncated(self, order: int):
         if order >= self.order:
             return self
-        return type(self)._make(
-            self.arity, order,
-            {w: c for w, c in self._terms.items() if len(w) <= order})
+        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
+                              order)
 
     def with_arity(self, arity: int):
         """The same series viewed over a larger alphabet."""
@@ -193,15 +194,11 @@ class _SparseSeries:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)._make(self.arity, self.order,
-                                {w: -c for w, c in self._terms.items()})
+        return self._termwise(lambda terms: {w: -c for w, c in terms.items()})
 
     def __mul__(self, scalar: Rational):
         scalar = Fraction(scalar)
-        if not scalar:
-            return type(self).zero(self.arity, self.order)
-        return type(self)._make(self.arity, self.order,
-                                {w: scalar * c for w, c in self._terms.items()})
+        return self._termwise(lambda terms: {w: scalar * c for w, c in terms.items()})
 
     __rmul__ = __mul__
 

@@ -1,7 +1,8 @@
 import json
 
+import kvquad.lie
 from kvquad import KVSolution, bch_multi, kv1_residual
-from kvquad.cli import main
+from kvquad.cli import BCH_WORD_CEILING, main
 
 
 def run(capsys, *argv):
@@ -25,6 +26,18 @@ def test_bch_rejects_bad_order(capsys):
     code, _, err = run(capsys, "bch", "--order", "0")
     assert code == 2
     assert "order" in err
+
+
+def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
+    def refuse(arity, order):
+        raise AssertionError(f"the series was built at arity {arity}, order {order}")
+
+    monkeypatch.setattr(kvquad.lie, "_goldberg_words", refuse)
+    code, out, err = run(capsys, "bch", "--arity", "26", "--order", "10")
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err
+    code, _, err = run(capsys, "bch", "--arity", "1", "--order", "1000000000")
+    assert code == 2 and f"ceiling of {BCH_WORD_CEILING} words" in err
 
 
 def test_solve_kv_order_zero_is_usage_error(capsys):

@@ -212,7 +212,11 @@ def test_log_exp_product_matches_product_log_oracle(arity, order):
 
 @pytest.mark.parametrize("word", ["ab", "ba", "aab", "abab", "bbaab", "abbbab"])
 def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
-    """The Lyndon peel still certifies the words: one perturbed coefficient raises."""
+    """The Lyndon peel still certifies the words: one perturbed coefficient raises.
+
+    The series is built from its words, so the peel runs at the first
+    coordinate read; the perturbed word also breaks the three-letter series.
+    """
     goldberg = kvquad.lie._goldberg_words
 
     def perturbed(arity, order):
@@ -222,9 +226,11 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
         return words
 
     monkeypatch.setattr(kvquad.lie, "_goldberg_words", perturbed)
-    with pytest.raises(NotLieError) as err:
-        kvquad.lie.log_exp_product.__wrapped__(2, 6)  # uncached, so the perturbed build runs
-    assert err.value.degree == len(word)
+    for arity in (2, 3):
+        series = kvquad.lie.log_exp_product.__wrapped__(arity, 6)  # uncached: the perturbed build
+        with pytest.raises(NotLieError) as err:
+            series.terms
+        assert err.value.degree == len(word)
 
 
 @pytest.fixture

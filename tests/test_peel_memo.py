@@ -1,23 +1,35 @@
-"""Every Lie element the peel returns keeps its input words as the expansion memo.
+"""Lie series are stored as words; their Lyndon coordinates are peeled on first read.
 
-``assoc_to_lie`` only returns after emptying its input, so the input words
-are exactly the result's word expansion, and the result keeps them as its
-``expand()`` memo.  These tests check, for the results of the functions
-that end in the peel, that the memo is a plain ``AssocSeries`` of the
-result's arity and order and equal to a fresh ``Fraction`` expansion of the
-coordinates (``oracles.fraction_expand``), also when the peeled input is a
-``RationalUnivariateSeries``, whose series compare unequal to plain ones.
+Every function that builds a Lie series from words keeps those words as the
+result's ``expand()`` memo, and the peel, run on the first coordinate read
+(at once in ``assoc_to_lie``), only ever empties them.  These tests check,
+for the results of those functions, that the memo is a plain
+``AssocSeries`` of the result's arity and order and equal to a fresh
+``Fraction`` expansion of the coordinates (``oracles.fraction_expand``),
+also when the input words are a ``RationalUnivariateSeries``, whose series
+compare unequal to plain ones.  They also check that an element built
+lazily from words agrees with the eager peel in every reading, under
+threads and through copies, and that ``verify --suite propU`` peels no
+three-letter series at all.
 """
 
+import copy
+import pickle
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+import kvquad.lie
+import kvquad.lyndon
 from kvquad import (
     AssocSeries,
     KVSolution,
     LieElement,
+    NotLieError,
     RationalUnivariateSeries,
     TangentialDerivation,
     act,
@@ -33,10 +45,14 @@ from kvquad import (
     kv1_residual,
     kv_rhs,
     quadratic_trace_tuple,
+    scale,
     simplicial,
     substitute_many,
     trace_pairing,
 )
+from kvquad.cli import main
+from kvquad.lie import _stored, log_exp_product, without_letters
+from kvquad.lyndon import lyndon_words
 from kvquad.sampling import random_lie_element
 
 from oracles import fraction_expand, random_assoc_series
@@ -99,3 +115,166 @@ def test_peel_of_a_univariate_series_keeps_a_plain_word_series():
     along = directional_derivative(LieElement(1, 4, {b"\x00": 2}), 0, t)
     assert along == x * 2
     assert_memo_is_fresh_expansion(along)
+
+
+# --- words first: the peel runs where coordinates are read -------------------
+
+DENOMINATORS = (1, 7, 11, 13, 10007)
+
+
+def random_words(rng: random.Random, arity: int, order: int) -> AssocSeries:
+    """The word expansion of a seeded Lie series with mixed denominators."""
+    basis = lyndon_words(arity, order)
+    chosen = rng.sample(basis, min(len(basis), rng.randint(1, 6)))
+    coords = {w: Fraction(rng.randint(-30, 30) or 1, rng.choice(DENOMINATORS)) for w in chosen}
+    return LieElement(arity, order, coords).expand()
+
+
+def unread(element: LieElement) -> bool:
+    return _stored(element, "_terms") is None
+
+
+def assert_lazy_matches_eager(lazy: LieElement, eager: LieElement):
+    assert unread(lazy)
+    assert lazy == eager and eager == lazy
+    assert lazy.is_zero() == eager.is_zero()
+    assert unread(lazy)  # equality and the zero test read words only
+    assert dict(lazy.terms) == dict(eager.terms)
+    assert dict(lazy.expand().terms) == dict(eager.expand().terms)
+    assert lazy.to_json_dict() == eager.to_json_dict()
+
+
+CASES = [(arity, order) for arity in (2, 3) for order in range(1, 9)]
+
+
+@pytest.mark.parametrize("arity, order", CASES)
+def test_lazy_elements_match_the_eager_peel(arity, order):
+    rng = random.Random(1600 + 10 * arity + order)
+    for _ in range(4):
+        words, other = random_words(rng, arity, order), random_words(rng, arity, order)
+        eager, eager_other = assoc_to_lie(words), assoc_to_lie(other)
+
+        def lazy(source=words):
+            return LieElement.from_words(AssocSeries(arity, order, dict(source.terms)))
+
+        t = Fraction(rng.randint(1, 9), rng.choice(DENOMINATORS))
+        cut = rng.randint(0, order)
+        for built, expected in [
+            (lazy(), eager),
+            (lazy() + lazy(other), eager + eager_other),
+            (lazy() - lazy(other), eager - eager_other),
+            (lazy() - lazy(), LieElement.zero(arity, order)),
+            (scale(lazy(), t), scale(eager, t)),
+            (lazy() * t, eager * t),
+            (lazy().truncated(cut), eager.truncated(cut)),
+            (lazy().homogeneous_part(cut), eager.homogeneous_part(cut)),
+            (without_letters(lazy(), range(arity)), without_letters(eager, range(arity))),
+        ]:
+            assert_lazy_matches_eager(built, expected)
+
+
+@pytest.mark.parametrize("arity, order", [(2, 4), (2, 7), (3, 3), (3, 5)])
+def test_lazy_words_that_are_not_lie_raise_at_the_same_degree(arity, order):
+    rng = random.Random(1700 + 10 * arity + order)
+    for _ in range(6):
+        degree = rng.randint(2, order)
+        w = bytes(rng.randrange(arity) for _ in range(degree))
+        words = random_words(rng, arity, order) + AssocSeries.from_word(
+            arity, order, w, Fraction(rng.randint(1, 5), rng.choice(DENOMINATORS)))
+        with pytest.raises(NotLieError) as eager:
+            assoc_to_lie(words)
+        lazy = LieElement.from_words(words)
+        assert lazy.expand() is words and not lazy.is_zero()
+        with pytest.raises(NotLieError) as read:
+            lazy.terms
+        # a Lie part of degree >= 2 has coefficient sum 0, so only the degree of w breaks
+        assert eager.value.degree == read.value.degree == degree
+        assert str(eager.value) == str(read.value)
+
+
+def test_a_sum_reads_its_operands_coordinates_and_then_lets_them_go(monkeypatch):
+    rng = random.Random(1750)
+    a, b, c = (LieElement.from_words(random_words(rng, 3, 5)) for _ in range(3))
+    total = a + b
+    assert _stored(total, "_summands") == (a, b)
+    assert _stored(total + c, "_summands") is None  # a chain keeps one operand pair
+    expected = dict(assoc_to_lie(total.expand()).terms)
+    a.terms, b.terms  # the operands' own peels, before counting
+    calls = []
+    peel = kvquad.lie.lyndon_coordinates
+    monkeypatch.setattr(kvquad.lie, "lyndon_coordinates",
+                        lambda part: calls.append(1) or peel(part))
+    assert dict(total.terms) == expected
+    assert not calls  # the operands' coordinates were added, the sum's words not peeled
+    assert _stored(total, "_summands") is None
+
+
+def test_first_coordinate_read_under_threads():
+    """Eight threads make the first coordinate read of one element at once."""
+    words = log_exp_product.__wrapped__(3, 6).expand()
+    rng = random.Random(1800)
+    other = LieElement.from_words(random_words(rng, 3, 6))
+    expected = dict(assoc_to_lie(words).terms)
+    expected_sum = dict((assoc_to_lie(words) + assoc_to_lie(other.expand())).terms)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for element, want in ((LieElement.from_words(words), expected),
+                              (LieElement.from_words(words) + other, expected_sum)):
+            barrier = threading.Barrier(8)
+
+            def read():
+                barrier.wait(timeout=60)
+                return dict(element.terms)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read) for _ in range(8)]
+                results = [future.result(timeout=120) for future in futures]
+            assert results == [want] * 8
+            assert dict(element.terms) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("duplicate", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_an_unread_element_copies_without_a_peel(duplicate):
+    rng = random.Random(1850)
+    words = random_words(rng, 3, 6)
+    for element in (LieElement.from_words(words),
+                    LieElement.from_words(words) + LieElement.from_words(random_words(rng, 3, 6))):
+        dup = duplicate(element)
+        assert type(dup) is LieElement and (dup.arity, dup.order) == (element.arity, element.order)
+        assert unread(element) and unread(dup)
+        assert dup == element
+        assert dict(dup.terms) == dict(assoc_to_lie(element.expand()).terms)
+        assert dup.to_json_dict() == element.to_json_dict()
+
+
+def test_verify_prop_u_peels_no_three_letter_series(monkeypatch, capsys):
+    """The gate: a zero test or report that reads coordinates would show up here as a peel."""
+    peel = kvquad.lyndon.lyndon_coordinates
+    letters: list[int] = []
+
+    def counting(degree_terms):
+        letters.append(max((max(w) for w in degree_terms), default=0))
+        return peel(degree_terms)
+
+    bound = [module for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "kvquad"
+             and getattr(module, "lyndon_coordinates", None) is peel]
+    assert {kvquad.lie, kvquad.lyndon} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "lyndon_coordinates", counting)
+    log_exp_product.cache_clear()  # a memo left by another test would hide a peel
+    kvquad.lie._built.clear()
+    try:
+        assert main(["verify", "--suite", "propU", "--order", "7"]) == 0
+        assert "propU: pass" in capsys.readouterr().out
+        three_letter = [letter for letter in letters if letter >= 2]
+        assert not three_letter, f"{len(three_letter)} three-letter peels"
+        log_exp_product.__wrapped__(3, 3).terms  # the counter does see a three-letter peel
+        assert max(letters) == 2
+    finally:
+        log_exp_product.cache_clear()
+        kvquad.lie._built.clear()
