@@ -140,8 +140,9 @@ def _cmd_verify(args) -> int:
     residual_ok = True
     if needs_solution:
         base = loaded if loaded is not None else canonical_solution(max(order2, order3))
-        solution2 = KVSolution(base.A.truncated(order2), base.B.truncated(order2), base.method)
-        solution3 = KVSolution(base.A.truncated(order3), base.B.truncated(order3), base.method)
+        truncations = {order: KVSolution(base.A.truncated(order), base.B.truncated(order),
+                                         base.method) for order in {order2, order3}}
+        solution2, solution3 = truncations[order2], truncations[order3]
         residual_report = verify_kv1(solution2 if order2 >= order3 else solution3)
         reports.append(residual_report)
         residual_ok = residual_report.passed

@@ -63,15 +63,14 @@ class LieElement(_SparseSeries):
     length between 1 and ``order``: a memo that the first read peels from
     the words (``NotLieError`` if they are not Lie), after which every read
     is a plain slot read.  An element made from coordinates (the
-    constructor, ``_make``, JSON) keeps them and expands them on the first
-    ``expand()``; until then, scaling and truncation map its coordinates.
+    constructor, ``_make``, JSON, ``generator``) keeps them and expands
+    them on the first ``expand()``, the one place where the two forms meet.
     Instances are immutable.
     """
 
-    # the word expansion; the two operands of a sum, until its coordinates are
-    # read; weak references for the CH registry.  Unset slots (``_assoc`` or
-    # the core's ``_terms``) are the memos still to compute.
-    __slots__ = ("_assoc", "_summands", "__weakref__")
+    # the word expansion; weak references for the CH registry.  Unset slots
+    # (``_assoc`` or the core's ``_terms``) are the memos still to compute.
+    __slots__ = ("_assoc", "__weakref__")
     _tag = ("basis", "lyndon")
     _tag_required = False
 
@@ -91,17 +90,11 @@ class LieElement(_SparseSeries):
         return self
 
     def __getattr__(self, name):
-        # reached only for a slot never filled: the coordinates are peeled on
-        # first read, or, for a sum, added from its operands' own memos
+        # reached only for a slot never filled: the coordinates are peeled on first read
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        summands = _stored(self, "_summands")
-        if summands is None:
-            coords = _peel(self._assoc)
-        else:  # the core's sum, on the operands' coordinates
-            coords = _SparseSeries.__add__(*summands)._terms
+        coords = _peel(self._assoc)
         object.__setattr__(self, "_terms", coords)
-        object.__setattr__(self, "_summands", None)  # the operands are no longer needed
         return coords
 
     def __reduce__(self):
@@ -125,28 +118,18 @@ class LieElement(_SparseSeries):
         return self.expand().is_zero()
 
     def __add__(self, other):
-        """The sum of the words; its coordinates, once read, are the sum of the operands'.
-
-        An operand that is itself an unread sum is not kept, so chains of
-        sums hold no more than one operand pair each.
-        """
+        """The sum of the words."""
         self._check_compatible(other)
-        out = LieElement.from_words(self.expand() + other.expand())
-        if _stored(self, "_summands") is None and _stored(other, "_summands") is None:
-            object.__setattr__(out, "_summands", (self, other))
-        return out
+        return LieElement.from_words(self.expand() + other.expand())
 
     def _termwise(self, f, order: int | None = None) -> "LieElement":
-        """f, a map of term dicts, applied to the words, or to coordinates never expanded.
+        """f, a map of term dicts, applied to the words.
 
         Negation, scaling, truncation and the homogeneous parts of the core
         all come here.  The result is truncated at ``order``, by default self's.
         """
         order = self.order if order is None else order
-        words = _stored(self, "_assoc")
-        if words is None:
-            return LieElement._make(self.arity, order, f(self._terms))
-        return LieElement.from_words(AssocSeries._make(self.arity, order, f(words._terms)))
+        return LieElement.from_words(AssocSeries._make(self.arity, order, f(self.expand()._terms)))
 
     degree_part = _SparseSeries.homogeneous_part
 
@@ -200,14 +183,6 @@ def _peel(words: AssocSeries) -> dict[bytes, Fraction]:
         except ValueError as exc:
             raise NotLieError(str(exc), k) from None
     return coords
-
-
-def _stored(a: LieElement, slot: str):
-    """The slot's value, or None if it was never filled; this read neither peels nor expands."""
-    try:
-        return object.__getattribute__(a, slot)
-    except AttributeError:
-        return None
 
 
 def generator(arity: int, index: int, order: int) -> LieElement:

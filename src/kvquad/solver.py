@@ -33,7 +33,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, act, quadratic_trace_tuple
 from .traces import trace_pairing
-from .words import AssocSeries, _linear_sum, _numerators
+from .words import AssocSeries, _SparseSeries, _linear_sum, _numerators
 
 
 class KVSolution:
@@ -43,7 +43,7 @@ class KVSolution:
     Campbell-Hausdorff defect have exactly zero residual through their order;
     :func:`kv1_residual` certifies that.  Deserialized instances are taken as
     given and must be re-certified.  A member of :func:`gauge_family` keeps
-    its base solution and its shift, through which its checks are summed.
+    its base solution and its shift; its checks and coordinates are summed.
     """
 
     # filled on first use: the residual and the projected divergences; set by
@@ -69,13 +69,13 @@ class KVSolution:
 
     @property
     def a_scalar(self) -> Fraction:
-        """Degree-one x-coefficient of A; measured, not prescribed."""
-        return self.A.coefficient(b"\x00")
+        """Degree-one x-coefficient of A, read off its words (only x expands to x); measured."""
+        return self.A.expand().coefficient(b"\x00")
 
     @property
     def b_scalar(self) -> Fraction:
-        """Degree-one x-coefficient of B; the series identities depend on it."""
-        return self.B.coefficient(b"\x00")
+        """Degree-one x-coefficient of B, read off its words; the series identities depend on it."""
+        return self.B.expand().coefficient(b"\x00")
 
     def derivation(self) -> TangentialDerivation:
         """The tangential derivation x -> [x, A], y -> [y, B]."""
@@ -91,9 +91,17 @@ class KVSolution:
     def __repr__(self):
         return f"KVSolution(order={self.order}, method={self.method!r})"
 
+    def _coordinates(self, name: str) -> LieElement:
+        """Component ``name`` to read coordinates from: a gauge member's base's plus its shift's."""
+        gauge = getattr(self, "_gauge", None)
+        if gauge is None:
+            return getattr(self, name)
+        base, shift = gauge
+        return _SparseSeries.__add__(base._coordinates(name), getattr(shift, name))
+
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "A": self.A.to_json_dict(),
-                "B": self.B.to_json_dict(), "method": self.method}
+        return {"order": self.order, "A": self._coordinates("A").to_json_dict(),
+                "B": self._coordinates("B").to_json_dict(), "method": self.method}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KVSolution":

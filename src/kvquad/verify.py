@@ -372,13 +372,15 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
 def measured_operator_coefficients(element: LieElement) -> RationalUnivariateSeries:
     """Coefficients of the part of a two-letter Lie series linear in y.
 
-    Every Lie monomial with a single y is a power of ad_x applied to y, and
-    those are exactly the Lyndon words x^k y; the returned series has the
-    coefficient of x^k y at exponent k.
+    Every Lie monomial with a single y is a power of ad_x applied to y, so
+    x^k y is the only Lyndon word of multidegree (k, 1), and its bracketing
+    has coefficient 1 on the word x^k y.  The returned series has that word
+    coefficient, which is the coordinate of x^k y, at exponent k: no peel.
     """
     order = max(element.order - 1, 0)
+    words = element.expand()
     return RationalUnivariateSeries(
-        order, [element.coefficient(b"\x00" * k + b"\x01") for k in range(order + 1)])
+        order, [words.coefficient(b"\x00" * k + b"\x01") for k in range(order + 1)])
 
 
 def verify_series_identities(s: KVSolution) -> VerificationReport:

@@ -1,6 +1,8 @@
 import json
 
 import kvquad.lie
+import kvquad.solver
+import kvquad.verify
 from kvquad import KVSolution, bch_multi, kv1_residual
 from kvquad.cli import BCH_WORD_CEILING, main
 
@@ -67,6 +69,23 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--order", "4", "--suite", "series")
     assert code == 0
     assert "series: pass" in out
+
+
+def test_verify_computes_the_base_residual_once(capsys, monkeypatch):
+    """With --order, the two- and three-letter suites share one truncated solution."""
+    fresh = []
+    residual = kvquad.solver.kv1_residual
+
+    def recording(s):
+        if getattr(s, "_gauge", None) is None and getattr(s, "_residual", None) is None:
+            fresh.append(s)
+        return residual(s)
+
+    for module in (kvquad.solver, kvquad.verify):
+        monkeypatch.setattr(module, "kv1_residual", recording)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--order", "6")
+    assert code == 0 and "propU: pass" in out and "series: pass" in out
+    assert len(fresh) == 1
 
 
 def test_verify_homo_suite_json(capsys):

@@ -287,7 +287,14 @@ def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, f
     assert built == [(2, 6), (2, 4)]
 
 
-def test_lie_truncation_keeps_a_known_word_expansion():
+def no_peel(monkeypatch):
+    """Make any Lyndon peel in ``kvquad.lie`` fail the test."""
+    def peel(words):
+        raise AssertionError(f"unexpected peel of {words!r}")
+    monkeypatch.setattr(kvquad.lie, "_peel", peel)
+
+
+def test_lie_truncation_keeps_a_known_word_expansion(monkeypatch):
     rng = random.Random(1530)
     a = random_lie_element(rng, 3, 6, terms=12)
     a.expand()
@@ -296,7 +303,9 @@ def test_lie_truncation_keeps_a_known_word_expansion():
         assert cut.order == order and cut._assoc.order == order
         assert cut._assoc.terms == LieElement(3, order, cut.terms).expand().terms
     bare = LieElement(3, 6, a.terms)
-    assert not hasattr(bare.truncated(4), "_assoc")  # an unknown expansion is not computed
+    fresh = LieElement(3, 4, {w: c for w, c in a.terms.items() if len(w) <= 4}).expand()
+    no_peel(monkeypatch)  # truncating a coordinate-built element maps its words
+    assert bare.truncated(4).expand() == fresh
 
 
 # --- substitution, scaling --------------------------------------------------
@@ -454,16 +463,17 @@ def test_scale_is_identity_at_one():
     assert scale(a, 2).coefficient(b"\x00\x01") == 4 * a.coefficient(b"\x00\x01")
 
 
-def test_scale_keeps_a_known_word_expansion():
+def test_scale_keeps_a_known_word_expansion(monkeypatch):
     ch = bch(6)
     for t in (-1, Fraction(1, 2), 3):
         scaled = scale(ch, t)
         fresh = LieElement(2, 6, dict(scaled.terms)).expand()
         assert scaled._assoc == fresh  # carried over from bch's words, not recomputed
         assert scaled.expand() is scaled._assoc
-    plain = random_lie_element(random.Random(213), 2, 6)  # no expansion yet: none is made
-    with pytest.raises(AttributeError):
-        scale(plain, 2)._assoc
+    plain = random_lie_element(random.Random(213), 2, 6)  # coordinate-built
+    fresh = LieElement(2, 6, {w: c * 2 ** len(w) for w, c in plain.terms.items()}).expand()
+    no_peel(monkeypatch)  # scaling it maps its words
+    assert scale(plain, 2).expand() == fresh
 
 
 def test_ch_t_low_degree_and_homogeneity():

@@ -9,8 +9,9 @@ for the results of those functions, that the memo is a plain
 also when the input words are a ``RationalUnivariateSeries``, whose series
 compare unequal to plain ones.  They also check that an element built
 lazily from words agrees with the eager peel in every reading, under
-threads and through copies, and that ``verify --suite propU`` peels no
-three-letter series at all.
+threads and through copies, that a gauge member's coordinates are its
+base's plus its shift's, and how many peels the CLI makes: ``verify
+--suite propU`` peels no three-letter series, and ``--suite series`` none.
 """
 
 import copy
@@ -25,6 +26,7 @@ import pytest
 
 import kvquad.lie
 import kvquad.lyndon
+import kvquad.verify
 from kvquad import (
     AssocSeries,
     KVSolution,
@@ -40,6 +42,7 @@ from kvquad import (
     canonical_solution,
     directional_derivative,
     factorize,
+    gauge_family,
     generator,
     kernel_series,
     kv1_residual,
@@ -51,9 +54,9 @@ from kvquad import (
     trace_pairing,
 )
 from kvquad.cli import main
-from kvquad.lie import _stored, log_exp_product, without_letters
+from kvquad.lie import log_exp_product, without_letters
 from kvquad.lyndon import lyndon_words
-from kvquad.sampling import random_lie_element
+from kvquad.sampling import random_gauge_pairs, random_lie_element
 
 from oracles import fraction_expand, random_assoc_series
 
@@ -131,7 +134,12 @@ def random_words(rng: random.Random, arity: int, order: int) -> AssocSeries:
 
 
 def unread(element: LieElement) -> bool:
-    return _stored(element, "_terms") is None
+    """No coordinate memo yet; this probe neither peels nor expands."""
+    try:
+        object.__getattribute__(element, "_terms")
+    except AttributeError:
+        return True
+    return False
 
 
 def assert_lazy_matches_eager(lazy: LieElement, eager: LieElement):
@@ -192,21 +200,40 @@ def test_lazy_words_that_are_not_lie_raise_at_the_same_degree(arity, order):
         assert str(eager.value) == str(read.value)
 
 
-def test_a_sum_reads_its_operands_coordinates_and_then_lets_them_go(monkeypatch):
-    rng = random.Random(1750)
-    a, b, c = (LieElement.from_words(random_words(rng, 3, 5)) for _ in range(3))
-    total = a + b
-    assert _stored(total, "_summands") == (a, b)
-    assert _stored(total + c, "_summands") is None  # a chain keeps one operand pair
-    expected = dict(assoc_to_lie(total.expand()).terms)
-    a.terms, b.terms  # the operands' own peels, before counting
-    calls = []
-    peel = kvquad.lie.lyndon_coordinates
-    monkeypatch.setattr(kvquad.lie, "lyndon_coordinates",
-                        lambda part: calls.append(1) or peel(part))
-    assert dict(total.terms) == expected
-    assert not calls  # the operands' coordinates were added, the sum's words not peeled
-    assert _stored(total, "_summands") is None
+def test_a_gauge_member_reads_its_coordinates_as_base_plus_shift(monkeypatch):
+    """A member's JSON sums its base's and its shift's coordinates; its own words are not peeled."""
+    order = 7
+    pairs = random_gauge_pairs(random.Random(1750), order, 2)
+    base, *members = gauge_family(canonical_solution(order), pairs)
+    own = [words for member in members for words in (member.A.expand(), member.B.expand())]
+    assert not [words for words in own if words in (base.A.expand(), base.B.expand())]
+    seen = []
+    peel = kvquad.lie._peel
+    monkeypatch.setattr(kvquad.lie, "_peel", lambda words: seen.append(words) or peel(words))
+    got = [member.to_json_dict() for member in members]
+    assert seen and not [words for words in seen if words in own]
+    monkeypatch.setattr(kvquad.lie, "_peel", peel)
+    for member, json_dict in zip(members, got):
+        fresh = KVSolution(assoc_to_lie(member.A.expand()), assoc_to_lie(member.B.expand()),
+                           member.method)
+        assert json_dict == fresh.to_json_dict()
+
+    # the base's first coordinate read, raced by eight threads through a member
+    racing = gauge_family(canonical_solution(order), pairs)[1]
+    barrier = threading.Barrier(8)
+
+    def read():
+        barrier.wait(timeout=60)
+        return racing.to_json_dict()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [future.result(timeout=120) for future in [pool.submit(read) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [got[0]] * 8
 
 
 def test_first_coordinate_read_under_threads():
@@ -251,8 +278,12 @@ def test_an_unread_element_copies_without_a_peel(duplicate):
         assert dup.to_json_dict() == element.to_json_dict()
 
 
-def test_verify_prop_u_peels_no_three_letter_series(monkeypatch, capsys):
-    """The gate: a zero test or report that reads coordinates would show up here as a peel."""
+@pytest.fixture
+def peel_letters(monkeypatch):
+    """The highest letter of each ``lyndon_coordinates`` call, counted in every module binding it.
+
+    The CH caches start empty, so a memo left by another test hides no peel.
+    """
     peel = kvquad.lyndon.lyndon_coordinates
     letters: list[int] = []
 
@@ -266,15 +297,35 @@ def test_verify_prop_u_peels_no_three_letter_series(monkeypatch, capsys):
     assert {kvquad.lie, kvquad.lyndon} <= set(bound)
     for module in bound:
         monkeypatch.setattr(module, "lyndon_coordinates", counting)
-    log_exp_product.cache_clear()  # a memo left by another test would hide a peel
+    caches = (log_exp_product, kv_rhs, kvquad.verify._bernoulli_side,
+              kvquad.verify._projected_bernoulli_side)
+    for cache in caches:
+        cache.cache_clear()
     kvquad.lie._built.clear()
-    try:
-        assert main(["verify", "--suite", "propU", "--order", "7"]) == 0
-        assert "propU: pass" in capsys.readouterr().out
-        three_letter = [letter for letter in letters if letter >= 2]
-        assert not three_letter, f"{len(three_letter)} three-letter peels"
-        log_exp_product.__wrapped__(3, 3).terms  # the counter does see a three-letter peel
-        assert max(letters) == 2
-    finally:
-        log_exp_product.cache_clear()
-        kvquad.lie._built.clear()
+    yield letters
+    for cache in caches:
+        cache.cache_clear()
+    kvquad.lie._built.clear()
+
+
+def test_verify_prop_u_peels_no_three_letter_series(peel_letters, capsys):
+    """The gate: a zero test or report that reads coordinates would show up here as a peel."""
+    assert main(["verify", "--suite", "propU", "--order", "7"]) == 0
+    assert "propU: pass" in capsys.readouterr().out
+    three_letter = [letter for letter in peel_letters if letter >= 2]
+    assert not three_letter, f"{len(three_letter)} three-letter peels"
+    log_exp_product.__wrapped__(3, 3).terms  # the counter does see a three-letter peel
+    assert max(peel_letters) == 2
+
+
+@pytest.mark.parametrize("argv, peels", [
+    ("solve-kv --order 9 --gauge 4", 44),
+    ("solve-kv --order 10 --gauge 10", 60),
+    ("verify --suite theorem --order 9 --seed 7", 14),
+    ("verify --suite series --order 12", 0),  # x and x^k y are read off the words
+])
+def test_lyndon_peel_counts(peel_letters, capsys, argv, peels):
+    """The gate on how often the CLI peels: a gauge member's JSON peels no words of its own."""
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(peel_letters) == peels

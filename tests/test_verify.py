@@ -39,8 +39,13 @@ from kvquad import (
     verify_theorem,
     word_from_str,
 )
-from kvquad.sampling import random_tangential_derivation
-from kvquad.verify import _bernoulli_side, _projected_bernoulli_side
+from kvquad.sampling import (
+    random_gauge_pairs,
+    random_lie_element,
+    random_rational,
+    random_tangential_derivation,
+)
+from kvquad.verify import _bernoulli_side, _projected_bernoulli_side, measured_operator_coefficients
 
 from oracles import bernoulli_kernel
 
@@ -242,6 +247,25 @@ def test_series_identities_for_gauge_members(sol6):
         assert verify_series_identities(member).passed
         seen_b.add(member.b_scalar)
     assert len(seen_b) > 1  # the measured b genuinely varies over the family
+
+
+@pytest.mark.parametrize("order", [2, 5, 8])
+def test_y_linear_word_coefficients_are_coordinates(order):
+    """The series suite reads x and x^k y off the words; each equals its Lyndon coordinate."""
+    rng = random.Random(1900 + order)
+    y_linear = [b"\x00" * k + b"\x01" for k in range(order)]
+    elements = [random_lie_element(rng, 2, order, terms=10)
+                + LieElement(2, order, {w: random_rational(rng) for w in y_linear})
+                for _ in range(4)]
+    solutions = gauge_family(canonical_solution(order), random_gauge_pairs(rng, order, 2))
+    elements += [component for s in solutions for component in (s.A, s.B)]
+    for element in elements:
+        measured = measured_operator_coefficients(element)
+        assert [measured.coefficient(k) for k in range(order)] == [
+            element.coefficient(w) for w in y_linear]
+    for s in solutions:
+        assert (s.a_scalar, s.b_scalar) == (s.A.coefficient(b"\x00"), s.B.coefficient(b"\x00"))
+        assert s.A.coefficient(b"\x00\x01") or s.B.coefficient(b"\x00\x01")  # a y-linear term is met
 
 
 def test_series_identities_recover_bernoulli_kernel(sol8):
