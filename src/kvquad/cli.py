@@ -20,7 +20,7 @@ import sys
 from .sampling import random_gauge_pairs
 from .solver import KVSolution, canonical_solution, gauge_family, standard_gauge_pairs
 from .tangential import TangentialDerivation
-from .lie import bch_multi
+from .lie import LieElement, bch_multi
 from .verify import (
     VerificationReport,
     check_full_trace_equation,
@@ -114,6 +114,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _cut_coordinates(series: LieElement, order: int) -> LieElement:
+    """A loaded series through ``order``, cut from the coordinates in its slot: no peel,
+    and no word above ``order`` is expanded."""
+    return LieElement._make(series.arity, order,
+                            {w: c for w, c in series.terms.items() if len(w) <= order})
+
+
 def _report_lines(report: VerificationReport, json_lines: bool) -> list[str]:
     if json_lines:
         return [json.dumps(line) for line in report.to_json_lines()]
@@ -140,8 +147,9 @@ def _cmd_verify(args) -> int:
     residual_ok = True
     if needs_solution:
         base = loaded if loaded is not None else canonical_solution(max(order2, order3))
-        truncations = {order: KVSolution(base.A.truncated(order), base.B.truncated(order),
-                                         base.method) for order in {order2, order3}}
+        cut = LieElement.truncated if loaded is None else _cut_coordinates
+        truncations = {order: KVSolution(cut(base.A, order), cut(base.B, order), base.method)
+                       for order in {order2, order3}}
         solution2, solution3 = truncations[order2], truncations[order3]
         residual_report = verify_kv1(solution2 if order2 >= order3 else solution3)
         reports.append(residual_report)

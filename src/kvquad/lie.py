@@ -19,7 +19,6 @@ univariate operator kernels in one adjoint slot all live here.
 
 import functools
 import math
-import threading
 import weakref
 from fractions import Fraction
 
@@ -68,7 +67,7 @@ class LieElement(_SparseSeries):
     Instances are immutable.
     """
 
-    # the word expansion; weak references for the CH registry.  Unset slots
+    # the word expansion; weak references to the highest CH series.  Unset slots
     # (``_assoc`` or the core's ``_terms``) are the memos still to compute.
     __slots__ = ("_assoc", "__weakref__")
     _tag = ("basis", "lyndon")
@@ -275,31 +274,28 @@ def log_exp_product(arity: int, order: int) -> LieElement:
     return LieElement.from_words(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
 
 
-_built = weakref.WeakValueDictionary()  # (arity, order) -> a series from the cache above, while held
-_top_order: dict[int, int] = {}          # arity -> the highest order built
-_registering = threading.Lock()
+_highest: dict[int, weakref.ref] = {}  # arity -> the highest-order series built, while held
 
 
 def bch_multi(arity: int, order: int) -> LieElement:
     """log of the product of the generator exponentials, as a Lie series.
 
     The series through ``order`` is the truncation of any higher one in as
-    many letters, so a higher order still held (by the cache above or by a
-    caller) serves it, word expansion included; otherwise it is built at
-    the order asked, never higher.
+    many letters, so the highest order built, while still held (by the cache
+    above or by a caller), serves it, word expansion included; otherwise it
+    is built at the order asked, never higher.  The reference is replaced by
+    one assignment, so racing threads can at worst hold a lower order.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    for higher in range(order + 1, _top_order.get(arity, 0) + 1):
-        series = _built.get((arity, higher))
-        if series is not None:
-            return series.truncated(order)
-    series = log_exp_product(arity, order)
-    with _registering:
-        _built[arity, order] = series
-        _top_order[arity] = max(order, _top_order.get(arity, 0))
+    held = _highest.get(arity)
+    series = held() if held is not None else None
+    if series is not None and series.order >= order:
+        return series.truncated(order)
+    series = log_exp_product(arity, order)  # above any order still held
+    _highest[arity] = weakref.ref(series)
     return series
 
 

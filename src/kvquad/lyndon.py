@@ -4,21 +4,21 @@ A Lyndon word is strictly smaller than every proper rotation of itself.  The
 bracketing through the standard factorization w = u.v (v the longest proper
 Lyndon suffix, equivalently the lexicographically least proper suffix) turns
 each Lyndon word into a commutator monomial; these monomials form the
-canonical basis used for Lie series.  Expansions are cached process-wide,
-keyed by the word bytes: they only depend on the letters, not on the ambient
-alphabet size.  Peeling least words against these expansions gives Lyndon
-coordinates and decides Lie membership in one pass.  ``commutator`` is the
+canonical basis used for Lie series.  Expansions are cached process-wide in
+a bounded ``lru_cache``, keyed by the word bytes: they only depend on the
+letters, not on the ambient alphabet size.  Peeling least words against
+these expansions gives Lyndon coordinates and decides Lie membership in one
+pass.  ``commutator`` is the
 one word-basis bracket, and ``_letter_bracket`` its case [x_i, v], built by
 prefixing and suffixing the letter.  They and the peel run on integer
 numerators over one denominator and build one ``Fraction`` per output word.
 """
 
+import functools
 import heapq
 from fractions import Fraction
 
 from .words import _by_length, _numerators, _over, word_to_str
-
-_expansion_cache: dict[bytes, dict[bytes, int]] = {}
 
 
 def is_lyndon(w: bytes) -> bool:
@@ -97,23 +97,19 @@ def commutator(left: dict, right: dict, order: int) -> dict[bytes, Fraction]:
     return _over(_commutator_ints(nl, nr, order), dl * dr)
 
 
+@functools.lru_cache(maxsize=1 << 15)  # above the Lyndon-word count of any bch the CLI accepts
 def bracket_expansion(w: bytes) -> dict[bytes, int]:
     """Expansion in the word basis of the standard bracketing of a Lyndon word.
 
     The result has integer coefficients, leading term w itself, and every
     other word is an anagram of w that is lexicographically greater.  That
     triangularity is what makes coordinate extraction below terminate.
+    The cached dict is shared by every caller and must not be mutated.
     """
-    cached = _expansion_cache.get(w)
-    if cached is not None:
-        return cached
     if len(w) == 1:
-        result = {w: 1}
-    else:
-        u, v = standard_factorization(w)
-        result = _commutator_ints(bracket_expansion(u), bracket_expansion(v), len(w))
-    _expansion_cache[w] = result
-    return result
+        return {w: 1}
+    u, v = standard_factorization(w)
+    return _commutator_ints(bracket_expansion(u), bracket_expansion(v), len(w))
 
 
 def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fraction]:

@@ -378,9 +378,7 @@ def _horner_words(terms: dict, images, room: int) -> dict:
         else:
             out[b""] = t
     for i, rest in by_first.items():
-        tails: dict[int, list] = {}
-        for v, b in _horner_words(rest, images, room - 1).items():
-            tails.setdefault(len(v), []).append((v, b))
+        tails = _by_length(_horner_words(rest, images, room - 1))
         for u, a in images[i].items():
             fit = room - len(u)
             for length, items in tails.items():
@@ -510,38 +508,33 @@ class RationalUnivariateSeries(AssocSeries):
         return self._terms.get(b"\x00" * k, Fraction(0)) if k >= 0 else Fraction(0)
 
     def inverse(self) -> "RationalUnivariateSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.coefficient(0)
-        if not c0:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With c the constant term and v = 1 - a/c, 1/a = (1/c) sum_k v^k: the
+        geometric series substituted into v.
+        """
+        c = self.constant_term
+        if not c:
             raise ValueError("series with zero constant term has no inverse")
-        coeffs = self.coeffs
-        inv = {0: 1 / c0}
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                ck = coeffs.get(k)
-                if ck:
-                    acc += ck * inv.get(n - k, Fraction(0))
-            if acc:
-                inv[n] = -acc / c0
-        return RationalUnivariateSeries(self.order, inv)
+        geometric = RationalUnivariateSeries(self.order, [1] * (self.order + 1))
+        return univariate_substitute(geometric, self.unit(1, self.order) - self * (1 / c)) * (1 / c)
 
     def shifted_down(self, k: int = 1) -> "RationalUnivariateSeries":
-        """Exact division by t^k; the low coefficients must vanish."""
+        """Exact division by t^k, k <= order; the low coefficients must vanish."""
         for j in range(k):
             if self.coefficient(j):
                 raise ValueError(f"coefficient of t^{j} is nonzero; cannot divide by t^{k}")
-        return RationalUnivariateSeries(
-            self.order - k, {e - k: c for e, c in self.coeffs.items() if e >= k})
+        if k > self.order:
+            raise ValueError(f"cannot divide a series of order {self.order} by t^{k}")
+        return self._termwise(lambda terms: {b"\x00" * (len(w) - k): c for w, c in terms.items()},
+                              self.order - k)
 
     def derivative(self) -> "RationalUnivariateSeries":
-        return RationalUnivariateSeries(
-            max(self.order - 1, 0),
-            {k - 1: k * c for k, c in self.coeffs.items() if k >= 1})
+        return self._termwise(lambda terms: {w[1:]: len(w) * c for w, c in terms.items() if w},
+                              max(self.order - 1, 0))
 
     def odd_part(self) -> "RationalUnivariateSeries":
-        return RationalUnivariateSeries(
-            self.order, {k: c for k, c in self.coeffs.items() if k % 2 == 1})
+        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) % 2})
 
     def _name(self, w: bytes) -> str | None:
         return f"t^{len(w)}" if w else None

@@ -15,6 +15,9 @@ accumulated every product as a ``Fraction`` (here without their length
 buckets, through this module's own ``_accumulate``);
 ``fraction_univariate_substitute`` is the former power loop phi(a) = sum
 phi_k a^k, which ``product_log_ch`` uses as its logarithm;
+``univariate_inverse`` (the division recurrence), ``univariate_shifted_down``,
+``univariate_derivative`` and ``univariate_odd_part`` are the former bodies
+of those ``RationalUnivariateSeries`` methods, on the exponent dict;
 ``inverse_transport`` and ``inverse_route_gauge_family`` are the former
 route to gauge members, which inverted the whole solution and transported
 each shifted factorization forward again; and
@@ -321,6 +324,41 @@ def series_inverse(coeffs: list[Fraction]) -> list[Fraction]:
                 acc += coeffs[k] * inv[n - k]
         inv.append(-acc / coeffs[0])
     return inv
+
+
+def univariate_inverse(s: RationalUnivariateSeries) -> RationalUnivariateSeries:
+    """1/s by the O(order^2) division recurrence in ``Fraction``; s needs a nonzero constant term."""
+    c0 = s.coefficient(0)
+    if not c0:
+        raise ValueError("series with zero constant term has no inverse")
+    coeffs = s.coeffs
+    inv = {0: 1 / c0}
+    for n in range(1, s.order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            ck = coeffs.get(k)
+            if ck:
+                acc += ck * inv.get(n - k, Fraction(0))
+        if acc:
+            inv[n] = -acc / c0
+    return RationalUnivariateSeries(s.order, inv)
+
+
+def univariate_shifted_down(s: RationalUnivariateSeries, k: int) -> RationalUnivariateSeries:
+    """s / t^k at order s.order - k; a nonzero low coefficient or k > order raises ValueError."""
+    for j in range(k):
+        if s.coefficient(j):
+            raise ValueError(f"coefficient of t^{j} is nonzero; cannot divide by t^{k}")
+    return RationalUnivariateSeries(s.order - k, {e - k: c for e, c in s.coeffs.items() if e >= k})
+
+
+def univariate_derivative(s: RationalUnivariateSeries) -> RationalUnivariateSeries:
+    return RationalUnivariateSeries(max(s.order - 1, 0),
+                                    {k - 1: k * c for k, c in s.coeffs.items() if k >= 1})
+
+
+def univariate_odd_part(s: RationalUnivariateSeries) -> RationalUnivariateSeries:
+    return RationalUnivariateSeries(s.order, {k: c for k, c in s.coeffs.items() if k % 2 == 1})
 
 
 def bernoulli_kernel(order: int) -> list[Fraction]:

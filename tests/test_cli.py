@@ -125,6 +125,23 @@ def test_verify_loaded_solution_passes(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_expands_a_stored_solution_only_through_the_order_asked(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A loaded solution is cut from its coordinates: no word above --order is expanded."""
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "12", "--out", str(out_file))
+    expansion, lengths = kvquad.lie.bracket_expansion, []
+
+    def recording(w):
+        lengths.append(len(w))
+        return expansion(w)
+
+    monkeypatch.setattr(kvquad.lie, "bracket_expansion", recording)
+    code, out, _ = run(capsys, "verify", "--order", "6", "--solution", str(out_file))
+    assert code == 0 and "propU: pass" in out
+    assert lengths and max(lengths) == 6
+
+
 def test_missing_solution_file(capsys):
     code, _, err = run(capsys, "verify", "--suite", "series", "--solution", "/nonexistent.json")
     assert code == 2

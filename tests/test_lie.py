@@ -1,5 +1,8 @@
 import gc
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,7 @@ from kvquad import (
     univariate_substitute,
     word_from_str,
 )
+from kvquad.cli import BCH_WORD_CEILING, main
 from kvquad.lyndon import bracket_expansion, lyndon_coordinates
 from kvquad.sampling import random_lie_element, random_rational
 from kvquad.words import word_to_str
@@ -78,6 +82,28 @@ def test_lyndon_word_counts():
         by_degree[len(w)] = by_degree.get(len(w), 0) + 1
     assert [by_degree[d] for d in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
     assert all(is_lyndon(w) for w in words)
+
+
+def test_expansion_cache_holds_every_bch_the_cli_accepts(monkeypatch, capsys):
+    """The ``bracket_expansion`` bound is at least the Lyndon-word count of any accepted bch.
+
+    ``bch`` peels every Lyndon word through its order, so a lower bound would
+    evict expansions while one request still reads them.  For each arity the
+    largest accepted order is the last one under ``BCH_WORD_CEILING``; the
+    CLI refuses the next one up front.
+    """
+    monkeypatch.setattr(kvquad.lie, "_goldberg_words", None)  # a refusal builds nothing
+    counts = {}
+    for arity in range(1, 27):
+        order, words = 0, 1
+        while words + arity ** (order + 1) <= BCH_WORD_CEILING:
+            order += 1
+            words += arity ** order
+        assert main(["bch", "--arity", str(arity), "--order", str(order + 1)]) == 2
+        counts[arity, order] = len(lyndon_words(arity, order))
+    capsys.readouterr()
+    assert max(counts.values()) == counts[17, 4] == 22593
+    assert bracket_expansion.cache_parameters()["maxsize"] >= max(counts.values())
 
 
 def test_standard_factorization():
@@ -235,12 +261,12 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
 
 @pytest.fixture
 def fresh_ch_caches():
-    """Empty the Campbell-Hausdorff cache and the registry of held series for one test."""
+    """Empty the Campbell-Hausdorff cache and the weak references to held series for one test."""
     kvquad.lie.log_exp_product.cache_clear()
-    kvquad.lie._built.clear()
+    kvquad.lie._highest.clear()
     yield
     kvquad.lie.log_exp_product.cache_clear()
-    kvquad.lie._built.clear()
+    kvquad.lie._highest.clear()
 
 
 def built_orders(monkeypatch) -> list:
@@ -285,6 +311,51 @@ def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, f
     gc.collect()
     bch_multi(2, 4)
     assert built == [(2, 6), (2, 4)]
+
+
+def test_bch_multi_serves_from_the_highest_order_a_caller_holds(monkeypatch, fresh_ch_caches):
+    built = built_orders(monkeypatch)
+    bch_multi(2, 4)
+    held = bch_multi(2, 6)
+    kvquad.lie.log_exp_product.cache_clear()  # only the caller holds the order-6 series now
+    gc.collect()
+    assert bch_multi(2, 5).expand().terms == held.truncated(5).expand().terms
+    assert built == [(2, 4), (2, 6)]
+
+
+def test_bch_multi_serves_racing_threads(fresh_ch_caches):
+    """Eight threads ask for orders 3-10 in two letters and 3-8 in three at once.
+
+    The weak reference to the highest order is replaced without a lock, so a
+    thread may find it dead, lower than asked or just replaced; whatever it
+    is served must still be the series at the order asked.  Three letters
+    stop at order 8: each served truncation peels its own coordinates for
+    the JSON, which at order 10 takes over ten seconds.
+    """
+    requests = [(2, order) for order in range(3, 11)] + [(3, order) for order in range(3, 9)]
+    barrier = threading.Barrier(8)
+
+    def run(seed):
+        mine = random.Random(seed).sample(requests, len(requests))
+        barrier.wait(timeout=60)
+        return [(arity, order, bch_multi(arity, order)) for arity, order in mine]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [future.result(timeout=300)
+                       for future in [pool.submit(run, 1560 + seed) for seed in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = {(arity, order): kvquad.lie.log_exp_product.__wrapped__(arity, order)
+             for arity, order in requests}
+    for result in results:
+        for arity, order, series in result:
+            want = fresh[arity, order]
+            assert (series.arity, series.order) == (arity, order)
+            assert series.expand().terms == want.expand().terms
+            assert series.to_json_dict() == want.to_json_dict()
 
 
 def no_peel(monkeypatch):

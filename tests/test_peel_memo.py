@@ -301,11 +301,11 @@ def peel_letters(monkeypatch):
               kvquad.verify._projected_bernoulli_side)
     for cache in caches:
         cache.cache_clear()
-    kvquad.lie._built.clear()
+    kvquad.lie._highest.clear()
     yield letters
     for cache in caches:
         cache.cache_clear()
-    kvquad.lie._built.clear()
+    kvquad.lie._highest.clear()
 
 
 def test_verify_prop_u_peels_no_three_letter_series(peel_letters, capsys):

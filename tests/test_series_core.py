@@ -38,6 +38,10 @@ from oracles import (
     random_assoc_series,
     series_inverse,
     to_word_dict,
+    univariate_derivative,
+    univariate_inverse,
+    univariate_odd_part,
+    univariate_shifted_down,
 )
 
 SERIES_CLASSES = (AssocSeries, LieElement, TraceSeries, QuadTraceSeries)
@@ -225,6 +229,43 @@ def test_univariate_inverse_matches_oracle():
         inverse = RationalUnivariateSeries(order, coeffs).inverse()
         assert type(inverse) is RationalUnivariateSeries and inverse.order == order
         assert [inverse.coefficient(k) for k in range(order + 1)] == series_inverse(coeffs)
+
+
+def _same_series(got, want):
+    assert type(got) is RationalUnivariateSeries
+    assert (got.order, got.terms) == (want.order, want.terms)
+
+
+@pytest.mark.parametrize("denominator", [1, 7, 10007])
+def test_univariate_methods_match_the_former_formulas(denominator):
+    """inverse, shifted_down, derivative and odd_part against their former bodies, errors too."""
+    rng = random.Random(905 + denominator)
+    for order in range(15):
+        for _ in range(3):
+            coeffs = {k: Fraction(rng.choice([0, rng.randint(-9, 9)]), denominator)
+                      for k in range(order + 1)}
+            s = RationalUnivariateSeries(order, coeffs)
+            _same_series(s.derivative(), univariate_derivative(s))
+            _same_series(s.odd_part(), univariate_odd_part(s))
+            if s.coefficient(0):
+                _same_series(s.inverse(), univariate_inverse(s))
+            else:
+                for method in (RationalUnivariateSeries.inverse, univariate_inverse):
+                    with pytest.raises(ValueError, match="zero constant term"):
+                        method(s)
+            low = rng.randint(0, order)  # make t^0 .. t^(low-1) vanish
+            shiftable = RationalUnivariateSeries(order, {k: c for k, c in coeffs.items() if k >= low})
+            for k in range(-2, order + 3):
+                for series in (s, shiftable):
+                    try:
+                        want = univariate_shifted_down(series, k)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            series.shifted_down(k)
+                    else:
+                        _same_series(series.shifted_down(k), want)
+            with pytest.raises(ValueError):  # k above the order, even with every coefficient zero
+                RationalUnivariateSeries(order).shifted_down(order + 1)
 
 
 def test_univariate_exponents_are_checked():

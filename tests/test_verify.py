@@ -334,7 +334,7 @@ def test_first_use_memos_under_threads(sol6):
     _bernoulli_side.cache_clear()
     _projected_bernoulli_side.cache_clear()
     lie.log_exp_product.cache_clear()
-    lie._built.clear()
+    lie._highest.clear()
     shared = KVSolution.from_json_dict(data)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
