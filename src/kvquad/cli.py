@@ -1,10 +1,11 @@
 """Command line interface.
 
-Three subcommands: ``bch`` prints a truncated Campbell-Hausdorff series
-(refused up front when its word count would pass ``BCH_WORD_CEILING``),
+Three subcommands: ``bch`` prints a truncated Campbell-Hausdorff series,
 ``solve-kv`` constructs rational solution pairs (optionally a gauge family),
-and ``verify`` runs the identity suites degree by degree.  Exit codes: 0 when
-everything passes, 1 when a check fails, 2 on usage errors.
+and ``verify`` runs the identity suites degree by degree.  A request whose
+Campbell-Hausdorff series would pass ``BCH_WORD_CEILING`` words is refused up
+front.  Exit codes: 0 when everything passes, 1 when a check fails, 2 on
+usage errors.
 
 The verify pipeline always certifies the equation residual first; when that
 fails, the hypothesis-gated suites are skipped and the run exits 1 with the
@@ -37,7 +38,7 @@ from .verify import (
 SUITES = ("theorem", "propU", "propLast", "cocycle", "homo", "series", "all")
 DEFAULT_TWO_LETTER_ORDER = 8
 DEFAULT_THREE_LETTER_ORDER = 6
-# bch builds up to sum_{k <= order} arity^k words; order 14 in two letters
+# a CH series has up to sum_{k <= order} arity^k words; order 14 in two letters
 # (32767 words) peaks near 80 MB, and memory grows faster than the count
 BCH_WORD_CEILING = 100_000
 
@@ -83,18 +84,25 @@ def _emit(payload: dict, out: str | None):
         print(text)
 
 
+def _check_word_count(command: str, arity: int, order: int):
+    """Refuse, before anything is built, a CH series over ``arity`` letters through ``order``
+    with more than ``BCH_WORD_CEILING`` words."""
+    words = 0
+    for k in range(order + 1):  # stops at the ceiling, however large the order
+        words += arity ** k
+        if words > BCH_WORD_CEILING:
+            raise ValueError(
+                f"{command} needs the CH series over {arity} letters through order {order}, "
+                f"more than the ceiling of {BCH_WORD_CEILING} words "
+                f"(the sum of arity^k for k <= order)")
+
+
 def _cmd_bch(args) -> int:
     if args.arity < 1 or args.arity > 26:
         raise ValueError("arity must be between 1 and 26")
     if args.order < 1:
         raise ValueError("order must be >= 1")
-    words = 0
-    for k in range(args.order + 1):  # stops at the ceiling, however large the order
-        words += args.arity ** k
-        if words > BCH_WORD_CEILING:
-            raise ValueError(
-                f"bch over {args.arity} letters through order {args.order} would build more "
-                f"than the ceiling of {BCH_WORD_CEILING} words (the sum of arity^k for k <= order)")
+    _check_word_count("bch", args.arity, args.order)
     _emit(bch_multi(args.arity, args.order).to_json_dict(), args.out)
     return 0
 
@@ -104,6 +112,7 @@ def _cmd_solve(args) -> int:
         raise ValueError("order must be >= 1")
     if args.gauge < 0:
         raise ValueError("gauge count must be >= 0")
+    _check_word_count("solve-kv", 2, args.order + 1)
     solution = canonical_solution(args.order)
     if args.gauge:
         pairs = standard_gauge_pairs(args.gauge, args.order)
@@ -142,13 +151,18 @@ def _cmd_verify(args) -> int:
         order3 = min(order3, loaded.order)
 
     needs_solution = any(s != "homo" for s in suites)
+    if needs_solution:
+        _check_word_count("verify", 2, max(order2, order3) + 1)
+    if any(s in ("propU", "propLast", "cocycle") for s in suites):
+        _check_word_count("verify", 3, order3)
     reports: list[VerificationReport] = []
     solution2 = solution3 = None
     residual_ok = True
     if needs_solution:
         base = loaded if loaded is not None else canonical_solution(max(order2, order3))
         cut = LieElement.truncated if loaded is None else _cut_coordinates
-        truncations = {order: KVSolution(cut(base.A, order), cut(base.B, order), base.method)
+        truncations = {order: base if order == base.order else
+                       KVSolution(cut(base.A, order), cut(base.B, order), base.method)
                        for order in {order2, order3}}
         solution2, solution3 = truncations[order2], truncations[order3]
         residual_report = verify_kv1(solution2 if order2 >= order3 else solution3)

@@ -218,6 +218,7 @@ def kv1_residual(s: KVSolution) -> LieElement:
     return residual
 
 
+@functools.lru_cache(maxsize=4)
 def canonical_solution(order: int) -> KVSolution:
     """The solution obtained by first-letter factorization of the defect.
 
@@ -225,6 +226,9 @@ def canonical_solution(order: int) -> KVSolution:
     A and B are those of a genuinely extendable solution: the equation itself
     never constrains the top degree (its operators raise the degree), but the
     quadratic trace identity does read it.
+
+    Cached per order like ``kv_rhs``: the solution is immutable, so its
+    memos (coordinates, residual, divergence sides) serve every later caller.
     """
     a, b = factorize(kv_rhs(order + 1), order)
     return ab_to_AB(a, b, method="dynkin-first-letter")

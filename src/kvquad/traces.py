@@ -28,7 +28,7 @@ from .words import (
 def canonical_rotation(w: bytes) -> bytes:
     """Lexicographically least rotation: the representative of the plain class."""
     doubled, n = w + w, len(w)
-    return min((doubled[i:i + n] for i in range(n)), default=w)
+    return min([doubled[i:i + n] for i in range(n)]) if n else w
 
 
 def quad_canonical(w: bytes) -> tuple[bytes, int] | None:

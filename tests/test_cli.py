@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import kvquad.cli
 import kvquad.lie
 import kvquad.solver
 import kvquad.verify
@@ -42,6 +45,45 @@ def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
     assert code == 2 and f"ceiling of {BCH_WORD_CEILING} words" in err
 
 
+def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypatch):
+    """Two letters at the solution order + 1, three letters at the three-letter order, and
+    nothing for homo; a request below the ceiling goes on to build its CH series."""
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built(*args)
+
+    for cache in (kvquad.lie.log_exp_product, kvquad.solver.kv_rhs,
+                  kvquad.solver.canonical_solution):
+        cache.cache_clear()  # so an allowed request reaches the CH build
+    kvquad.lie._highest.clear()
+    monkeypatch.setattr(kvquad.lie, "_goldberg_words", build)
+    for argv in (["solve-kv", "--order", "15"],
+                 ["solve-kv", "--order", "15", "--gauge", "2"],
+                 ["verify", "--suite", "theorem", "--order", "15"],
+                 ["verify", "--suite", "series", "--order", "15"],
+                 ["verify", "--suite", "propU", "--order", "11"],
+                 ["verify", "--suite", "propLast", "--order", "11"],
+                 ["verify", "--suite", "cocycle", "--order", "11"],
+                 ["verify", "--order", "11"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err, argv
+    for argv, built in ((["solve-kv", "--order", "14"], (2, 15)),  # 65535 words
+                        (["verify", "--suite", "theorem", "--order", "14"], (2, 15)),
+                        (["verify", "--suite", "propU", "--order", "10"], (2, 11))):  # 88573 in 3
+        with pytest.raises(Built) as raised:
+            main(argv)
+        assert raised.value.args == built, argv
+    monkeypatch.setattr(kvquad.cli, "homo_kernel", build)
+    with pytest.raises(Built) as raised:
+        main(["verify", "--suite", "homo", "--order", "20"])
+    assert raised.value.args == (2,)
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_kv_order_zero_is_usage_error(capsys):
     code, _, _ = run(capsys, "solve-kv", "--order", "0")
     assert code == 2
@@ -72,7 +114,9 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_computes_the_base_residual_once(capsys, monkeypatch):
-    """With --order, the two- and three-letter suites share one truncated solution."""
+    """With --order, the two- and three-letter suites share one truncated solution, and a
+    second run reads the residual memo of the cached canonical solution."""
+    kvquad.solver.canonical_solution.cache_clear()  # a warm order-6 solution has its residual
     fresh = []
     residual = kvquad.solver.kv1_residual
 
@@ -83,9 +127,12 @@ def test_verify_computes_the_base_residual_once(capsys, monkeypatch):
 
     for module in (kvquad.solver, kvquad.verify):
         monkeypatch.setattr(module, "kv1_residual", recording)
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--order", "6")
-    assert code == 0 and "propU: pass" in out and "series: pass" in out
-    assert len(fresh) == 1
+    counts = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--order", "6")
+        assert code == 0 and "propU: pass" in out and "series: pass" in out
+        counts.append(len(fresh))
+    assert counts == [1, 1]
 
 
 def test_verify_homo_suite_json(capsys):

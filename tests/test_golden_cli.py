@@ -31,6 +31,9 @@ above the benchmark's propU job; its digest was recorded from the
 substitutions of generators and of ``ch`` rebuilt in three letters, one
 Horner pass per component, that the letter relabels and the shared pass
 replaced.
+Every run but the homo ones is made twice in one process, so the second,
+which reads the cached canonical solution, its memos and the cached CH
+series, must print the same bytes.
 Update a digest only together with an intended, documented output change.
 """
 
@@ -77,6 +80,7 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, code, digest", GOLDEN,
                          ids=[" ".join(argv) for argv, _, _ in GOLDEN])
 def test_cli_stdout_bytes(capsys, argv, code, digest):
-    assert main(list(argv)) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    for _ in range(1 if "homo" in argv else 2):
+        assert main(list(argv)) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

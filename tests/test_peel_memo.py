@@ -11,7 +11,8 @@ compare unequal to plain ones.  They also check that an element built
 lazily from words agrees with the eager peel in every reading, under
 threads and through copies, that a gauge member's coordinates are its
 base's plus its shift's, and how many peels the CLI makes: ``verify
---suite propU`` peels no three-letter series, and ``--suite series`` none.
+--suite propU`` peels no three-letter series, ``--suite series`` none, and a
+second ``solve-kv`` at one order peels only its gauge shifts.
 """
 
 import copy
@@ -26,6 +27,7 @@ import pytest
 
 import kvquad.lie
 import kvquad.lyndon
+import kvquad.solver
 import kvquad.verify
 from kvquad import (
     AssocSeries,
@@ -282,7 +284,8 @@ def test_an_unread_element_copies_without_a_peel(duplicate):
 def peel_letters(monkeypatch):
     """The highest letter of each ``lyndon_coordinates`` call, counted in every module binding it.
 
-    The CH caches start empty, so a memo left by another test hides no peel.
+    The CH caches and the canonical solutions start empty, so a memo left by another
+    test hides no peel.
     """
     peel = kvquad.lyndon.lyndon_coordinates
     letters: list[int] = []
@@ -297,7 +300,7 @@ def peel_letters(monkeypatch):
     assert {kvquad.lie, kvquad.lyndon} <= set(bound)
     for module in bound:
         monkeypatch.setattr(module, "lyndon_coordinates", counting)
-    caches = (log_exp_product, kv_rhs, kvquad.verify._bernoulli_side,
+    caches = (log_exp_product, kv_rhs, canonical_solution, kvquad.verify._bernoulli_side,
               kvquad.verify._projected_bernoulli_side)
     for cache in caches:
         cache.cache_clear()
@@ -329,3 +332,19 @@ def test_lyndon_peel_counts(peel_letters, capsys, argv, peels):
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert len(peel_letters) == peels
+
+
+def test_a_warm_solve_kv_reuses_the_canonical_solution(peel_letters, capsys, monkeypatch):
+    """The second run at one order factorizes nothing and peels only its gauge shifts."""
+    factorize_calls = []
+    factorize = kvquad.solver.factorize
+    monkeypatch.setattr(kvquad.solver, "factorize",
+                        lambda *args: factorize_calls.append(args) or factorize(*args))
+    counts, outputs = [], []
+    for _ in range(2):
+        done = len(factorize_calls), len(peel_letters)
+        assert main(["solve-kv", "--order", "9", "--gauge", "4"]) == 0
+        outputs.append(capsys.readouterr().out)
+        counts.append((len(factorize_calls) - done[0], len(peel_letters) - done[1]))
+    assert counts == [(1, 44), (0, 26)]
+    assert outputs[0] == outputs[1]

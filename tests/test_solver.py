@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,8 @@ from kvquad import (
     quadratic_trace_tuple,
     standard_gauge_pairs,
     trace_pairing,
+    verify_kv1,
+    verify_theorem,
     word_from_str,
 )
 from kvquad.sampling import random_gauge_pairs, random_lie_element, random_lie_pairs
@@ -182,6 +187,44 @@ def test_ab_to_AB_is_additive():
 
 def test_canonical_solution_residual_vanishes(sol8):
     assert kv1_residual(sol8).is_zero()
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_canonical_solution_is_cached_per_order(order):
+    cached = canonical_solution(order)
+    assert canonical_solution(order) is cached
+    fresh = canonical_solution.__wrapped__(order)
+    assert fresh is not cached
+    for name in ("A", "B"):
+        ours, built = getattr(cached, name), getattr(fresh, name)
+        assert dict(ours.expand().terms) == dict(built.expand().terms)
+        assert dict(ours.terms) == dict(built.terms)
+    assert cached.to_json_dict() == fresh.to_json_dict()
+    for check in (verify_kv1, verify_theorem):
+        assert check(cached).to_json_lines() == check(fresh).to_json_lines()
+
+
+def test_canonical_solution_serves_racing_threads():
+    """Eight threads ask for an uncached order at once; each gauge family matches a fresh build."""
+    order, pairs = 7, standard_gauge_pairs(4, 7)
+    expected = [member.to_json_dict()
+                for member in gauge_family(canonical_solution.__wrapped__(order), pairs)]
+    canonical_solution.cache_clear()
+    barrier = threading.Barrier(8)
+
+    def build():
+        barrier.wait(timeout=60)
+        return [member.to_json_dict() for member in gauge_family(canonical_solution(order), pairs)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [future.result(timeout=120) for future in [pool.submit(build) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    assert canonical_solution(order) is canonical_solution(order)
 
 
 def test_canonical_solution_degree_one_scalars(sol8):
