@@ -3,9 +3,9 @@
 Three subcommands: ``bch`` prints a truncated Campbell-Hausdorff series,
 ``solve-kv`` constructs rational solution pairs (optionally a gauge family),
 and ``verify`` runs the identity suites degree by degree.  A request whose
-Campbell-Hausdorff series would pass ``BCH_WORD_CEILING`` words is refused up
-front.  Exit codes: 0 when everything passes, 1 when a check fails, 2 on
-usage errors.
+series, counted as Campbell-Hausdorff series of their arity and order, would
+pass ``BCH_WORD_CEILING`` words is refused up front.  Exit codes: 0 when
+everything passes, 1 when a check fails, 2 on usage errors.
 
 The verify pipeline always certifies the equation residual first; when that
 fails, the hypothesis-gated suites are skipped and the run exits 1 with the
@@ -85,14 +85,14 @@ def _emit(payload: dict, out: str | None):
 
 
 def _check_word_count(command: str, arity: int, order: int):
-    """Refuse, before anything is built, a CH series over ``arity`` letters through ``order``
-    with more than ``BCH_WORD_CEILING`` words."""
+    """Refuse, before anything is built, a request for series over ``arity`` letters through
+    ``order`` that may have more than ``BCH_WORD_CEILING`` words, as a CH series may."""
     words = 0
     for k in range(order + 1):  # stops at the ceiling, however large the order
         words += arity ** k
         if words > BCH_WORD_CEILING:
             raise ValueError(
-                f"{command} needs the CH series over {arity} letters through order {order}, "
+                f"{command} needs series over {arity} letters through order {order}, "
                 f"more than the ceiling of {BCH_WORD_CEILING} words "
                 f"(the sum of arity^k for k <= order)")
 
@@ -146,19 +146,21 @@ def _cmd_verify(args) -> int:
     loaded = None
     if args.solution:
         with open(args.solution, encoding="utf-8") as fh:
-            loaded = KVSolution.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.solution}: JSON nested too deeply") from None
+        loaded = KVSolution.from_json_dict(data)
         order2 = min(order2, loaded.order)
         order3 = min(order3, loaded.order)
 
-    needs_solution = any(s != "homo" for s in suites)
-    if needs_solution:
-        _check_word_count("verify", 2, max(order2, order3) + 1)
+    _check_word_count("verify", 2, max(order2, order3) + 1)  # also bounds homo's classes
     if any(s in ("propU", "propLast", "cocycle") for s in suites):
         _check_word_count("verify", 3, order3)
     reports: list[VerificationReport] = []
     solution2 = solution3 = None
     residual_ok = True
-    if needs_solution:
+    if any(s != "homo" for s in suites):
         base = loaded if loaded is not None else canonical_solution(max(order2, order3))
         cut = LieElement.truncated if loaded is None else _cut_coordinates
         truncations = {order: base if order == base.order else

@@ -8,13 +8,15 @@ where ch is the Campbell-Hausdorff series.  Writing a = ((1-e^{-t})/t)(ad_x) A
 and b = ((e^t-1)/t)(ad_y) B turns it into [x, a] + [y, b] = x + y - ch(y, x),
 which is solved degree by degree by rewriting the right-hand side as a
 combination of bracket monomials grouped by their first letter.  Adding any
-pair with [x, a'] + [y, b'] = 0 (classified by quadratic trace expressions)
+pair with [x, a'] + [y, b'] = 0 (spanned by the slots of quadratic traces, as
+test_quadratic_traces_span_the_gauge_kernel in tests/test_solver.py certifies)
 produces further solutions; the flow reformulation provides an independent
 characterization used as a cross-check.
 """
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .lie import (
@@ -31,7 +33,7 @@ from .lie import (
     scale,
     without_letters,
 )
-from .tangential import TangentialDerivation, act, quadratic_trace_tuple
+from .tangential import TangentialDerivation, _trace_slots, act
 from .traces import trace_pairing
 from .words import AssocSeries, _SparseSeries, _linear_sum, _numerators
 
@@ -46,9 +48,9 @@ class KVSolution:
     its base solution and its shift; its checks and coordinates are summed.
     """
 
-    # filled on first use: the residual and the projected divergences; set by
-    # gauge_family: (base solution, shift)
-    __slots__ = ("A", "B", "order", "method", "_residual", "_divergence", "_gauge")
+    # filled on first use: the residual and the values of ``_linear`` by key; set
+    # by gauge_family: (base solution, shift)
+    __slots__ = ("A", "B", "order", "method", "_residual", "_memo", "_gauge")
 
     def __init__(self, A: LieElement, B: LieElement, method: str = "unspecified"):
         if A.arity != 2 or B.arity != 2:
@@ -59,7 +61,7 @@ class KVSolution:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "order", A.order)
         object.__setattr__(self, "method", method)
-        object.__setattr__(self, "_divergence", {})
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("KVSolution is immutable")
@@ -91,17 +93,19 @@ class KVSolution:
     def __repr__(self):
         return f"KVSolution(order={self.order}, method={self.method!r})"
 
-    def _coordinates(self, name: str) -> LieElement:
-        """Component ``name`` to read coordinates from: a gauge member's base's plus its shift's."""
-        gauge = getattr(self, "_gauge", None)
-        if gauge is None:
-            return getattr(self, name)
-        base, shift = gauge
-        return _SparseSeries.__add__(base._coordinates(name), getattr(shift, name))
+    def _linear(self, key, of):
+        """``of(self)``, a series linear in (A, B), memoized per ``key``.  A gauge member's
+        is its base's plus its shift's, added by the core coefficientwise: Lie series add
+        by coordinates, and the member's own words are never peeled."""
+        if key not in self._memo:
+            gauge = getattr(self, "_gauge", None)
+            self._memo[key] = of(self) if gauge is None else _SparseSeries.__add__(
+                gauge[0]._linear(key, of), of(gauge[1]))
+        return self._memo[key]
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "A": self._coordinates("A").to_json_dict(),
-                "B": self._coordinates("B").to_json_dict(), "method": self.method}
+        A, B = (self._linear(name, operator.attrgetter(name)).to_json_dict() for name in "AB")
+        return {"order": self.order, "A": A, "B": B, "method": self.method}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KVSolution":
@@ -239,8 +243,9 @@ def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
 
     Each pair (l, r) of two-letter Lie polynomials induces, through tr(l*r)
     taken one order higher, a tuple (a', b') with [x, a'] + [y, b'] = 0
-    through the order of s.  :func:`ab_to_AB` is linear, so s plus the
-    transported tuple is the member that the shifted factorization gives.
+    through the order of s, as unpeeled words (a pairing of Lie series is
+    quadratic).  :func:`ab_to_AB` is linear, so s plus the transported tuple
+    is the member that the shifted factorization gives.
     An entry (l, r, p) hands in that pairing p, which is then not formed
     again.  Each member keeps s and its shift, so its residual and trace
     sides are those of s plus the shift's terms; nothing is computed here.
@@ -249,7 +254,7 @@ def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     for left, right, *paired in pairs:
         p = paired[0] if paired else trace_pairing(left.with_order(s.order + 1),
                                                     right.with_order(s.order + 1))
-        shift = ab_to_AB(*quadratic_trace_tuple(p))
+        shift = ab_to_AB(*_trace_slots(p))
         member = KVSolution(s.A + shift.A, s.B + shift.B, method=f"{s.method}+gauge")
         object.__setattr__(member, "_gauge", (s, shift))
         family.append(member)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .lie import (
     LieElement,
     NotLieError,
-    assoc_to_lie,
     bch_multi,
     without_letters,
 )
@@ -238,14 +237,11 @@ def act_on_trace(u: TangentialDerivation, g):
     return project(act(u, AssocSeries._make(g.arity, g.order, g.terms)))
 
 
-def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
-    """Raw tuple (a_1, ..., a_n) generated by a quadratic trace expression.
+def _trace_slots(p: TraceSeries) -> tuple[LieElement, ...]:
+    """Raw tuple (a_1, ..., a_n) generated by p, kept as words, with sum_i [x_i, a_i] = 0 checked.
 
     Differentiating p at slot i along a fresh direction z leaves tr(z a_i);
-    on cyclic words that is pure rotation bookkeeping.  The result satisfies
-    sum_i [x_i, a_i] = 0 (checked) and each a_i must pass the Lie-membership
-    test; a failure means p was not a combination of tr(Lie * Lie) terms.
-    The a_i may still carry x_i-linear terms: no normalization is applied.
+    on cyclic words that is pure rotation bookkeeping.
     """
     arity, order = p.arity, max(p.order - 1, 0)  # the order of every a_i
     raw: list[dict[bytes, Fraction]] = [{} for _ in range(arity)]
@@ -253,19 +249,30 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
         for pos, letter in enumerate(w):
             v = w[pos + 1:] + w[:pos]
             raw[letter][v] = raw[letter][v] + c if v in raw[letter] else c
-    components = []
-    for i, terms in enumerate(raw):
+    slots = [AssocSeries._make(arity, order, terms) for terms in raw]
+    expansions, d = _common_numerators([a_i._terms for a_i in slots])
+    if _linear_sum((1, _letter_bracket(i, e, order), d) for i, e in enumerate(expansions)):
+        raise ValueError("extracted tuple violates sum_i [x_i, a_i] = 0")
+    return tuple(map(LieElement.from_words, slots))
+
+
+def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
+    """Raw tuple (a_1, ..., a_n) generated by a quadratic trace expression.
+
+    Each slot of ``_trace_slots(p)`` is peeled at once, as the membership
+    test: a slot that is not Lie means p was not a combination of
+    tr(Lie * Lie) terms.  The a_i keep their x_i-linear terms.
+    """
+    slots = _trace_slots(p)
+    for i, a_i in enumerate(slots):
         try:
-            components.append(assoc_to_lie(AssocSeries._make(arity, order, terms)))
+            a_i.terms
         except NotLieError as exc:
             raise NotLieError(
                 f"slot {i} of the correspondence is not a Lie series "
                 f"(the trace expression lies outside the quadratic span): {exc}",
                 exc.degree) from None
-    expansions, d = _common_numerators([a_i.expand()._terms for a_i in components])
-    if _linear_sum((1, _letter_bracket(i, e, order), d) for i, e in enumerate(expansions)):
-        raise ValueError("extracted tuple violates sum_i [x_i, a_i] = 0")
-    return tuple(components)
+    return slots
 
 
 def derivation_from_quadratic_trace(p: TraceSeries) -> TangentialDerivation:

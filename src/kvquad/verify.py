@@ -154,34 +154,16 @@ def _projected_bernoulli_side(order: int, project):
     return project(_bernoulli_side(order)) * Fraction(1, 2)
 
 
-def _divergence_side(s: KVSolution, project):
-    """The projection of x*(d_x A) + y*(d_y B), memoized on the solution per projection.
-
-    Both the divergence words and the projection are linear, so a gauge
-    member's side is its base's side plus the projection of its shift's words.
-    """
-    try:
-        return s._divergence[project]
-    except KeyError:
-        pass
-    gauge = getattr(s, "_gauge", None)
-    if gauge is None:
-        side = project(divergence_words((s.A, s.B)))
-    else:
-        base, shift = gauge
-        side = _divergence_side(base, project) + project(divergence_words((shift.A, shift.B)))
-    s._divergence[project] = side
-    return side
-
-
 def _trace_identity_sides(s: KVSolution, project):
     """Both sides of the trace identity for (A, B) under the projection ``project``.
 
     Left: the projection of x*(d_x A) + y*(d_y B), from the raw pair (the
-    x-linear term of A counts).  Right: half the projection of
+    x-linear term of A counts); it is linear in (A, B), so the solution
+    memoizes it per projection.  Right: half the projection of
     f(x) + f(y) - f(ch(x,y)) with f the Bernoulli kernel t/(e^t-1) - 1 + t/2.
     """
-    return _divergence_side(s, project), _projected_bernoulli_side(s.order, project)
+    lhs = s._linear(project, lambda t: project(divergence_words((t.A, t.B))))
+    return lhs, _projected_bernoulli_side(s.order, project)
 
 
 def quadratic_divergence_sides(s: KVSolution) -> tuple[QuadTraceSeries, QuadTraceSeries]:

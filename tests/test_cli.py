@@ -46,8 +46,8 @@ def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
 
 
 def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypatch):
-    """Two letters at the solution order + 1, three letters at the three-letter order, and
-    nothing for homo; a request below the ceiling goes on to build its CH series."""
+    """Two letters at the order + 1 for every suite, homo too, and three letters at the
+    three-letter order; a request below the ceiling goes on to build its series."""
 
     class Built(Exception):
         pass
@@ -67,7 +67,9 @@ def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypa
                  ["verify", "--suite", "propU", "--order", "11"],
                  ["verify", "--suite", "propLast", "--order", "11"],
                  ["verify", "--suite", "cocycle", "--order", "11"],
-                 ["verify", "--order", "11"]):
+                 ["verify", "--order", "11"],
+                 ["verify", "--suite", "homo", "--order", "15"],
+                 ["verify", "--suite", "homo", "--order", "20"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out, argv
         assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err, argv
@@ -79,7 +81,7 @@ def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypa
         assert raised.value.args == built, argv
     monkeypatch.setattr(kvquad.cli, "homo_kernel", build)
     with pytest.raises(Built) as raised:
-        main(["verify", "--suite", "homo", "--order", "20"])
+        main(["verify", "--suite", "homo", "--order", "14"])
     assert raised.value.args == (2,)
     assert capsys.readouterr().err == ""
 
@@ -214,6 +216,13 @@ def test_solution_without_component_is_usage_error(tmp_path, capsys):
 def test_solution_json_list_is_usage_error(tmp_path, capsys):
     out_file = tmp_path / "solution.json"
     out_file.write_text("[1, 2]")
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "series",
+                                "--solution", str(out_file)))
+
+
+def test_deeply_nested_solution_json_is_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    out_file.write_text("[" * 100000 + "]" * 100000)
     _assert_one_error_line(*run(capsys, "verify", "--suite", "series",
                                 "--solution", str(out_file)))
 

@@ -122,17 +122,15 @@ def test_act_on_trace_matches_per_class_sum(project, space, u_order, g_order):
 
 
 def test_quadratic_trace_tuple_rejects_brackets_that_do_not_cancel(monkeypatch):
-    """The balance check sum_i [x_i, a_i] = 0 runs on word maps; an extra y in a_x breaks it."""
-    project = kvquad.tangential.assoc_to_lie
-    slots = []
+    """The balance check sum_i [x_i, a_i] = 0 runs on the slot words; an extra y in a_x breaks it."""
+    common = kvquad.tangential._common_numerators
 
-    def perturbed(a):
-        slots.append(project(a))
-        extra = LieElement(2, a.order, {b"\x01": 1})
-        return slots[-1] + extra if len(slots) == 1 else slots[-1]
+    def perturbed(maps):
+        first, *rest = maps
+        return common([{**first, b"\x01": first.get(b"\x01", 0) + 1}, *rest])
 
     p = trace_pairing(LieElement(2, 3, {b"\x00\x01": 1}), LieElement(2, 3, {b"\x00": 1}))
     assert quadratic_trace_tuple(p)  # balanced without the perturbation
-    monkeypatch.setattr(kvquad.tangential, "assoc_to_lie", perturbed)
+    monkeypatch.setattr(kvquad.tangential, "_common_numerators", perturbed)
     with pytest.raises(ValueError, match="sum_i"):
         quadratic_trace_tuple(p)

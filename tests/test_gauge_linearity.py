@@ -112,4 +112,4 @@ def test_gauge_family_computes_nothing_eagerly(solutions):
     family = gauge_family(s, random_gauge_pairs(random.Random(0), 6, 2))
     for member in family:
         assert getattr(member, "_residual", None) is None
-        assert member._divergence == {}
+        assert member._memo == {}

@@ -25,6 +25,8 @@ from kvquad import (
     verify_theorem,
     word_from_str,
 )
+from kvquad.linalg import _reduced_rows
+from kvquad.lyndon import lyndon_words
 from kvquad.sampling import random_gauge_pairs, random_lie_element, random_lie_pairs
 
 from oracles import (
@@ -298,6 +300,48 @@ def test_gauge_family_matches_inverse_route():
                     == [m.to_json_dict() for m in inverse_route_gauge_family(s, pairs)])
             moved += sum(m.A != s.A and m.B != s.B for m in family[1:])
     assert moved >= 40  # most of the 72 shifts move both components
+
+
+def witt(n: int) -> int:
+    """L(n), the number of two-letter Lyndon words of length n: (1/n) sum_{d | n} mu(d) 2^(n/d)."""
+
+    def mobius(d: int) -> int:
+        sign, p = 1, 2
+        while d > 1:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    return sum(mobius(d) * 2 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+def test_quadratic_traces_span_the_gauge_kernel():
+    """The gauge classification that ``gauge_family`` rests on, certified through degree 9.
+
+    The map (a, b) -> [x, a] + [y, b] sends pairs of degree n - 1 onto Lie
+    degree n (``factorize`` inverts it), so its kernel has dimension
+    2 L(n-1) - L(n).  The slots of tr(l r), for Lyndon words l <= r with
+    |l| + |r| = n, lie in that kernel (``quadratic_trace_tuple`` checks the
+    balance); as vectors over (letter, word) they must span it.
+    """
+    lyndon_basis = lyndon_words(2, 9)
+    ranks = []
+    for n in range(2, 11):
+        columns, rows = {}, []
+        for left in lyndon_basis:
+            for right in lyndon_basis:
+                if left <= right and len(left) + len(right) == n:
+                    p = trace_pairing(LieElement(2, n, {left: 1}), LieElement(2, n, {right: 1}))
+                    rows.append({columns.setdefault((i, w), len(columns)): c
+                                 for i, a_i in enumerate(quadratic_trace_tuple(p))
+                                 for w, c in a_i.expand().terms.items()})
+        ranks.append(len(_reduced_rows(rows, len(columns))))
+    assert ranks == [2 * witt(n - 1) - witt(n) for n in range(2, 11)]
+    assert ranks == [3, 0, 1, 0, 3, 0, 6, 4, 13]
 
 
 def test_standard_gauge_pairs_catalog():
