@@ -126,8 +126,9 @@ def _cmd_solve(args) -> int:
 def _cut_coordinates(series: LieElement, order: int) -> LieElement:
     """A loaded series through ``order``, cut from the coordinates in its slot: no peel,
     and no word above ``order`` is expanded."""
-    return LieElement._make(series.arity, order,
-                            {w: c for w, c in series.terms.items() if len(w) <= order})
+    ints, d = series._pair
+    return LieElement._make(series.arity, order, {w: n for w, n in ints.items() if len(w) <= order},
+                            d)
 
 
 def _report_lines(report: VerificationReport, json_lines: bool) -> list[str]:

@@ -6,12 +6,12 @@ equality, sums, zero tests, scaling and truncation all run on words, and the
 package's operations build their results from words (``LieElement.from_words``).
 The coordinates on standard Lyndon bracketings are a memo filled on the first
 read: the Lyndon peel takes least words degree by degree, and a non-Lyndon
-least word proves a part is not Lie (``NotLieError``).  ``assoc_to_lie`` runs
+least word proves a part is not Lie (``NotLieError``); both forms are pairs of
+integer numerators over one denominator.  ``assoc_to_lie`` runs
 the peel at once, where it is the membership check.  An element made from
 coordinates keeps them and expands on the first ``expand()``.  Powers of one
 ad and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on
-words through one nested-ad kernel, a letter bracket per level; it and the
-word expansion sum integer numerators over one denominator.  The
+words through one nested-ad kernel, a letter bracket per level, on pairs.  The
 Campbell-Hausdorff series (Goldberg's word coefficients; a lower order is
 truncated from a held higher one), generator substitution, degree scaling and
 univariate operator kernels in one adjoint slot all live here.
@@ -36,11 +36,9 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     RationalUnivariateSeries,
     _SparseSeries,
     _linear_sum,
-    _numerators,
-    _over,
+    _substitute_ints,
     _word_name,
     substitute_letter_linear,
-    substitute_words,
     univariate_substitute,
 )
 
@@ -57,18 +55,19 @@ class LieElement(_SparseSeries):
     """Truncated Lie series over ``arity`` letters, exact rationals.
 
     The stored form is the word expansion (``expand()``), on which equality,
-    sums, zero tests, scaling and truncation run.  ``terms`` holds the
-    coordinates on standard Lyndon bracketings, keyed by Lyndon words of
-    length between 1 and ``order``: a memo that the first read peels from
-    the words (``NotLieError`` if they are not Lie), after which every read
-    is a plain slot read.  An element made from coordinates (the
+    sums, zero tests, scaling and truncation run.  The core's pair holds the
+    coordinates on standard Lyndon bracketings (``terms`` reads them), keyed
+    by Lyndon words of length 1 to ``order``: a memo that the first read
+    peels from the words (``NotLieError`` if they are not Lie), after which
+    every read is a plain slot read.  An element made from coordinates (the
     constructor, ``_make``, JSON, ``generator``) keeps them and expands
     them on the first ``expand()``, the one place where the two forms meet.
     Instances are immutable.
     """
 
     # the word expansion; weak references to the highest CH series.  Unset slots
-    # (``_assoc`` or the core's ``_terms``) are the memos still to compute.
+    # (``_assoc`` or the core's ``_pair``) are the memos still to compute; each is
+    # published by one assignment.
     __slots__ = ("_assoc", "__weakref__")
     _tag = ("basis", "lyndon")
     _tag_required = False
@@ -84,16 +83,16 @@ class LieElement(_SparseSeries):
         object.__setattr__(self, "arity", words.arity)
         object.__setattr__(self, "order", words.order)
         if type(words) is not AssocSeries:  # a one-letter RationalUnivariateSeries compares apart
-            words = AssocSeries._make(words.arity, words.order, words._terms)
+            words = AssocSeries._make(words.arity, words.order, *words._pair)
         object.__setattr__(self, "_assoc", words)
         return self
 
     def __getattr__(self, name):
         # reached only for a slot never filled: the coordinates are peeled on first read
-        if name != "_terms":
+        if name != "_pair":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         coords = _peel(self._assoc)
-        object.__setattr__(self, "_terms", coords)
+        object.__setattr__(self, "_pair", coords)
         return coords
 
     def __reduce__(self):
@@ -121,14 +120,10 @@ class LieElement(_SparseSeries):
         self._check_compatible(other)
         return LieElement.from_words(self.expand() + other.expand())
 
-    def _termwise(self, f, order: int | None = None) -> "LieElement":
-        """f, a map of term dicts, applied to the words.
-
-        Negation, scaling, truncation and the homogeneous parts of the core
-        all come here.  The result is truncated at ``order``, by default self's.
-        """
-        order = self.order if order is None else order
-        return LieElement.from_words(AssocSeries._make(self.arity, order, f(self.expand()._terms)))
+    def _termwise(self, f, order: int | None = None, over: int = 1) -> "LieElement":
+        """The core's ``_termwise`` on the words: negation, scaling, truncation and the
+        homogeneous parts all come here."""
+        return LieElement.from_words(AssocSeries._termwise(self.expand(), f, order, over))
 
     degree_part = _SparseSeries.homogeneous_part
 
@@ -140,22 +135,22 @@ class LieElement(_SparseSeries):
         explicitly constructed polynomials, not for truncations of series;
         a polynomial expands alike at every order.
         """
-        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
+        return self._termwise(lambda ints: {w: n for w, n in ints.items() if len(w) <= order},
                               order)
 
     def expand(self) -> AssocSeries:
         """The canonical embedding into the free associative algebra.
 
         Stored for every element the package builds; for one made from
-        coordinates, their numerators over the common denominator times the
-        integer bracket expansions, summed in integers by ``_linear_sum``.
+        coordinates, their numerators times the integer bracket expansions,
+        summed in integers by ``_linear_sum`` over the coordinates' denominator.
         """
         try:
             return self._assoc
         except AttributeError:
-            coords, d = _numerators(self._terms)
-            words = _linear_sum((n, bracket_expansion(w), d) for w, n in coords.items())
-            assoc = AssocSeries._make(self.arity, self.order, words)
+            coords, d = self._pair
+            words, _ = _linear_sum((n, bracket_expansion(w), 1) for w, n in coords.items())
+            assoc = AssocSeries._make(self.arity, self.order, words, d)
             object.__setattr__(self, "_assoc", assoc)
             return assoc
 
@@ -163,32 +158,32 @@ class LieElement(_SparseSeries):
         return bracket(self, other)
 
 
-def _peel(words: AssocSeries) -> dict[bytes, Fraction]:
-    """Lyndon coordinates of Lie words, degree by degree.
+def _peel(words: AssocSeries) -> tuple[dict[bytes, int], int]:
+    """Lyndon coordinates of Lie words, degree by degree, over the words' denominator.
 
     The peel of each homogeneous part either empties it, which writes it as
     a combination of Lyndon bracketings, or meets a non-Lyndon least word;
     that raises NotLieError at the part's degree.
     """
-    by_degree: dict[int, dict[bytes, Fraction]] = {}
-    for w, c in words._terms.items():
-        by_degree.setdefault(len(w), {})[w] = c
+    by_degree: dict[int, dict[bytes, int]] = {}
+    for w, n in words._pair[0].items():
+        by_degree.setdefault(len(w), {})[w] = n
     if 0 in by_degree:
         raise NotLieError("nonzero constant term", 0)
-    coords: dict[bytes, Fraction] = {}
+    coords: dict[bytes, int] = {}
     for k in sorted(by_degree):
         try:
-            coords.update(lyndon_coordinates(by_degree[k]))
+            coords.update(lyndon_coordinates((by_degree[k], words._pair[1]))[0])
         except ValueError as exc:
             raise NotLieError(str(exc), k) from None
-    return coords
+    return coords, words._pair[1]
 
 
 def generator(arity: int, index: int, order: int) -> LieElement:
     """The generator x_index as a LieElement."""
     if not 0 <= index < arity:
         raise ValueError(f"generator {index} out of range for arity {arity}")
-    return LieElement._make(arity, order, {bytes([index]): Fraction(1)})
+    return LieElement._make(arity, order, {bytes([index]): 1})
 
 
 def assoc_to_lie(a: AssocSeries) -> LieElement:
@@ -199,7 +194,7 @@ def assoc_to_lie(a: AssocSeries) -> LieElement:
     ``a`` is exactly the result's word expansion, and is kept as such.
     """
     series = LieElement.from_words(a)
-    series.terms  # the first read peels: the membership check
+    series._pair  # the first read peels: the membership check
     return series
 
 
@@ -207,12 +202,12 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, computed as a commutator of word expansions."""
     a._check_compatible(b)
     order = min(a.order, b.order)
-    words = commutator(a.expand()._terms, b.expand()._terms, order)
-    return LieElement.from_words(AssocSeries._make(a.arity, order, words))
+    words = commutator(a.expand()._pair, b.expand()._pair, order)
+    return LieElement.from_words(AssocSeries._make(a.arity, order, *words))
 
 
-def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
-    """Word coefficients of log(e^{x_0} ... e^{x_{arity-1}}) through ``order``.
+def _goldberg_words(arity: int, order: int) -> tuple[dict[bytes, int], int]:
+    """Word coefficients of log(e^{x_0} ... e^{x_{arity-1}}) through ``order``, as a pair.
 
     Goldberg's segment formula (Duke Math. J. 23, 1956): the coefficient of w
     is the sum over m of (-1)^(m-1)/m S(w, m), where S(w, m) sums
@@ -221,7 +216,7 @@ def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
     per prefix; appending a letter only varies the last segment, which lies in
     the final nondecreasing stretch.  S is stored times order!, so every
     partial sum is an exact integer, and the alternating sum times
-    lcm(1..order).
+    lcm(1..order): the numerators over order! lcm(1..order).
     """
     scale = math.factorial(order)
     lcm = math.lcm(*range(1, order + 1))
@@ -230,7 +225,7 @@ def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
     word = bytearray()
     sums = [[scale]]  # sums[n][m]: S(w[:n], m) * order!, with S(empty, 0) = 1
     starts = [0]      # starts[n]: where the final nondecreasing stretch of w[:n] begins
-    out: dict[bytes, Fraction] = {}
+    out: dict[bytes, int] = {}
 
     def walk(n: int):
         for letter in range(arity):
@@ -247,7 +242,7 @@ def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
                         cut[m + 1] += s // q  # exact: each cut's order!/prod(runs!) is an integer
             total = sum(weights[m] * s for m, s in enumerate(cut) if s)
             if total:
-                out[bytes(word)] = Fraction(total, denominator)
+                out[bytes(word)] = total
             if n + 1 < order:
                 sums.append(cut)
                 starts.append(start)
@@ -258,7 +253,7 @@ def _goldberg_words(arity: int, order: int) -> dict[bytes, Fraction]:
 
     walk(0)
     del walk  # a recursive closure is a reference cycle: free its state now
-    return out
+    return out, denominator
 
 
 @functools.lru_cache(maxsize=8)
@@ -271,7 +266,7 @@ def log_exp_product(arity: int, order: int) -> LieElement:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return LieElement.from_words(AssocSeries._make(arity, order, _goldberg_words(arity, order)))
+    return LieElement.from_words(AssocSeries._make(arity, order, *_goldberg_words(arity, order)))
 
 
 _highest: dict[int, weakref.ref] = {}  # arity -> the highest-order series built, while held
@@ -308,7 +303,7 @@ def substitute_many(elements, args) -> list[LieElement]:
     """Apply the Lie homomorphism generator i -> args[i] to several elements.
 
     Each element's words go through the associative substitution kernel
-    ``substitute_words`` on the arguments' word expansions; the results are
+    ``_substitute_ints`` on the arguments' word expansions; the results are
     stored as those words.
     """
     args = tuple(args)
@@ -327,12 +322,12 @@ def substitute_many(elements, args) -> list[LieElement]:
         if a.arity != len(args):
             raise ArityMismatchError(
                 f"element arity {a.arity} needs {a.arity} arguments, got {len(args)}")
-    images = [arg.expand()._terms for arg in args]
+    images = [arg.expand()._pair for arg in args]
     out = []
     for a in elements:
         order = min(a.order, args_order)
-        words = substitute_words(a.expand()._terms, images, order)
-        out.append(LieElement.from_words(AssocSeries._make(arity_out, order, words)))
+        words = _substitute_ints(a.expand()._pair, images, order)
+        out.append(LieElement.from_words(AssocSeries._make(arity_out, order, *words)))
     return out
 
 
@@ -343,16 +338,18 @@ def substitute(a: LieElement, args) -> LieElement:
 
 def scale(a: LieElement, t: Rational) -> LieElement:
     """Substitute x_i -> t*x_i: the degree-k part of the stored form picks up t^k."""
-    powers = [Fraction(t) ** k for k in range(a.order + 1)]
-    return a._termwise(lambda terms: {w: c * powers[len(w)] for w, c in terms.items()})
+    t = Fraction(t)  # t^k = p^k q^(order-k) / q^order
+    powers = [t.numerator ** k * t.denominator ** (a.order - k) for k in range(a.order + 1)]
+    return a._termwise(lambda ints: {w: n * powers[len(w)] for w, n in ints.items()},
+                       over=t.denominator ** a.order)
 
 
 def without_letters(a: LieElement, letters) -> LieElement:
     """a without its terms x_i, i in letters: its words lose the one-letter words x_i."""
     drop = {bytes([i]) for i in letters}  # no bracketing but x_i's own expands to the word x_i
-    if drop.isdisjoint(a.expand()._terms):
+    if drop.isdisjoint(a.expand()._pair[0]):
         return a
-    return a._termwise(lambda terms: {w: c for w, c in terms.items() if w not in drop})
+    return a._termwise(lambda ints: {w: n for w, n in ints.items() if w not in drop})
 
 
 def ch_t(t: Rational, order: int, arity: int = 2) -> LieElement:
@@ -425,27 +422,27 @@ def _ad_ints(terms: dict, z_words: dict, order: int) -> dict[bytes, int]:
     return {w: n for w, n in out.items() if n}
 
 
-def _ad_words(terms, z_words, order: int) -> dict[bytes, Fraction]:
+def _ad_words(terms, z_words, order: int) -> tuple[dict[bytes, int], int]:
     """Sum of c * ad_w z over the words w of ``terms``, in the word basis.
 
     ad_w z = [w_0, [w_1, [..., [w_last, z]]]] with z given by its word map.
     Words sharing a first letter share that outermost bracket, and each level
     down truncates one degree lower, at what the brackets still to come keep.
-    The sum is bilinear in ``terms`` and ``z_words``, so it runs on their
-    integer numerators and is divided once by the product of their denominators.
+    The sum is bilinear in ``terms`` and ``z_words``, two pairs, so it runs on
+    their numerators and lies over the product of their denominators.
     """
-    t, dt = _numerators(terms)
-    z, dz = _numerators(z_words)
-    return _over(_ad_ints(t, z, order), dt * dz)
+    (t, dt), (z, dz) = terms, z_words
+    return _ad_ints(t, z, order), dt * dz
 
 
-def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement) -> dict[bytes, Fraction]:
-    """Words of sum phi_k x_index^k; ``_ad_words`` runs Horner's scheme for phi(ad x_index) on them."""
+def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement):
+    """Pair of sum phi_k x_index^k; ``_ad_words`` runs Horner's scheme for phi(ad x_index) on it."""
     if phi.order < a.order:
         raise ValueError("operator kernel truncated below the series order")
     if not 0 <= index < a.arity:
         raise ValueError(f"generator {index} out of range for arity {a.arity}")
-    return {w.replace(b"\x00", bytes([index])): c for w, c in phi.terms.items() if len(w) < a.order}
+    ints, d = phi._pair
+    return {w.replace(b"\x00", bytes([index])): n for w, n in ints.items() if len(w) < a.order}, d
 
 
 def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
@@ -454,8 +451,8 @@ def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieEleme
     Computed in the word basis from one expansion of ``a``, and stored as
     those words.
     """
-    words = _ad_words(_ad_polynomial(phi, index, a), a.expand()._terms, a.order)
-    return LieElement.from_words(AssocSeries._make(a.arity, a.order, words))
+    words = _ad_words(_ad_polynomial(phi, index, a), a.expand()._pair, a.order)
+    return LieElement.from_words(AssocSeries._make(a.arity, a.order, *words))
 
 
 def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
@@ -467,8 +464,8 @@ def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
     if a.arity != z.arity:
         raise ArityMismatchError(f"arity mismatch: {a.arity} vs {z.arity}")
     order = min(z.order, a.order + 1)
-    words = _ad_words(a._terms, z.expand()._terms, order)
-    return LieElement.from_words(AssocSeries._make(z.arity, order, words))
+    words = _ad_words(a._pair, z.expand()._pair, order)
+    return LieElement.from_words(AssocSeries._make(z.arity, order, *words))
 
 
 def directional_derivative(a, index: int, z):

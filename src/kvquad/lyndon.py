@@ -10,15 +10,14 @@ letters, not on the ambient alphabet size.  Peeling least words against
 these expansions gives Lyndon coordinates and decides Lie membership in one
 pass.  ``commutator`` is the
 one word-basis bracket, and ``_letter_bracket`` its case [x_i, v], built by
-prefixing and suffixing the letter.  They and the peel run on integer
-numerators over one denominator and build one ``Fraction`` per output word.
+prefixing and suffixing the letter.  They and the peel take and return the
+stored pair of :mod:`kvquad.words`, integer numerators over one denominator.
 """
 
 import functools
 import heapq
-from fractions import Fraction
 
-from .words import _by_length, _numerators, _over, word_to_str
+from .words import _by_length, word_to_str
 
 
 def is_lyndon(w: bytes) -> bool:
@@ -87,14 +86,13 @@ def _letter_bracket(index: int, terms: dict, order: int) -> dict[bytes, int]:
     return {w: n for w, n in out.items() if n}
 
 
-def commutator(left: dict, right: dict, order: int) -> dict[bytes, Fraction]:
-    """left * right - right * left for word-keyed maps; words beyond ``order`` and zeros dropped.
+def commutator(left, right, order: int) -> tuple[dict[bytes, int], int]:
+    """left * right - right * left for two (numerators, denominator) pairs of word maps.
 
-    Computed on integer numerators over the product of the two maps' denominators.
+    Words beyond ``order`` and zeros are dropped; the denominators multiply.
     """
-    nl, dl = _numerators(left)
-    nr, dr = _numerators(right)
-    return _over(_commutator_ints(nl, nr, order), dl * dr)
+    (nl, dl), (nr, dr) = left, right
+    return _commutator_ints(nl, nr, order), dl * dr
 
 
 @functools.lru_cache(maxsize=1 << 15)  # above the Lyndon-word count of any bch the CLI accepts
@@ -112,16 +110,17 @@ def bracket_expansion(w: bytes) -> dict[bytes, int]:
     return _commutator_ints(bracket_expansion(u), bracket_expansion(v), len(w))
 
 
-def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fraction]:
-    """Coordinates in the Lyndon basis of a homogeneous Lie polynomial.
+def lyndon_coordinates(degree_terms) -> tuple[dict[bytes, int], int]:
+    """Coordinates in the Lyndon basis of a homogeneous Lie polynomial, as a pair.
 
     Peels the lexicographically least remaining word, which for a genuine Lie
     element must be Lyndon; each subtraction of a scaled bracket expansion
     strictly raises the least word, so the loop terminates.  An emptied
     input is the combination of bracketings that was peeled, hence Lie;
     otherwise the loop meets a non-Lyndon least word and raises ValueError
-    naming it.  The peel is linear, so it runs on integer numerators over
-    the common denominator of the input.
+    naming it.  The peel takes integer steps on the numerators of the input
+    pair; the coordinates lie over its denominator and have the gcd of its
+    numerators, so lowest terms stay lowest terms.
 
     The least remaining word comes from a heap with lazy deletion: a word is
     pushed when it enters ``remaining``, and a popped word that has since
@@ -130,7 +129,7 @@ def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fract
     subtraction only reaches words above the one peeled (Reutenauer, Free
     Lie Algebras, 1993, section 5.1).
     """
-    remaining, denominator = _numerators(degree_terms)
+    remaining, denominator = dict(degree_terms[0]), degree_terms[1]
     heap = list(remaining)
     heapq.heapify(heap)
     coords: dict[bytes, int] = {}
@@ -151,4 +150,4 @@ def lyndon_coordinates(degree_terms: dict[bytes, Fraction]) -> dict[bytes, Fract
                 remaining[v] = cur
             else:
                 remaining.pop(v, None)
-    return _over(coords, denominator)
+    return coords, denominator

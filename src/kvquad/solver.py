@@ -35,7 +35,7 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, _trace_slots, act
 from .traces import trace_pairing
-from .words import AssocSeries, _SparseSeries, _linear_sum, _numerators
+from .words import AssocSeries, _SparseSeries, _linear_sum
 
 
 class KVSolution:
@@ -157,7 +157,7 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     expanded = r.expand()
     if expanded.constant_term or not expanded.homogeneous_part(1).is_zero():
         raise ValueError("factorization input must start in degree two")
-    numerators, d = _numerators(expanded._terms)
+    numerators, d = expanded._pair
     lengths = math.lcm(*range(2, order + 2))  # a multiple of every |w| kept below
     groups: dict[tuple[int, int], dict[bytes, int]] = {}
     for w, n in numerators.items():
@@ -166,7 +166,7 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     sides: list[list] = [[], []]
     for (first, last), middles in groups.items():
         sides[first].append((1, _ad_ints(middles, {bytes([last]): 1}, order), d * lengths))
-    a, b = (LieElement.from_words(AssocSeries._make(2, order, _linear_sum(parts)))
+    a, b = (LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
             for parts in sides)
     return a, b
 
@@ -208,16 +208,16 @@ def kv1_residual(s: KVSolution) -> LieElement:
     order = s.order + 1
     gauge = getattr(s, "_gauge", None)
     if gauge is None:
-        parts, operand = [(-1, *_numerators(kv_rhs(order).expand()._terms))], s
+        parts, operand = [(-1, *kv_rhs(order).expand()._pair)], s
     else:
         base, operand = gauge
-        parts = [(1, *_numerators(kv1_residual(base).expand()._terms))]
+        parts = [(1, *kv1_residual(base).expand()._pair)]
     for index, (sign, component) in enumerate(((-1, operand.A), (1, operand.B))):
         component = component.with_order(order)
-        u, du = _numerators(_ad_polynomial(_exp_minus_one(order, sign), index, component))
-        z, dz = _numerators(component.expand()._terms)
+        u, du = _ad_polynomial(_exp_minus_one(order, sign), index, component)
+        z, dz = component.expand()._pair
         parts.append((1, _ad_ints(u, z, order), du * dz))
-    residual = LieElement.from_words(AssocSeries._make(2, order, _linear_sum(parts)))
+    residual = LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
     object.__setattr__(s, "_residual", residual)
     return residual
 
@@ -303,15 +303,17 @@ def flow_check(s: KVSolution, t_samples) -> bool:
         raise ValueError("samples must be pairwise distinct")
     if len(samples) < s.order + 1:
         raise ValueError(f"need at least order + 1 = {s.order + 1} samples")
-    ch = bch(s.order)
+    ch, d = bch(s.order).expand()._pair
+    top = max(s.order - 2, 0)  # (|w| - 1) t^(|w|-2) with t = p/q, over q^top
     for t in samples:
         inv = 1 / t
         u_t = TangentialDerivation([scale(s.A, t) * inv, scale(s.B, t) * inv])
         lhs = act(u_t, ch_t(t, s.order))
+        p, q = t.numerator, t.denominator
         rhs = LieElement.from_words(AssocSeries._make(
             2, s.order,
-            {w: c * (len(w) - 1) * t ** (len(w) - 2)
-             for w, c in ch.expand().terms.items() if len(w) >= 2}))
+            {w: n * (len(w) - 1) * p ** (len(w) - 2) * q ** (top - len(w) + 2)
+             for w, n in ch.items() if len(w) >= 2}, d * q ** top))
         if lhs != rhs:
             return False
     return True

@@ -10,8 +10,6 @@ induced action on trace series, and the correspondence sending a quadratic
 trace expression to the unique tuple with sum of brackets zero.
 """
 
-from fractions import Fraction
-
 from .lie import (
     LieElement,
     NotLieError,
@@ -24,10 +22,8 @@ from .words import (
     ArityMismatchError,
     AssocSeries,
     Rational,
-    _common_numerators,
+    _common_denominator,
     _linear_sum,
-    _numerators,
-    _over,
     _splice_ints,
     _substitute_ints,
 )
@@ -139,10 +135,10 @@ def act(u: TangentialDerivation, a):
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {a.arity}")
     is_lie = isinstance(a, LieElement)
     order = a.order if u.is_zero() else min(a.order, u.order)
-    expansions, d = _common_numerators([a_i.expand()._terms for a_i in u.components])
+    expansions, d = _common_denominator(a_i.expand()._pair for a_i in u.components)
     images = {i: _letter_bracket(i, e, order) for i, e in enumerate(expansions) if e}
-    words, da = _numerators((a.expand() if is_lie else a)._terms)
-    result = AssocSeries._make(a.arity, order, _over(_splice_ints(words, images, order), da * d))
+    words, da = (a.expand() if is_lie else a)._pair
+    result = AssocSeries._make(a.arity, order, _splice_ints(words, images, order), da * d)
     return LieElement.from_words(result) if is_lie else result
 
 
@@ -169,7 +165,7 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
     with ch the two-letter Campbell-Hausdorff series.  The maps are Lie, and
     a repeated component is one map.  The letter patterns relabel the
-    numerators of A's and B's word expansions; the CH patterns substitute
+    pairs of A's and B's word expansions; the CH patterns substitute
     both expansions in one Horner pass in integers (``_substitute_ints`` on
     the pair), with the CH words as they stand, or relabelled onto y, z, as
     one image and the remaining letter as the other.
@@ -180,18 +176,17 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
         raise ValueError(
             f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
     order = u.order
-    expansions = [a.expand()._terms for a in u.components]
+    expansions = [a.expand()._pair for a in u.components]
     if pattern == "1,2":
-        A, B = map(_numerators, expansions)
+        A, B = expansions
     elif pattern == "2,3":
-        A, B = (({w.translate(_YZ): n for w, n in ints.items()}, d)
-                for ints, d in map(_numerators, expansions))
+        A, B = (({w.translate(_YZ): n for w, n in ints.items()}, d) for ints, d in expansions)
     else:
-        ch = bch_multi(2, order).expand()._terms
+        ch, d = bch_multi(2, order).expand()._pair
         if pattern == "12,3":
-            images = [ch, {b"\x02": 1}]
+            images = [(ch, d), ({b"\x02": 1}, 1)]
         else:
-            images = [{b"\x00": 1}, {w.translate(_YZ): c for w, c in ch.items()}]
+            images = [({b"\x00": 1}, 1), ({w.translate(_YZ): n for w, n in ch.items()}, d)]
         A, B = _substitute_ints(expansions, images, order)
     zero = ({}, 1)
     return {"1,2": (A, B, zero), "2,3": (zero, A, B),
@@ -201,7 +196,7 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
 def simplicial(u: TangentialDerivation, pattern: str) -> TangentialDerivation:
     """Embed a two-letter derivation into three letters; see ``simplicial_words``."""
     maps = simplicial_words(u, pattern)
-    lie = {id(m): LieElement.from_words(AssocSeries._make(3, u.order, _over(*m))) for m in maps}
+    lie = {id(m): LieElement.from_words(AssocSeries._make(3, u.order, *m)) for m in maps}
     return TangentialDerivation([lie[id(m)] for m in maps])
 
 
@@ -209,12 +204,13 @@ def divergence_words(components) -> AssocSeries:
     """Words with the cyclic projections of sum_i x_i (d_i a_i), for raw components a_i.
 
     x_i (d_i a_i) is a rotation of the part of a_i ending in x_i, and parts
-    ending in different letters never collide.
+    ending in different letters never collide: a sum of the pairs.
     """
-    words = {}
+    parts = []
     for i, a_i in enumerate(components):  # Lie words are never empty
-        words.update((w, c) for w, c in a_i.expand().terms.items() if w[-1] == i)
-    return AssocSeries._make(components[0].arity, components[0].order, words)
+        ints, d = a_i.expand()._pair
+        parts.append((1, {w: n for w, n in ints.items() if w[-1] == i}, d))
+    return AssocSeries._make(components[0].arity, components[0].order, *_linear_sum(parts))
 
 
 def div(u: TangentialDerivation) -> TraceSeries:
@@ -234,26 +230,25 @@ def act_on_trace(u: TangentialDerivation, g):
     if g.is_zero():
         return type(g).zero(g.arity, g.order)
     project = tr if isinstance(g, TraceSeries) else tr_quad
-    return project(act(u, AssocSeries._make(g.arity, g.order, g.terms)))
+    return project(act(u, AssocSeries._make(g.arity, g.order, *g._pair)))
 
 
 def _trace_slots(p: TraceSeries) -> tuple[LieElement, ...]:
     """Raw tuple (a_1, ..., a_n) generated by p, kept as words, with sum_i [x_i, a_i] = 0 checked.
 
     Differentiating p at slot i along a fresh direction z leaves tr(z a_i);
-    on cyclic words that is pure rotation bookkeeping.
+    on cyclic words that is pure rotation bookkeeping on p's numerators.
     """
     arity, order = p.arity, max(p.order - 1, 0)  # the order of every a_i
-    raw: list[dict[bytes, Fraction]] = [{} for _ in range(arity)]
-    for w, c in p.terms.items():
+    ints, d = p._pair
+    raw: list[dict[bytes, int]] = [{} for _ in range(arity)]
+    for w, n in ints.items():
         for pos, letter in enumerate(w):
             v = w[pos + 1:] + w[:pos]
-            raw[letter][v] = raw[letter][v] + c if v in raw[letter] else c
-    slots = [AssocSeries._make(arity, order, terms) for terms in raw]
-    expansions, d = _common_numerators([a_i._terms for a_i in slots])
-    if _linear_sum((1, _letter_bracket(i, e, order), d) for i, e in enumerate(expansions)):
+            raw[letter][v] = raw[letter].get(v, 0) + n
+    if _linear_sum((1, _letter_bracket(i, a_i, order), 1) for i, a_i in enumerate(raw))[0]:
         raise ValueError("extracted tuple violates sum_i [x_i, a_i] = 0")
-    return tuple(map(LieElement.from_words, slots))
+    return tuple(LieElement.from_words(AssocSeries._make(arity, order, a_i, d)) for a_i in raw)
 
 
 def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
@@ -266,7 +261,7 @@ def quadratic_trace_tuple(p: TraceSeries) -> tuple[LieElement, ...]:
     slots = _trace_slots(p)
     for i, a_i in enumerate(slots):
         try:
-            a_i.terms
+            a_i._pair
         except NotLieError as exc:
             raise NotLieError(
                 f"slot {i} of the correspondence is not a Lie series "

@@ -12,15 +12,13 @@ to the same class in either factor order, which is checked in the tests and
 relied on by substitution.
 """
 
-from fractions import Fraction
-
 from .lie import LieElement
 from .words import (
     ArityMismatchError,
     AssocSeries,
     _SparseSeries,
+    _substitute_ints,
     _word_name,
-    substitute_words,
     word_to_str,
 )
 
@@ -89,15 +87,15 @@ class QuadTraceSeries(_SparseSeries):
 
 
 def _project(space, a: AssocSeries, canonical):
-    """Sum the terms of ``a`` into their classes; ``canonical`` gives (representative, sign) or None."""
-    out: dict[bytes, Fraction] = {}
-    for w, c in a.terms.items():
+    """Sum the numerators of ``a`` into their classes; ``canonical`` gives (representative, sign) or None."""
+    ints, d = a._pair
+    out: dict[bytes, int] = {}
+    for w, n in ints.items():
         canon = canonical(w)
         if canon is not None:
             rep, sign = canon
-            c = c if sign == 1 else -c
-            out[rep] = out[rep] + c if rep in out else c
-    return space._make(a.arity, a.order, out)
+            out[rep] = out.get(rep, 0) + (n if sign == 1 else -n)
+    return space._make(a.arity, a.order, out, d)
 
 
 def tr(a: AssocSeries) -> TraceSeries:
@@ -122,7 +120,7 @@ def trace_substitute(g, args):
 
     Any linear representative of a class may be expanded; the result does not
     depend on the choice because Lie arguments are tau-antisymmetric.  The
-    representatives are substituted together by ``substitute_words`` and
+    representatives are substituted together by ``_substitute_ints`` and
     projected once, as both projections are linear.  Works for both
     quotients and returns the same kind as g.
     """
@@ -136,6 +134,6 @@ def trace_substitute(g, args):
             raise TypeError("substitution arguments must be LieElements")
         if arg.arity != arity_out:
             raise ArityMismatchError("substitution arguments must share one arity")
-    words = substitute_words(g._terms, [arg.expand()._terms for arg in args], order)
+    words = _substitute_ints(g._pair, [arg.expand()._pair for arg in args], order)
     project = tr if isinstance(g, TraceSeries) else tr_quad
-    return project(AssocSeries._make(arity_out, order, words))
+    return project(AssocSeries._make(arity_out, order, *words))

@@ -120,7 +120,7 @@ def report_zero(check: str, series, gating: bool = True) -> VerificationReport:
     degrees are read off its words; only a failing degree reads coordinates.
     """
     words = series.expand() if isinstance(series, LieElement) else series
-    degrees_hit = {len(w) for w in words.terms}
+    degrees_hit = {len(w) for w in words._pair[0]}
     return _degree_report(check, series.order,
                           {d: _leading_witness(series, d) for d in degrees_hit}, gating)
 
@@ -143,8 +143,9 @@ def _bernoulli_side(order: int) -> AssocSeries:
     It does not depend on the solution, so it is built once per order.
     """
     f = kernel_series("f", order)
-    f_x = AssocSeries._make(2, order, f.terms)  # f's own words are powers of letter 0 = x
-    f_y = AssocSeries._make(2, order, {w.replace(b"\x00", b"\x01"): c for w, c in f.terms.items()})
+    ints, d = f._pair
+    f_x = AssocSeries._make(2, order, ints, d)  # f's own words are powers of letter 0 = x
+    f_y = AssocSeries._make(2, order, {w.replace(b"\x00", b"\x01"): n for w, n in ints.items()}, d)
     return f_x + f_y - univariate_substitute(f, bch(order).expand())
 
 
@@ -201,7 +202,7 @@ def simplicial_combination(s: KVSolution) -> TangentialDerivation:
         for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
             parts.append((sign, ints, d))
     return TangentialDerivation(
-        [LieElement.from_words(AssocSeries._make(3, u.order, _linear_sum(parts)))
+        [LieElement.from_words(AssocSeries._make(3, u.order, *_linear_sum(parts)))
          for parts in sums])
 
 
@@ -296,12 +297,12 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     arg_sets = [((x, y), 1), ((x + y, z), 1), ((x, y + z), -1), ((y, z), -1)]
     rows: dict[bytes, dict[int, Fraction]] = {}  # one per three-letter class met
     for j, rep in enumerate(basis2):
-        g = QuadTraceSeries._make(2, n, {rep: Fraction(1)})
+        g = QuadTraceSeries._make(2, n, {rep: 1})
         image = QuadTraceSeries.zero(3, n)
         for args, sign in arg_sets:
             image = image + trace_substitute(g, args) * sign
-        for w, c in image.terms.items():
-            rows.setdefault(w, {})[j] = c
+        for w, c in image._pair[0].items():  # linalg takes integers as they are
+            rows.setdefault(w, {})[j] = Fraction(c, image._pair[1]) if image._pair[1] > 1 else c
     kernel = rational_kernel(list(rows.values()), len(basis2)) if basis2 else []
     vectors = [QuadTraceSeries(2, n, {basis2[j]: v for j, v in vec.items()}) for vec in kernel]
     expected_dim = 1 if n % 2 == 0 else 0
@@ -315,15 +316,15 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     x2, z2 = generator(2, 0, n), generator(2, 1, n)
     cob_rows: dict[bytes, dict[int, Fraction]] = {}  # one per two-letter class met
     for j, rep in enumerate(basis1):
-        h = QuadTraceSeries._make(1, n, {rep: Fraction(1)})
+        h = QuadTraceSeries._make(1, n, {rep: 1})
         cob = (trace_substitute(h, (x2,)) + trace_substitute(h, (z2,))
                - trace_substitute(h, (x2 + z2,)))
-        for w, c in cob.terms.items():
-            cob_rows.setdefault(w, {})[j] = c
+        for w, c in cob._pair[0].items():
+            cob_rows.setdefault(w, {})[j] = Fraction(c, cob._pair[1]) if cob._pair[1] > 1 else c
     for vec in vectors:
         if basis1:
             # one equation per two-letter class where either side is nonzero
-            equations = dict.fromkeys(vec.terms, {}) | cob_rows
+            equations = dict.fromkeys(vec._pair[0], {}) | cob_rows
             if rational_solve(list(equations.values()), [vec.coefficient(w) for w in equations],
                               len(basis1)) is None:
                 failures.append(Witness(n, "kernel vector is not a coboundary", Fraction(0)))
@@ -332,13 +333,12 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     if n % 2 == 0 and len(kernel) == 1:
         # spanning check against the projection of (x+z)^n - x^n - z^n
         all_words = AssocSeries._make(
-            2, n, {bytes(word): Fraction(1)
-                   for word in itertools.product(range(2), repeat=n)})
+            2, n, {bytes(word): 1 for word in itertools.product(range(2), repeat=n)})
         span = tr_quad(all_words
                        - AssocSeries.from_word(2, n, b"\x00" * n)
                        - AssocSeries.from_word(2, n, b"\x01" * n))
         vec = vectors[0]
-        pivot = min(span.terms, default=None)
+        pivot = min(span._pair[0], default=None)
         ratio = 0 if pivot is None else vec.coefficient(pivot) / span.coefficient(pivot)
         if not ratio or vec != span * ratio:
             failures.append(Witness(n, "kernel not spanned by (x+z)^n - x^n - z^n", Fraction(0)))

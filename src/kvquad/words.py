@@ -1,21 +1,20 @@
 """Words and truncated series in the free associative algebra.
 
-Coefficients are exact :class:`fractions.Fraction` values throughout; nothing
-in this package touches floating point.  A word over an alphabet of ``arity``
-generators is stored as :class:`bytes` of letter indices, so words compare,
-hash, slice and reverse cheaply and lexicographic order on words is letterwise
-order on indices.  Series are sparse maps from words to nonzero coefficients,
-truncated at a fixed degree; every operation is pure and returns a new series
-truncated at the smaller operand order.  That sparse-series core is shared by
-the Lie series of :mod:`kvquad.lie`, the trace series of :mod:`kvquad.traces`
-and the power series in one variable, which are word series over one letter.
-``substitute_words``, the associative substitution of word maps for letters,
-is the one kernel behind Lie substitution, the simplicial embeddings and
-trace substitution.  It and the other word kernels (``mul`` and the Leibniz
-splice ``_splice_ints`` here; expansion, brackets, nested ad and peel in
-:mod:`kvquad.lyndon` and :mod:`kvquad.lie`) sum integer numerators over one
-denominator (``_numerators``, ``_common_numerators``, ``_linear_sum``) and
-build one ``Fraction`` per output word (``_over``).
+Coefficients are exact rationals; nothing in this package touches floating
+point.  A word over an alphabet of ``arity`` generators is stored as
+:class:`bytes` of letter indices, so words compare, hash, slice and reverse
+cheaply and lexicographic order on words is letterwise order on indices.
+Series are sparse maps from words to nonzero coefficients, truncated at a
+fixed degree; every operation is pure and returns a new series truncated at
+the smaller operand order.  A series stores the pair (integer numerators by
+word, one positive denominator) in lowest terms; a ``Fraction`` is built only
+when a coefficient is read, and JSON and ``str`` format p/q from the pair.
+That core is shared by the Lie series of :mod:`kvquad.lie`, the trace series
+of :mod:`kvquad.traces` and the power series in one variable, word series
+over one letter.  The word kernels (``mul``, the substitution
+``_substitute_ints`` behind Lie, simplicial and trace substitution, the
+Leibniz splice ``_splice_ints``; expansion, brackets, nested ad and peel in
+:mod:`kvquad.lyndon` and :mod:`kvquad.lie`) take and return such pairs.
 """
 
 import math
@@ -73,18 +72,52 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _pair_of(terms) -> tuple[dict[bytes, int], int]:
+    """A map with rational values as numerators over the lcm of its denominators: lowest terms."""
+    terms = {w: c for w, c in terms.items() if c}
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
+
+
+def _normal(ints: dict, d: int) -> tuple[dict[bytes, int], int]:
+    """(ints, d) in lowest terms: zeros dropped and gcd(d, *numerators) = 1, so {} is over 1."""
+    if 0 in ints.values():
+        ints = {w: n for w, n in ints.items() if n}
+    g = math.gcd(d, *ints.values()) if d != 1 else 1
+    return ({w: n // g for w, n in ints.items()}, d // g) if g != 1 else (ints, d)
+
+
+def _fractions(pair) -> dict[bytes, Fraction]:
+    """The public view of a pair: one ``Fraction`` per word with a nonzero numerator."""
+    ints, d = pair
+    return {w: Fraction(n, d) for w, n in ints.items() if n}
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _canonical(ints: dict) -> list[bytes]:
+    """The words of a map sorted by (degree, word); the canonical iteration order."""
+    return sorted(ints, key=lambda w: (len(w), w))
+
+
 class _SparseSeries:
     """Immutable sparse map from words to nonzero rationals, truncated at ``order``.
 
     The shared core of word, Lie and cyclic-trace series: subclasses decide
     what a key denotes (a word, a Lyndon bracketing, a cyclic class) through
-    ``_check_key``, and how it prints through ``_name``.  Two series compare
-    equal when they have the same type and arity and agree coefficientwise up
-    to the smaller of the two truncation orders; binary operations truncate
-    to the smaller order.
+    ``_check_key``, and how it prints through ``_name``.  The coefficients
+    live in one slot, ``_pair``: integer numerators by key over one positive
+    denominator, in lowest terms (``_normal``).  Two series compare equal
+    when they have the same type and arity and agree coefficientwise up to
+    the smaller of the two truncation orders; binary operations truncate to
+    the smaller order.
     """
 
-    __slots__ = ("arity", "order", "_terms")
+    __slots__ = ("arity", "order", "_pair")
     _key_kind = "word"
     _tag: tuple[str, str] | None = None  # (key, value) written after "order" in JSON
     _tag_required = True
@@ -96,14 +129,10 @@ class _SparseSeries:
             raise ValueError("order must be >= 0")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
-        cleaned = {}
-        for w, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                w = bytes(w)
-                self._check_key(w)
-                cleaned[w] = c
-        object.__setattr__(self, "_terms", cleaned)
+        pair = _pair_of({bytes(w): Fraction(c) for w, c in (terms or {}).items()})
+        for w in pair[0]:
+            self._check_key(w)
+        object.__setattr__(self, "_pair", pair)
 
     def _check_key(self, w: bytes):
         if len(w) > self.order:
@@ -116,16 +145,16 @@ class _SparseSeries:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, which never sets a memo slot
-        return type(self), (self.arity, self.order, self._terms)
+        # pickle and copy rebuild the pair through _make, which never sets a memo slot
+        return type(self)._make, (self.arity, self.order, *self._pair)
 
     @classmethod
-    def _make(cls, arity, order, terms):
-        """Trusted constructor: drops zeros, skips key validation."""
+    def _make(cls, arity, order, ints, d=1):
+        """Trusted constructor from numerators over d: lowest terms, no key validation."""
         self = object.__new__(cls)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_terms", {w: c for w, c in terms.items() if c})
+        object.__setattr__(self, "_pair", _normal(ints, d))
         return self
 
     @classmethod
@@ -134,71 +163,71 @@ class _SparseSeries:
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType(_fractions(self._pair))
 
     def coefficient(self, w: bytes) -> Fraction:
-        return self._terms.get(bytes(w), Fraction(0))
+        ints, d = self._pair
+        return Fraction(ints.get(bytes(w), 0), d)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._pair[0]
 
     def sorted_items(self):
         """Terms sorted by (degree, word); the canonical iteration order."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        ints, d = self._pair
+        return [(w, Fraction(ints[w], d)) for w in _canonical(ints)]
 
-    def _termwise(self, f, order: int | None = None):
-        """f, a map of term dicts, applied to the terms; truncated at ``order``, by default self's."""
-        return type(self)._make(self.arity, self.order if order is None else order, f(self._terms))
+    def _termwise(self, f, order: int | None = None, over: int = 1):
+        """f, a map of numerator dicts, applied to the numerators, whose denominator is
+        multiplied by ``over``; truncated at ``order``, by default self's."""
+        order = self.order if order is None else order
+        return type(self)._make(self.arity, order, f(self._pair[0]), self._pair[1] * over)
 
     def homogeneous_part(self, degree: int):
-        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) == degree})
+        return self._termwise(lambda ints: {w: n for w, n in ints.items() if len(w) == degree})
 
     def truncated(self, order: int):
         if order >= self.order:
             return self
-        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) <= order},
+        return self._termwise(lambda ints: {w: n for w, n in ints.items() if len(w) <= order},
                               order)
 
     def with_arity(self, arity: int):
         """The same series viewed over a larger alphabet."""
         if arity < self.arity:
             raise ValueError("cannot shrink arity")
-        return type(self)._make(arity, self.order, dict(self._terms))
+        return type(self)._make(arity, self.order, *self._pair)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.arity != other.arity:
-            return False
-        n = min(self.order, other.order)
-        for w, c in self._terms.items():
-            if len(w) <= n and other._terms.get(w) != c:
-                return False
-        for w in other._terms:
-            if len(w) <= n and w not in self._terms:
-                return False
-        return True
+        n = min(self.order, other.order)  # lowest terms are unique: compare the pairs
+        return self.arity == other.arity and self.truncated(n)._pair == other.truncated(n)._pair
 
     __hash__ = None
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self._terms)
         order = min(self.order, other.order)
-        for w, c in other._terms.items():
-            out[w] = out[w] + c if w in out else c  # a new word stores c: 0 + c costs a Fraction add
-        return type(self)._make(
-            self.arity, order, {w: c for w, c in out.items() if len(w) <= order})
+        (a, da), (b, db) = self._pair, other._pair
+        d = math.lcm(da, db)
+        ka, kb = d // da, d // db
+        out = {w: n * ka for w, n in a.items() if len(w) <= order}
+        for w, n in b.items():
+            if len(w) <= order:
+                out[w] = out.get(w, 0) + n * kb
+        return type(self)._make(self.arity, order, out, d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._termwise(lambda terms: {w: -c for w, c in terms.items()})
+        return self._termwise(lambda ints: {w: -n for w, n in ints.items()})
 
     def __mul__(self, scalar: Rational):
         scalar = Fraction(scalar)
-        return self._termwise(lambda terms: {w: scalar * c for w, c in terms.items()})
+        return self._termwise(lambda ints: {w: scalar.numerator * n for w, n in ints.items()},
+                              over=scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -213,15 +242,15 @@ class _SparseSeries:
         return word_to_str(w) if w else None
 
     def __str__(self):
-        if not self._terms:
+        ints, d = self._pair
+        if not ints:
             return "0"
         parts = []
-        for w, c in self.sorted_items():
+        for w in _canonical(ints):
+            p, q = _ratio(ints[w], d)
+            c = f"{p}" if q == 1 else f"{p}/{q}"
             name = self._name(w)
-            if name is None:
-                parts.append(f"{c}")
-            else:
-                parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+            parts.append(c if name is None else {"1": name, "-1": f"-{name}"}.get(c, f"{c}*{name}"))
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
@@ -231,8 +260,9 @@ class _SparseSeries:
         data = {"arity": self.arity, "order": self.order}
         if self._tag is not None:
             data[self._tag[0]] = self._tag[1]
-        data["terms"] = [{"word": word_to_str(w), "coeff": format_rational(c)}
-                         for w, c in self.sorted_items()]
+        ints, d = self._pair
+        data["terms"] = [{"word": word_to_str(w), "coeff": "%d/%d" % _ratio(ints[w], d)}
+                         for w in _canonical(ints)]
         return data
 
     @classmethod
@@ -275,7 +305,7 @@ class AssocSeries(_SparseSeries):
 
     @classmethod
     def unit(cls, arity, order):
-        return cls._make(arity, order, {b"": Fraction(1)})
+        return cls._make(arity, order, {b"": 1})
 
     @classmethod
     def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
@@ -286,11 +316,11 @@ class AssocSeries(_SparseSeries):
         """The length-1 word x_index as a series."""
         if not 0 <= index < arity:
             raise ValueError(f"letter {index} out of range for arity {arity}")
-        return cls._make(arity, order, {bytes([index]): Fraction(1)})
+        return cls._make(arity, order, {bytes([index]): 1})
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(b"", Fraction(0))
+        return _SparseSeries.coefficient(self, b"")
 
     def __mul__(self, other):
         if isinstance(other, AssocSeries):
@@ -298,29 +328,16 @@ class AssocSeries(_SparseSeries):
         return _SparseSeries.__mul__(self, other)
 
 
-def _numerators(terms) -> tuple[dict[bytes, int], int]:
-    """Integer numerators of a word map over d, the lcm of its denominators, and d.
-
-    Values may be ``Fraction`` or ``int``; an empty map has d = 1.
-    """
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
-
-
-def _common_numerators(maps) -> tuple[list[dict[bytes, int]], int]:
-    """Integer numerators of several word maps over d, the lcm of all their denominators, and d."""
-    scaled = [_numerators(terms) for terms in maps]
-    d = math.lcm(*(di for _, di in scaled))
-    return [{w: n * (d // di) for w, n in nums.items()} for nums, di in scaled], d
+def _common_denominator(pairs) -> tuple[list[dict[bytes, int]], int]:
+    """The numerators of several pairs over d, the lcm of their denominators, and d."""
+    pairs = list(pairs)
+    d = math.lcm(*(di for _, di in pairs))
+    return [ints if di == d else {w: n * (d // di) for w, n in ints.items()}
+            for ints, di in pairs], d
 
 
-def _over(ints: dict, d: int) -> dict[bytes, Fraction]:
-    """The nonzero integers of a word map divided by d, as reduced ``Fraction``s."""
-    return {w: Fraction(n, d) for w, n in ints.items() if n}
-
-
-def _linear_sum(parts) -> dict[bytes, Fraction]:
-    """sum of k * ints / d over (k, ints, d) parts, k an integer, in integers over the lcm of the d."""
+def _linear_sum(parts) -> tuple[dict[bytes, int], int]:
+    """sum of k * ints / d over (k, ints, d) parts, k an integer, over the lcm of the d."""
     parts = list(parts)
     d = math.lcm(*(di for _, _, di in parts))
     out: dict[bytes, int] = {}
@@ -328,7 +345,7 @@ def _linear_sum(parts) -> dict[bytes, Fraction]:
         k *= d // di
         for w, n in ints.items():
             out[w] = out.get(w, 0) + k * n
-    return _over(out, d)
+    return {w: n for w, n in out.items() if n}, d
 
 
 def _by_length(terms: dict) -> dict[int, list]:
@@ -343,12 +360,11 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
     """Concatenation product, truncated at min(a.order, b.order).
 
     The products of numerators are summed in integers over the product of
-    the two operands' denominators, one ``Fraction`` per output word.
+    the two operands' denominators.
     """
     a._check_compatible(b)
     order = min(a.order, b.order)
-    na, da = _numerators(a._terms)
-    nb, db = _numerators(b._terms)
+    (na, da), (nb, db) = a._pair, b._pair
     out: dict[bytes, int] = {}
     b_buckets = _by_length(nb)
     for wa, ca in na.items():
@@ -361,7 +377,7 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
             for wb, cb in items:
                 w = wa + wb
                 out[w] = out.get(w, 0) + ca * cb
-    return type(a)._make(a.arity, order, _over(out, da * db))
+    return type(a)._make(a.arity, order, out, da * db)
 
 
 def _horner_words(terms: dict, images, room: int) -> dict:
@@ -390,39 +406,35 @@ def _horner_words(terms: dict, images, room: int) -> dict:
 
 
 def substitute_words(terms, images, order: int) -> dict[bytes, Fraction]:
-    """sum_w c_w images[w_0] images[w_1] ... for a word map ``terms``, through ``order``.
+    """sum_w c_w images[w_0] images[w_1] ... for rational word maps, through ``order``.
 
-    The associative-algebra homomorphism sending letter i to the word map
-    ``images[i]``, applied to ``terms``; words beyond ``order`` are dropped.
-    Precondition: no image has a constant term, so a word w only reaches
-    degrees >= |w| and the truncation is exact.  The sum is formed in
-    integers by Horner's scheme over first letters: with the images over one
-    denominator D and the terms over T, the numerator of c_w is scaled by
-    D^(order-|w|), so every product lies over T * D^order.
+    The homomorphism sending letter i to ``images[i]``, none with a constant
+    term, applied to ``terms``: ``_substitute_ints`` on the maps' pairs.
     """
-    return _over(*_substitute_ints(terms, images, order))
+    return _fractions(_substitute_ints(_pair_of(terms), [_pair_of(i) for i in images], order))
 
 
 def _substitute_ints(terms, images, order: int):
-    """``substitute_words`` as integer numerators over the lcm of its denominators, as ``_numerators``.
+    """``substitute_words`` on pairs: the result's pair, in lowest terms.
 
-    The Horner sum lies over T * D^order; dividing it and its numerators by
-    their common gcd leaves exactly the lcm of the reduced denominators.
-    ``terms`` may be a list of word maps that share the images; the result
-    is then the list of their results, from one Horner pass over integers
-    that hold every map's numerator at a stride of K bits (Kronecker
-    substitution).  With d = D and S the largest sum of one image's
-    |numerators|, an output numerator is at most sum |n| * max(d, S)^order,
-    since d^(order-|w|) S^|w| <= max(d, S)^order; K is the bit length of
-    that bound plus a sign bit, so the packed sums split back by symmetric
-    residues (``_unpack``).
+    No image has a constant term, so a word w only reaches degrees >= |w|
+    and the truncation is exact.  Horner's scheme over first letters sums in
+    integers: with the images over one denominator D and the terms over T,
+    the numerator of c_w is scaled by D^(order-|w|), so every product lies
+    over T * D^order.  ``terms`` may be a list of pairs that share the
+    images; the result is then the list of their results, from one Horner
+    pass over integers that hold every map's numerator at a stride of K bits
+    (Kronecker substitution).  With d = D and S the largest sum of one
+    image's |numerators|, an output numerator is at most sum |n| *
+    max(d, S)^order; K is the bit length of that bound plus a sign bit, so
+    the packed sums split back by symmetric residues (``_unpack``).
     """
-    if any(b"" in image for image in images):
+    if any(b"" in ints for ints, _ in images):
         raise ValueError("substituted images must have zero constant term")
-    scaled, d = _common_numerators(images)
+    scaled, d = _common_denominator(images)
     several = isinstance(terms, list)
-    maps = [_numerators({w: c for w, c in m.items() if len(w) <= order})
-            for m in (terms if several else [terms])]
+    maps = [({w: n for w, n in ints.items() if len(w) <= order}, t)
+            for ints, t in (terms if several else [terms])]
     if len(maps) == 1:
         numerators = {w: n * d ** (order - len(w)) for w, n in maps[0][0].items()}
         sums = [_horner_words(numerators, scaled, order)]
@@ -436,11 +448,7 @@ def _substitute_ints(terms, images, order: int):
                 packed[w] = packed.get(w, 0) + (n << stride * k)
         packed = {w: p * d ** (order - len(w)) for w, p in packed.items()}
         sums = _unpack(_horner_words(packed, scaled, order), stride, len(maps))
-    out = []
-    for ints, (_, t) in zip(sums, maps):
-        denominator = t * d ** order
-        g = math.gcd(denominator, *ints.values())
-        out.append(({w: n // g for w, n in ints.items()}, denominator // g))
+    out = [_normal(ints, t * d ** order) for ints, (_, t) in zip(sums, maps)]
     return out if several else out[0]
 
 
@@ -483,9 +491,6 @@ class RationalUnivariateSeries(AssocSeries):
             terms[b"\x00" * k] = c
         super().__init__(1, order, terms)
 
-    def __reduce__(self):
-        return RationalUnivariateSeries, (self.order, dict(self.coeffs))
-
     @classmethod
     def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
         """coeff * t^len(w) for a word made only of letter 0, over one letter."""
@@ -497,7 +502,7 @@ class RationalUnivariateSeries(AssocSeries):
         """Itself over one letter; over more letters a plain word series in letter 0."""
         if arity == 1:
             return self
-        return AssocSeries._make(1, self.order, self._terms).with_arity(arity)
+        return AssocSeries._make(1, self.order, *self._pair).with_arity(arity)
 
     @property
     def coeffs(self):
@@ -505,7 +510,7 @@ class RationalUnivariateSeries(AssocSeries):
         return MappingProxyType({len(w): c for w, c in self.sorted_items()})
 
     def coefficient(self, k: int) -> Fraction:
-        return self._terms.get(b"\x00" * k, Fraction(0)) if k >= 0 else Fraction(0)
+        return super().coefficient(b"\x00" * k) if k >= 0 else Fraction(0)
 
     def inverse(self) -> "RationalUnivariateSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -522,26 +527,27 @@ class RationalUnivariateSeries(AssocSeries):
     def shifted_down(self, k: int = 1) -> "RationalUnivariateSeries":
         """Exact division by t^k, k <= order; the low coefficients must vanish."""
         for j in range(k):
-            if self.coefficient(j):
+            if b"\x00" * j in self._pair[0]:
                 raise ValueError(f"coefficient of t^{j} is nonzero; cannot divide by t^{k}")
         if k > self.order:
             raise ValueError(f"cannot divide a series of order {self.order} by t^{k}")
-        return self._termwise(lambda terms: {b"\x00" * (len(w) - k): c for w, c in terms.items()},
+        return self._termwise(lambda ints: {b"\x00" * (len(w) - k): n for w, n in ints.items()},
                               self.order - k)
 
     def derivative(self) -> "RationalUnivariateSeries":
-        return self._termwise(lambda terms: {w[1:]: len(w) * c for w, c in terms.items() if w},
+        return self._termwise(lambda ints: {w[1:]: len(w) * n for w, n in ints.items() if w},
                               max(self.order - 1, 0))
 
     def odd_part(self) -> "RationalUnivariateSeries":
-        return self._termwise(lambda terms: {w: c for w, c in terms.items() if len(w) % 2})
+        return self._termwise(lambda ints: {w: n for w, n in ints.items() if len(w) % 2})
 
     def _name(self, w: bytes) -> str | None:
         return f"t^{len(w)}" if w else None
 
     def to_json_dict(self) -> dict:
+        ints, d = self._pair
         return {"order": self.order,
-                "coeffs": [format_rational(self.coefficient(k))
+                "coeffs": ["%d/%d" % _ratio(ints.get(b"\x00" * k, 0), d)
                            for k in range(self.order + 1)]}
 
     @classmethod
@@ -561,7 +567,7 @@ class RationalUnivariateSeries(AssocSeries):
 def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> AssocSeries:
     """phi(a) = sum of phi_k a^k for a word series with zero constant term.
 
-    phi's words are the powers of its one letter, so phi(a) is ``substitute_words``
+    phi's words are the powers of its one letter, so phi(a) is ``_substitute_ints``
     with that letter's image a, Horner's scheme in integers; ``exp`` and ``log``
     substitute their coefficient series.  The result has the type of ``a``.
     """
@@ -569,22 +575,24 @@ def univariate_substitute(phi: RationalUnivariateSeries, a: AssocSeries) -> Asso
         raise ValueError("substitution into a univariate series needs zero constant term")
     if phi.order < a.order:
         raise ValueError("univariate series truncated below the word-series order")
-    return type(a)._make(a.arity, a.order, substitute_words(phi._terms, [a._terms], a.order))
+    return type(a)._make(a.arity, a.order, *_substitute_ints(phi._pair, [a._pair], a.order))
 
 
 def exp(a: AssocSeries) -> AssocSeries:
     """Truncated exponential, sum of a^k/k!; requires zero constant term."""
-    return univariate_substitute(RationalUnivariateSeries(
-        a.order, [Fraction(1, math.factorial(k)) for k in range(a.order + 1)]), a)
+    top = math.factorial(a.order)  # 1/k! = (order!/k!) / order!
+    return univariate_substitute(RationalUnivariateSeries._make(
+        1, a.order, {b"\x00" * k: top // math.factorial(k) for k in range(a.order + 1)}, top), a)
 
 
 def log(a: AssocSeries) -> AssocSeries:
     """Truncated logarithm, sum of (-1)^(k+1) u^k/k for u = a - 1; requires constant term 1."""
     if a.constant_term != 1:
         raise ValueError("log requires a series with constant term 1")
-    return univariate_substitute(RationalUnivariateSeries(
-        a.order, {k: Fraction((-1) ** (k + 1), k) for k in range(1, a.order + 1)}),
-        a - a.unit(a.arity, a.order))
+    top = math.lcm(*range(1, a.order + 1))  # 1/k = (top/k) / top
+    phi = {b"\x00" * k: (-1) ** (k + 1) * (top // k) for k in range(1, a.order + 1)}
+    return univariate_substitute(RationalUnivariateSeries._make(1, a.order, phi, top),
+                                 a - a.unit(a.arity, a.order))
 
 
 def tau(a: AssocSeries) -> AssocSeries:
@@ -592,9 +600,9 @@ def tau(a: AssocSeries) -> AssocSeries:
 
     It is the unique anti-automorphism that negates every Lie element.
     """
+    ints, d = a._pair
     return AssocSeries._make(
-        a.arity, a.order,
-        {w[::-1]: c if len(w) % 2 == 0 else -c for w, c in a._terms.items()})
+        a.arity, a.order, {w[::-1]: n if len(w) % 2 == 0 else -n for w, n in ints.items()}, d)
 
 
 @dataclass(frozen=True)
@@ -615,22 +623,22 @@ class Decomposition:
         return len(self.partials)
 
     def reconstruct(self) -> AssocSeries:
-        out = {b"": self.constant} if self.constant else {}
-        for i, part in enumerate(self.partials):
-            suffix = bytes([i])
-            for w, c in part._terms.items():
-                out[w + suffix] = c
-        return AssocSeries._make(self.arity, self.order, out)
+        c = Fraction(self.constant)
+        parts = [(1, {b"": c.numerator}, c.denominator)] + [
+            (1, {w + bytes([i]): n for w, n in part._pair[0].items()}, part._pair[1])
+            for i, part in enumerate(self.partials)]
+        return AssocSeries._make(self.arity, self.order, *_linear_sum(parts))
 
 
 def decompose(a: AssocSeries) -> Decomposition:
     """Split off the right-most letter of every word."""
-    partial_terms: list[dict[bytes, Fraction]] = [{} for _ in range(a.arity)]
-    for w, c in a._terms.items():
+    ints, d = a._pair
+    partial_ints: list[dict[bytes, int]] = [{} for _ in range(a.arity)]
+    for w, n in ints.items():
         if w:
-            partial_terms[w[-1]][w[:-1]] = c
+            partial_ints[w[-1]][w[:-1]] = n
     sub_order = max(a.order - 1, 0)
-    partials = tuple(AssocSeries._make(a.arity, sub_order, d) for d in partial_terms)
+    partials = tuple(AssocSeries._make(a.arity, sub_order, p, d) for p in partial_ints)
     return Decomposition(constant=a.constant_term, partials=partials, order=a.order)
 
 
@@ -643,9 +651,9 @@ def left_letter_mul(index: int, a: AssocSeries, order: int | None = None) -> Ass
     if order is None:
         order = a.order + 1
     prefix = bytes([index])
+    ints, d = a._pair
     return AssocSeries._make(
-        a.arity, order,
-        {prefix + w: c for w, c in a._terms.items() if len(w) + 1 <= order})
+        a.arity, order, {prefix + w: n for w, n in ints.items() if len(w) + 1 <= order}, d)
 
 
 def _splice_ints(terms: dict, images: dict, order: int) -> dict[bytes, int]:
@@ -677,7 +685,6 @@ def substitute_letter_linear(a: AssocSeries, index: int, z: AssocSeries) -> Asso
     live over a larger alphabet; the result does too.
     """
     order = min(a.order, z.order)
-    na, da = _numerators(a._terms)
-    nz, dz = _numerators(z._terms)
+    (na, da), (nz, dz) = a._pair, z._pair
     return AssocSeries._make(max(a.arity, z.arity), order,
-                             _over(_splice_ints(na, {index: nz}, order), da * dz))
+                             _splice_ints(na, {index: nz}, order), da * dz)

@@ -15,6 +15,8 @@ accumulated every product as a ``Fraction`` (here without their length
 buckets, through this module's own ``_accumulate``);
 ``fraction_univariate_substitute`` is the former power loop phi(a) = sum
 phi_k a^k, which ``product_log_ch`` uses as its logarithm;
+``fraction_trace_projection`` sums a word map into cyclic classes from the
+orbit sets of ``rotation_orbit`` and ``signed_cyclic_class``;
 ``univariate_inverse`` (the division recurrence), ``univariate_shifted_down``,
 ``univariate_derivative`` and ``univariate_odd_part`` are the former bodies
 of those ``RationalUnivariateSeries`` methods, on the exponent dict;
@@ -215,8 +217,8 @@ def lyndon_image_substitute(elements, args) -> list[LieElement]:
                 cache[w] = args_words[w[0]]
             else:
                 u, v = standard_factorization(w)
-                words = commutator(image(u)._terms, image(v)._terms, args_order)
-                cache[w] = AssocSeries._make(arity_out, args_order, words)
+                words = commutator(image(u)._pair, image(v)._pair, args_order)
+                cache[w] = AssocSeries._make(arity_out, args_order, *words)
         return cache[w]
 
     out = []
@@ -504,6 +506,20 @@ def signed_cyclic_class(w: Word) -> tuple[Word, int] | None:
         return None
     rep = min(fwd | rev)
     return rep, 1 if rep in fwd or not odd else -1
+
+
+def fraction_trace_projection(terms: dict, signed: bool) -> dict:
+    """A word map summed into its cyclic classes in ``Fraction``, from the orbit sets.
+
+    A plain class is keyed by the least word of its rotation orbit; with
+    ``signed`` a class is ``signed_cyclic_class``, and a zero class is dropped.
+    """
+    out: dict[bytes, Fraction] = {}
+    for w, c in terms.items():
+        canon = signed_cyclic_class(tuple(w)) if signed else (min(rotation_orbit(tuple(w))), 1)
+        if canon is not None:
+            _accumulate(out, bytes(canon[0]), canon[1] * Fraction(c))
+    return out
 
 
 def signed_cyclic_reps(arity: int, degree: int) -> list[Word]:

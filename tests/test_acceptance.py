@@ -221,7 +221,7 @@ def _cli(*argv):
     """Run the CLI in a fresh interpreter on the package these tests import."""
     source_root = str(Path(kvquad.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "kvquad.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "kvquad", *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,16 @@ def test_solution_with_a_non_lyndon_key_names_the_word(tmp_path, capsys):
     _assert_one_error_line(code, out, err)
     assert "'ba' is not a Lyndon word" in err
     assert "Traceback" not in err and "\\x" not in err
+
+
+def test_python_dash_m_kvquad_prints_what_main_prints(capsys):
+    """``python -m kvquad`` runs ``cli.main``: the same exit code and stdout bytes, no warning."""
+    argv = ["verify", "--suite", "theorem", "--order", "4"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    source_root = str(Path(kvquad.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "kvquad", *argv], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert (run.returncode, run.stdout) == (code, out.encode("utf-8"))
+    assert code == 0 and run.stderr == b""

@@ -27,6 +27,7 @@ from kvquad import (
     trace_pairing,
 )
 from kvquad.lyndon import commutator
+from kvquad.words import _fractions, _pair_of
 from kvquad.sampling import random_lie_element
 
 from oracles import derivation_action, oadd, omul, oscale, random_assoc_series, to_word_dict
@@ -47,7 +48,7 @@ def test_commutator_truncates_like_products(unit_left):
         else:
             assert any(c != 1 for c in left.values())
         right = random_assoc_series(rng, arity, 6, terms=rng.randint(0, 8)).terms
-        got = commutator(left, right, order)
+        got = _fractions(commutator(_pair_of(left), _pair_of(right), order))
         assert all(len(w) <= order and c for w, c in got.items())
         L, R = tuple_map(left), tuple_map(right)
         expected = oadd(omul(L, R, order), oscale(omul(R, L, order), -1))
@@ -110,7 +111,7 @@ def test_act_on_trace_matches_per_class_sum(project, space, u_order, g_order):
         u = random_derivation(rng, arity, u_order, zero_slot=None)
         # classes of length >= min(u_order, g_order) act to zero, so keep them short
         short = random_assoc_series(rng, arity, 3, terms=10)
-        gs = [project(AssocSeries._make(arity, g_order, short.terms)), space.zero(arity, g_order)]
+        gs = [project(AssocSeries(arity, g_order, short.terms)), space.zero(arity, g_order)]
         for g in gs:
             got = act_on_trace(u, g)
             expected = per_class_action(u, g)
@@ -123,14 +124,15 @@ def test_act_on_trace_matches_per_class_sum(project, space, u_order, g_order):
 
 def test_quadratic_trace_tuple_rejects_brackets_that_do_not_cancel(monkeypatch):
     """The balance check sum_i [x_i, a_i] = 0 runs on the slot words; an extra y in a_x breaks it."""
-    common = kvquad.tangential._common_numerators
+    bracket = kvquad.tangential._letter_bracket
 
-    def perturbed(maps):
-        first, *rest = maps
-        return common([{**first, b"\x01": first.get(b"\x01", 0) + 1}, *rest])
+    def perturbed(index, terms, order):
+        if index == 0:
+            terms = {**terms, b"\x01": terms.get(b"\x01", 0) + 1}
+        return bracket(index, terms, order)
 
     p = trace_pairing(LieElement(2, 3, {b"\x00\x01": 1}), LieElement(2, 3, {b"\x00": 1}))
     assert quadratic_trace_tuple(p)  # balanced without the perturbation
-    monkeypatch.setattr(kvquad.tangential, "_common_numerators", perturbed)
+    monkeypatch.setattr(kvquad.tangential, "_letter_bracket", perturbed)
     with pytest.raises(ValueError, match="sum_i"):
         quadratic_trace_tuple(p)

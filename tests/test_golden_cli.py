@@ -30,7 +30,10 @@ recomputation of every member that the checks by linearity replaced.  The
 above the benchmark's propU job; its digest was recorded from the
 substitutions of generators and of ``ch`` rebuilt in three letters, one
 Horner pass per component, that the letter relabels and the shared pass
-replaced.
+replaced.  The ``theorem --order 13 --seed 0`` run, whose denominators are
+large, pins the canonical solution and two random gauge members at the
+frontier; its digest was recorded from the ``Fraction``-valued storage that
+the stored (numerators, denominator) pairs replaced.
 Every run but the homo ones is made twice in one process, so the second,
 which reads the cached canonical solution, its memos and the cached CH
 series, must print the same bytes.
@@ -74,6 +77,8 @@ GOLDEN = [
      "0874b1be8690cbcdc151664c0aae1637ab007d07fc921ec19245e8045e696d61"),
     (("verify", "--suite", "propU", "--order", "9", "--json"), 0,
      "e2999effbaa69e84c138d6602f319df5508b469dd95091bdc22b02e5085bf677"),
+    (("verify", "--suite", "theorem", "--order", "13", "--seed", "0"), 0,
+     "df4c9d91cd199e28c0db160f7c75322f9d0178ff66dedf26fd9ea2f659e0ae0a"),
 ]
 
 

@@ -2,16 +2,19 @@
 
 ``LieElement.expand``, ``lyndon.commutator``, the nested-ad kernel
 ``lie._ad_words``, ``words.mul`` and ``words.substitute_letter_linear`` sum
-integer numerators over one denominator and build one ``Fraction`` per word.
-These seeded tests compare each with the former ``Fraction`` body kept in
+integer numerators over one denominator, taking and returning (numerators,
+denominator) pairs.  These seeded tests compare each, read through the
+``Fraction`` view ``words._fractions`` of its pair (inputs converted by
+``words._pair_of``), with the former ``Fraction`` body kept in
 ``tests/oracles.py`` and with an independent tuple-word oracle, on
 coefficients over pairwise coprime denominators (7, 11, 13 and 10007, so a
 lost or doubled denominator factor changes the value), on empty maps and on
-terms that cancel exactly, and check that every stored coefficient is a
-nonzero reduced ``Fraction``.  The integer helpers they share, the letter
-bracket ``lyndon._letter_bracket``, the multi-letter splice
-``words._splice_ints``, the sum ``words._linear_sum`` and the common
-denominator ``words._common_numerators``, are checked the same way.
+terms that cancel exactly, and check that every coefficient read is a
+nonzero reduced ``Fraction`` and every stored pair is in lowest terms.  The
+integer helpers they share, the letter bracket ``lyndon._letter_bracket``,
+the multi-letter splice ``words._splice_ints``, the sum ``words._linear_sum``
+and the common denominator ``words._common_denominator``, are checked the
+same way.
 ``words.univariate_substitute``, behind ``exp`` and ``log``, is Horner's
 scheme of ``substitute_words``; it is compared with the former power loop
 ``oracles.fraction_univariate_substitute`` and with the tuple-word
@@ -30,10 +33,10 @@ from kvquad import AssocSeries, LieElement, RationalUnivariateSeries, exp, log, 
 from kvquad.lie import _ad_words
 from kvquad.lyndon import _letter_bracket, commutator, standard_factorization
 from kvquad.words import (
-    _common_numerators,
+    _common_denominator,
+    _fractions,
     _linear_sum,
-    _numerators,
-    _over,
+    _pair_of,
     _splice_ints,
     _substitute_ints,
     substitute_letter_linear,
@@ -80,6 +83,13 @@ def assert_reduced(terms):
         assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
+def assert_normal(series):
+    """The stored pair is in lowest terms: nonzero integer numerators, gcd(d, *numerators) = 1."""
+    ints, d = series._pair
+    assert type(d) is int and d > 0 and math.gcd(d, *ints.values()) == 1
+    assert all(type(n) is int and n for n in ints.values())
+
+
 def bracketing(w: bytes) -> dict:
     """Tuple-word expansion of the standard bracketing of a Lyndon word, by two products."""
     if len(w) == 1:
@@ -100,6 +110,7 @@ def test_expand_matches_fraction_expansion(arity, order):
         a = random_lie(rng, arity, order, terms)
         got = a.expand().terms
         assert_reduced(got)
+        assert_normal(a.expand())
         assert dict(got) == fraction_expand(a)
         expected = {}
         for w, c in a.terms.items():
@@ -139,7 +150,7 @@ def test_commutator_matches_fraction_commutator(arity):
         right = word_map(rng, arity, 5, rng.randint(0, 8))
         if trial % 5 == 0:
             right = dict(left)  # [a, a] = 0: every word cancels
-        got = commutator(left, right, order)
+        got = _fractions(commutator(_pair_of(left), _pair_of(right), order))
         assert_reduced(got)
         assert got == fraction_commutator(left, right, order)
         L, R = tuple_map(left), tuple_map(right)
@@ -155,7 +166,7 @@ def test_ad_words_matches_fraction_nested_ad(arity):
         order = rng.randint(1, 7)
         terms = word_map(rng, arity, 4, rng.randint(0, 6))
         z = word_map(rng, arity, 4, rng.randint(0, 6), min_len=1)
-        got = _ad_words(terms, z, order)
+        got = _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
         assert_reduced(got)
         assert got == fraction_ad_words(terms, z, order)
 
@@ -167,24 +178,30 @@ def test_ad_words_powers_match_the_operator_oracle():
             phi = [coprime_rational(rng) for _ in range(order + 1)]
             terms = {bytes([index]) * k: c for k, c in enumerate(phi) if k < order}
             z = word_map(rng, arity, order, 6, min_len=1)
-            got = _ad_words(terms, z, order)
+            got = _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
             assert_reduced(got)
             assert tuple_map(got) == ad_power_series(phi, index, tuple_map(z), order)
 
 
+def ad_words(terms: dict, z: dict, order: int) -> dict:
+    """``_ad_words`` on rational word maps, read as ``Fraction`` values."""
+    return _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
+
+
 def test_ad_words_on_empty_and_cancelling_input():
     z = {b"\x00": Fraction(3, 10007), b"\x00\x01": Fraction(-5, 7)}
-    assert _ad_words({}, z, 4) == {}
-    assert _ad_words({b"\x01": Fraction(2, 11)}, {}, 4) == {}
-    assert _ad_words({b"\x00": Fraction(1, 13)}, {b"\x00": Fraction(1, 11)}, 4) == {}  # [x, x]
+    assert ad_words({}, z, 4) == {}
+    assert ad_words({b"\x01": Fraction(2, 11)}, {}, 4) == {}
+    assert ad_words({b"\x00": Fraction(1, 13)}, {b"\x00": Fraction(1, 11)}, 4) == {}  # [x, x]
     # ad_x ad_y - ad_y ad_x = ad_[x, y], which kills [x, y] and keeps [[x, y], x]
     terms = {b"\x00\x01": Fraction(1, 7), b"\x01\x00": Fraction(-1, 7)}
     xy = {b"\x00\x01": Fraction(1, 10007), b"\x01\x00": Fraction(-1, 10007)}
-    assert _ad_words(terms, xy, 4) == fraction_ad_words(terms, xy, 4) == {}
+    assert ad_words(terms, xy, 4) == fraction_ad_words(terms, xy, 4) == {}
     z = {**xy, b"\x00": Fraction(1, 13)}
-    got = _ad_words(terms, z, 4)
+    got = ad_words(terms, z, 4)
     assert_reduced(got)
-    xy_x = commutator(commutator({b"\x00": 1}, {b"\x01": 1}, 2), {b"\x00": 1}, 3)
+    x, y = ({b"\x00": 1}, 1), ({b"\x01": 1}, 1)
+    xy_x = _fractions(commutator(commutator(x, y, 2), x, 3))
     assert got == fraction_ad_words(terms, z, 4) == {w: c / (7 * 13) for w, c in xy_x.items()}
 
 
@@ -198,6 +215,7 @@ def test_mul_matches_fraction_product(arity):
         got = mul(a, b)
         assert got.order == min(order_a, order_b)
         assert_reduced(got.terms)
+        assert_normal(got)
         assert dict(got.terms) == fraction_mul(a, b)
         assert to_word_dict(got) == omul(to_word_dict(a), to_word_dict(b), got.order)
 
@@ -211,6 +229,7 @@ def test_mul_drops_products_that_cancel():
     got = mul(a, b)
     assert b"\x00\x01\x02" not in got.terms
     assert_reduced(got.terms)
+    assert_normal(got)
     assert dict(got.terms) == fraction_mul(a, b) == {b"\x00\x02": p * s}
     assert mul(a, AssocSeries.zero(3, 3)).is_zero()
     assert mul(AssocSeries.zero(3, 3), b).is_zero()
@@ -228,6 +247,7 @@ def test_substitute_letter_linear_matches_fraction_splice(arity):
         got = substitute_letter_linear(a, index, z)
         assert got.arity == z_arity
         assert_reduced(got.terms)
+        assert_normal(got)
         assert dict(got.terms) == fraction_substitute_letter_linear(a, index, z)
 
 
@@ -237,7 +257,7 @@ def test_substitute_letter_linear_matches_the_derivation_oracle():
         for index in range(arity):
             a = AssocSeries(arity, order, word_map(rng, arity, order, 10))
             a_i = word_map(rng, arity, order - 1, 4, min_len=1)
-            image = commutator({bytes([index]): 1}, a_i, order)
+            image = _fractions(commutator(({bytes([index]): 1}, 1), _pair_of(a_i), order))
             got = substitute_letter_linear(a, index, AssocSeries(arity, order, image))
             components = [tuple_map(a_i) if i == index else {} for i in range(arity)]
             assert to_word_dict(got) == derivation_action(components, to_word_dict(a), order)
@@ -264,8 +284,8 @@ def test_letter_bracket_matches_fraction_commutator(arity):
         order = rng.randint(0, 7)
         index = rng.randrange(arity)
         terms = word_map(rng, arity, 6, rng.randint(0, 8)) if trial % 7 else {}
-        ints, d = _numerators(terms)
-        got = _over(_letter_bracket(index, ints, order), d)
+        ints, d = _pair_of(terms)
+        got = _fractions((_letter_bracket(index, ints, order), d))
         assert_reduced(got)
         assert got == fraction_commutator({bytes([index]): 1}, terms, order)
 
@@ -288,9 +308,9 @@ def test_splice_of_several_letters_is_the_sum_of_one_letter_splices(arity):
         letters = rng.sample(range(arity), rng.randint(0, arity))
         zs = {i: AssocSeries(arity, order, word_map(rng, arity, order, rng.randint(0, 5), min_len=1))
               for i in letters}
-        scaled, d = _common_numerators([z.terms for z in zs.values()])
-        na, da = _numerators(a.terms)
-        got = _over(_splice_ints(na, dict(zip(zs, scaled)), order), da * d)
+        scaled, d = _common_denominator(z._pair for z in zs.values())
+        na, da = a._pair
+        got = _fractions((_splice_ints(na, dict(zip(zs, scaled)), order), da * d))
         assert_reduced(got)
         assert got == fraction_sum(fraction_substitute_letter_linear(a, i, z) for i, z in zs.items())
 
@@ -299,9 +319,9 @@ def test_splice_drops_words_that_cancel_across_letters():
     # xz -> yz through x -> p y, and yz -> yz through y -> q y, with c1 p + c2 q = 0
     p, q, c1 = Fraction(1, 7), Fraction(-1, 11), Fraction(3, 13)
     c2 = -c1 * p / q
-    na, da = _numerators({b"\x00\x02": c1, b"\x01\x02": c2, b"\x02": Fraction(1, 10007)})
-    (nx, ny), d = _common_numerators([{b"\x01": p}, {b"\x01": q}])
-    assert _over(_splice_ints(na, {0: nx, 1: ny}, 2), da * d) == {}
+    na, da = _pair_of({b"\x00\x02": c1, b"\x01\x02": c2, b"\x02": Fraction(1, 10007)})
+    (nx, ny), d = _common_denominator([_pair_of({b"\x01": p}), _pair_of({b"\x01": q})])
+    assert _fractions((_splice_ints(na, {0: nx, 1: ny}, 2), da * d)) == {}
     assert _splice_ints(na, {}, 2) == {}
     assert _splice_ints({}, {0: nx}, 2) == {}
 
@@ -313,28 +333,28 @@ def test_linear_sum_matches_fraction_sum():
         for _ in range(rng.randint(0, 4)):
             terms = word_map(rng, 3, 5, rng.randint(0, 6))
             k = rng.choice([-1, 1, rng.randint(-5, 5)])
-            ints, d = _numerators(terms)
+            ints, d = _pair_of(terms)
             parts.append((k, ints, d))
             expected.append({w: k * c for w, c in terms.items()})
             if trial % 3 == 0:  # the same map with the opposite multiplier cancels it
                 parts.append((-k, ints, d))
                 expected.append({w: -k * c for w, c in terms.items()})
-        got = _linear_sum(iter(parts))
+        got = _fractions(_linear_sum(iter(parts)))
         assert_reduced(got)
         assert got == fraction_sum(expected)
-    assert _linear_sum([]) == {}
-    assert _linear_sum([(1, {}, 7), (-1, {b"\x00": 0}, 11)]) == {}
+    assert _linear_sum([])[0] == {}
+    assert _linear_sum([(1, {}, 7), (-1, {b"\x00": 0}, 11)])[0] == {}
 
 
 def test_common_numerators_share_the_lcm_of_the_denominators():
     rng = random.Random(1910)
     maps = [word_map(rng, 2, 4, n) for n in (0, 1, 5, 9)]
-    scaled, d = _common_numerators(maps)
+    scaled, d = _common_denominator(map(_pair_of, maps))
     assert d == math.lcm(*(c.denominator for terms in maps for c in terms.values()))
     assert [{w: Fraction(n, d) for w, n in ints.items()} for ints in scaled] == maps
     assert all(type(n) is int for ints in scaled for n in ints.values())
-    assert _common_numerators([]) == ([], 1)
-    assert _common_numerators([{}, {}]) == ([{}, {}], 1)
+    assert _common_denominator([]) == ([], 1)
+    assert _common_denominator(map(_pair_of, [{}, {}])) == ([{}, {}], 1)
 
 
 def random_phi(rng: random.Random, order: int) -> RationalUnivariateSeries:
@@ -353,6 +373,7 @@ def test_univariate_substitute_matches_the_power_loop(arity):
         got = univariate_substitute(phi, a)
         assert type(got) is AssocSeries and (got.arity, got.order) == (arity, order)
         assert_reduced(got.terms)
+        assert_normal(got)
         assert dict(got.terms) == fraction_univariate_substitute(phi, a)
         assert got.constant_term == phi.coefficient(0)
 
@@ -409,15 +430,19 @@ def test_univariate_substitute_refuses_bad_input():
 
 def test_substitute_ints_are_the_numerators_of_substitute_words():
     # the integer maps of the simplicial embeddings lie over the lcm of the
-    # reduced denominators, as _numerators puts them
+    # reduced denominators, as _pair_of puts them
     rng = random.Random(2030)
     for _ in range(20):
         order = rng.randint(1, 5)
         terms = word_map(rng, 2, order + 1, rng.randint(0, 6))
         images = [word_map(rng, 3, 2, rng.randint(0, 3), min_len=1) for _ in range(2)]
-        ints, d = _substitute_ints(terms, images, order)
-        assert (ints, d) == _numerators(substitute_words(terms, images, order))
+        ints, d = _substitute_ints(_pair_of(terms), pairs(images), order)
+        assert (ints, d) == _pair_of(substitute_words(terms, images, order))
         assert all(ints.values())
+
+
+def pairs(maps) -> list:
+    return [_pair_of(terms) for terms in maps]
 
 
 def big_rational(rng: random.Random) -> Fraction:
@@ -450,10 +475,10 @@ def test_packed_substitution_equals_one_map_at_a_time(arity):
                 if rng.random() < 0.5:
                     words = {w: big_rational(rng) for w in words}
                 maps.append(words)
-            got = _substitute_ints(maps, images, order)
-            assert got == [_substitute_ints(terms, images, order) for terms in maps]
+            got = _substitute_ints(pairs(maps), pairs(images), order)
+            assert got == [_substitute_ints(_pair_of(terms), pairs(images), order) for terms in maps]
             for (ints, d), terms in zip(got, maps):
-                assert _over(ints, d) == substitute_words(terms, images, order)
+                assert _fractions((ints, d)) == substitute_words(terms, images, order)
 
 
 def test_packed_substitution_with_an_empty_map_and_a_cancelling_one():
@@ -462,12 +487,13 @@ def test_packed_substitution_with_an_empty_map_and_a_cancelling_one():
     images = [{z: Fraction(3, 7)}, {z: Fraction(3, 7)}]
     cancel = {x + y: Fraction(1, 11), y + x: Fraction(-1, 11), x: Fraction(5, 13)}
     keep = {x + y: Fraction(2, 10007), x: Fraction(-10**30, 13)}
-    got = _substitute_ints([{}, cancel, keep], images, 4)
-    assert got == [_substitute_ints(terms, images, 4) for terms in ({}, cancel, keep)]
+    got = _substitute_ints(pairs([{}, cancel, keep]), pairs(images), 4)
+    assert got == [_substitute_ints(_pair_of(terms), pairs(images), 4)
+                   for terms in ({}, cancel, keep)]
     assert got[0] == ({}, 1)
     assert set(got[1][0]) == {z}
     assert set(got[2][0]) == {z, z + z}
-    assert _substitute_ints([{}, {}], images, 4) == [({}, 1), ({}, 1)]
+    assert _substitute_ints(pairs([{}, {}]), pairs(images), 4) == [({}, 1), ({}, 1)]
 
 
 def test_packed_substitution_keeps_each_maps_own_denominator():
@@ -475,5 +501,5 @@ def test_packed_substitution_keeps_each_maps_own_denominator():
     images = [{b"\x00": Fraction(1, 7)}, {b"\x01": Fraction(2)}]
     first = {b"\x00\x01": Fraction(7, 2)}    # 7/2 * 1/7 * 2 = 1
     second = {b"\x01": Fraction(1, 10007)}   # 2/10007
-    assert _substitute_ints([first, second], images, 3) == [
+    assert _substitute_ints(pairs([first, second]), pairs(images), 3) == [
         ({b"\x00\x01": 1}, 1), ({b"\x01": 2}, 10007)]

@@ -42,7 +42,7 @@ from kvquad import (
 from kvquad.cli import BCH_WORD_CEILING, main
 from kvquad.lyndon import bracket_expansion, lyndon_coordinates
 from kvquad.sampling import random_lie_element, random_rational
-from kvquad.words import word_to_str
+from kvquad.words import _fractions, _pair_of, word_to_str
 
 from oracles import (
     bernoulli_kernel,
@@ -246,10 +246,11 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
     goldberg = kvquad.lie._goldberg_words
 
     def perturbed(arity, order):
-        words = goldberg(arity, order)
+        ints, d = goldberg(arity, order)  # numerators over d; add 1/7 = d/(7d) at w
         w = word_from_str(word)
-        words[w] = words.get(w, 0) + Fraction(1, 7)
-        return words
+        ints = {v: 7 * n for v, n in ints.items()}
+        ints[w] = ints.get(w, 0) + d
+        return ints, 7 * d
 
     monkeypatch.setattr(kvquad.lie, "_goldberg_words", perturbed)
     for arity in (2, 3):
@@ -491,8 +492,8 @@ def test_integer_peel_matches_fraction_peel(arity, order):
             assert expected == outcome
         for k in range(1, order + 1):
             part = dict(words.homogeneous_part(k).terms)
-            assert peel_or_message(lyndon_coordinates, part) == peel_or_message(
-                fraction_lyndon_coordinates, part)
+            assert peel_or_message(lambda p: _fractions(lyndon_coordinates(_pair_of(p))),
+                                   part) == peel_or_message(fraction_lyndon_coordinates, part)
         try:
             got = assoc_to_lie(words).terms
         except NotLieError as err:

@@ -56,7 +56,7 @@ def _sparse(rows):
 
 
 def _dense(vec, ncols):
-    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+    return [Fraction(vec.get(c, 0)) for c in range(ncols)]  # entries may be integers
 
 
 def _sparse_fractions(vectors):
