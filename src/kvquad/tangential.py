@@ -16,7 +16,7 @@ from .lie import (
     bch_multi,
     without_letters,
 )
-from .lyndon import _letter_bracket
+from .lyndon import _letter_bracket, lyndon_words
 from .traces import QuadTraceSeries, TraceSeries, tr, tr_quad
 from .words import (
     ArityMismatchError,
@@ -24,6 +24,7 @@ from .words import (
     Rational,
     _common_denominator,
     _linear_sum,
+    _splice_at,
     _splice_ints,
     _substitute_ints,
 )
@@ -124,6 +125,13 @@ class TangentialDerivation:
         return cls([LieElement.from_json_dict(d) for d in data["tuple"]])
 
 
+def _images(u: TangentialDerivation, order: int) -> tuple[dict[int, dict[bytes, int]], int]:
+    """The nonzero images [x_i, a_i] through ``order``, integer maps over one denominator."""
+    expansions, d = _common_denominator(a_i.expand()._pair for a_i in u.components)
+    brackets = {i: _letter_bracket(i, e, order) for i, e in enumerate(expansions)}
+    return {i: b for i, b in brackets.items() if b}, d
+
+
 def act(u: TangentialDerivation, a):
     """Apply the derivation; accepts an AssocSeries or LieElement, same kind out.
 
@@ -135,19 +143,34 @@ def act(u: TangentialDerivation, a):
         raise ArityMismatchError(f"arity mismatch: {u.arity} vs {a.arity}")
     is_lie = isinstance(a, LieElement)
     order = a.order if u.is_zero() else min(a.order, u.order)
-    expansions, d = _common_denominator(a_i.expand()._pair for a_i in u.components)
-    images = {i: _letter_bracket(i, e, order) for i, e in enumerate(expansions) if e}
+    images, d = _images(u, order)
     words, da = (a.expand() if is_lie else a)._pair
     result = AssocSeries._make(a.arity, order, _splice_ints(words, images, order), da * d)
     return LieElement.from_words(result) if is_lie else result
 
 
-def ch_defect(u: TangentialDerivation) -> LieElement:
-    """act(u, ch(x_1, ..., x_n)), memoized on the derivation, which is immutable."""
+def ch_defect(u: TangentialDerivation) -> AssocSeries:
+    """Word coefficients of act(u, ch(x_1, ..., x_n)) at the Lyndon words, memoized on u.
+
+    The defect is a Lie series, and each Lyndon bracketing is its Lyndon
+    word plus lexicographically greater words of its degree
+    (``lyndon.bracket_expansion``).  So in each degree the least Lyndon word
+    with a nonzero coefficient here is the least with a nonzero Lyndon
+    coordinate, with the same value: the defect vanishes in a degree exactly
+    when these coefficients do, and they name the same leading witness.
+    The splice is pulled at those words alone (``_splice_at``); a derivation
+    without images lists none.  u is immutable, so the memo never goes stale.
+    """
     try:
         return u._ch_defect
     except AttributeError:
-        object.__setattr__(u, "_ch_defect", act(u, bch_multi(u.arity, u.order)))
+        images, d = _images(u, u.order)
+        ints = {}
+        if images:
+            ch, dc = bch_multi(u.arity, u.order).expand()._pair
+            ints = _splice_at(ch, images, lyndon_words(u.arity, u.order))
+            d *= dc
+        object.__setattr__(u, "_ch_defect", AssocSeries._make(u.arity, u.order, ints, d))
         return u._ch_defect
 
 

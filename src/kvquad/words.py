@@ -13,8 +13,9 @@ That core is shared by the Lie series of :mod:`kvquad.lie`, the trace series
 of :mod:`kvquad.traces` and the power series in one variable, word series
 over one letter.  The word kernels (``mul``, the substitution
 ``_substitute_ints`` behind Lie, simplicial and trace substitution, the
-Leibniz splice ``_splice_ints``; expansion, brackets, nested ad and peel in
-:mod:`kvquad.lyndon` and :mod:`kvquad.lie`) take and return such pairs.
+Leibniz splice ``_splice_ints`` and its pull form ``_splice_at``;
+expansion, brackets, nested ad and peel in :mod:`kvquad.lyndon` and
+:mod:`kvquad.lie`) take and return such pairs.
 """
 
 import math
@@ -673,6 +674,36 @@ def _splice_ints(terms: dict, images: dict, order: int) -> dict[bytes, int]:
                     for u, k in items:
                         v = head + u + tail
                         out[v] = out.get(v, 0) + c * k
+    return out
+
+
+def _splice_at(terms: dict, images: dict, targets) -> dict[bytes, int]:
+    """``_splice_ints`` read at ``targets`` alone: the pull form of the Leibniz splice.
+
+    The coefficient at a target v sums c_w k_u over every split v = head u tail
+    with u in images[i] and w = head x_i tail; no other word is formed.  Each
+    candidate u, a slice of v at a length some image has, is looked up in
+    each letter's image in turn.  Zeros are dropped.
+    """
+    letters = [(bytes([i]), image) for i, image in images.items()]
+    lengths = sorted({len(u) for image in images.values() for u in image})
+    out: dict[bytes, int] = {}
+    for v in targets:
+        n, total = len(v), 0
+        for pos in range(n):
+            for length in lengths:
+                end = pos + length
+                if end > n:
+                    break
+                u = v[pos:end]
+                for letter, image in letters:
+                    k = image.get(u)
+                    if k:
+                        c = terms.get(v[:pos] + letter + v[end:])
+                        if c:
+                            total += c * k
+        if total:
+            out[v] = total
     return out
 
 

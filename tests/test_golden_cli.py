@@ -15,25 +15,27 @@ coboundary solve passes; the order-12 digest was recorded from the dense
 rows that the sparse rows replaced.  The four ``bch`` runs pin the Lyndon
 coordinates of the Campbell-Hausdorff series in two and three letters; the
 order-12 and three-letter order-8 digests were recorded from the
-product-and-logarithm construction that Goldberg's formula replaced.  The ``all --order 8`` run
-pins propU, propLast and cocycle one order above the benchmark's propU job;
-its digest was recorded from the Lyndon-bracketing substitution and the
-``Fraction`` peel that the word substitution kernel and the integer peel
-replaced.  The ``solve-kv --order 12`` run pins every order-12 coefficient
-of the canonical solution; its digest was recorded from the ``Fraction``
-word kernels that the integer expansion, nested ad, product and splice
-replaced.  The ``theorem --order 10 --seed 5 --json`` run pins the per-degree
-kv1, theorem and full-trace lines of the canonical solution and of two
-randomly drawn gauge members; its digest was recorded from the full
-recomputation of every member that the checks by linearity replaced.  The
-``propU --order 9 --json`` run pins the simplicial combination two orders
-above the benchmark's propU job; its digest was recorded from the
-substitutions of generators and of ``ch`` rebuilt in three letters, one
-Horner pass per component, that the letter relabels and the shared pass
-replaced.  The ``theorem --order 13 --seed 0`` run, whose denominators are
-large, pins the canonical solution and two random gauge members at the
-frontier; its digest was recorded from the ``Fraction``-valued storage that
-the stored (numerators, denominator) pairs replaced.
+product-and-logarithm construction that Goldberg's formula replaced.  The
+``all --order 8`` run pins propU, propLast and cocycle one order above the
+benchmark's propU job; its digest was recorded from the Lyndon-bracketing
+substitution and the ``Fraction`` peel that the word substitution kernel and
+the integer peel replaced, and from the push-splice defect, every word of
+act(U, ch), that the defect's coefficients at Lyndon words replaced.  The
+``solve-kv --order 12`` run pins every order-12 coefficient of the canonical
+solution; its digest was recorded from the ``Fraction`` word kernels that the
+integer expansion, nested ad, product and splice replaced.  The ``theorem
+--order 10 --seed 5 --json`` run pins the per-degree kv1, theorem and
+full-trace lines of the canonical solution and of two randomly drawn gauge
+members; its digest was recorded from the full recomputation of every member
+that the checks by linearity replaced.  The ``propU --order 9 --json`` run
+pins the simplicial combination two orders above the benchmark's propU job;
+its digest was recorded from the substitutions of generators and of ``ch``
+rebuilt in three letters, one Horner pass per component, that the letter
+relabels and the shared pass replaced, and from the push-splice defect.  The
+``theorem --order 13 --seed 0`` run, whose denominators are large, pins the
+canonical solution and two random gauge members at the frontier; its digest
+was recorded from the ``Fraction``-valued storage that the stored (numerators,
+denominator) pairs replaced.
 Every run but the homo ones is made twice in one process, so the second,
 which reads the cached canonical solution, its memos and the cached CH
 series, must print the same bytes.

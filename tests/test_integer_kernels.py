@@ -12,7 +12,8 @@ lost or doubled denominator factor changes the value), on empty maps and on
 terms that cancel exactly, and check that every coefficient read is a
 nonzero reduced ``Fraction`` and every stored pair is in lowest terms.  The
 integer helpers they share, the letter bracket ``lyndon._letter_bracket``,
-the multi-letter splice ``words._splice_ints``, the sum ``words._linear_sum``
+the multi-letter splice ``words._splice_ints`` (and its pull form
+``words._splice_at``, read against it at chosen target words), the sum ``words._linear_sum``
 and the common denominator ``words._common_denominator``, are checked the
 same way.
 ``words.univariate_substitute``, behind ``exp`` and ``log``, is Horner's
@@ -23,6 +24,7 @@ simplicial maps, with the numerators of ``substitute_words``.
 """
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -37,6 +39,7 @@ from kvquad.words import (
     _fractions,
     _linear_sum,
     _pair_of,
+    _splice_at,
     _splice_ints,
     _substitute_ints,
     substitute_letter_linear,
@@ -324,6 +327,48 @@ def test_splice_drops_words_that_cancel_across_letters():
     assert _fractions((_splice_ints(na, {0: nx, 1: ny}, 2), da * d)) == {}
     assert _splice_ints(na, {}, 2) == {}
     assert _splice_ints({}, {0: nx}, 2) == {}
+
+
+def integer_map(rng: random.Random, arity: int, max_len: int, terms: int, min_len: int = 0) -> dict:
+    return {bytes(rng.randrange(arity) for _ in range(rng.randint(min_len, max_len))):
+            rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(terms)}
+
+
+def all_words(arity: int, max_len: int) -> list[bytes]:
+    return [bytes(w) for n in range(max_len + 1) for w in itertools.product(range(arity), repeat=n)]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_splice_at_reads_the_push_splice_at_its_targets(arity):
+    rng = random.Random(2300 + arity)
+    for trial in range(40):
+        order = rng.randint(1, 4)
+        terms = integer_map(rng, arity, order, rng.randint(0, 10))
+        letters = rng.sample(range(arity), rng.randint(0, arity))  # the other letters have no image
+        images = {i: integer_map(rng, arity, 3, rng.randint(0, 5), min_len=1) for i in letters}
+        reach = order + 2  # targets run two letters past the words of terms
+        pushed = _splice_ints(terms, images, reach)
+        words = all_words(arity, reach)
+        for targets in ([w for w in words if len(w) <= order], rng.sample(words, min(20, len(words))),
+                        [w for w in words if len(w) > order], []):
+            assert _splice_at(terms, images, targets) == {
+                v: pushed[v] for v in targets if pushed.get(v)}
+
+
+def test_splice_at_with_letter_images_and_cancellation():
+    # x -> 2y, y -> 3x + xx: xy and yx cancel at yy and at the splice y -> x of xx,
+    # which y -> xx alone reaches
+    terms = {b"\x00\x01": 5, b"\x01\x00": -5, b"\x01": 7}
+    images = {0: {b"\x01": 2}, 1: {b"\x00": 3, b"\x00\x00": 1}}
+    targets = all_words(2, 3)
+    pushed = _splice_ints(terms, images, 3)
+    got = _splice_at(terms, images, targets)
+    assert got == {v: n for v, n in pushed.items() if n}
+    assert b"\x01\x01" not in got  # 5 * 2 - 5 * 2
+    assert got[b"\x00"] == 21 and got[b"\x00\x00"] == 7  # 7 * 3; 5 * 3 - 5 * 3 + 7 * 1
+    assert _splice_at(terms, images, []) == {}
+    assert _splice_at(terms, {}, targets) == {}
+    assert _splice_at({}, images, targets) == {}
 
 
 def test_linear_sum_matches_fraction_sum():

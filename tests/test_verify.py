@@ -24,6 +24,7 @@ from kvquad import (
     gauge_family,
     generator,
     homo_kernel,
+    lyndon_words,
     quadratic_divergence_sides,
     simplicial,
     simplicial_combination,
@@ -45,7 +46,13 @@ from kvquad.sampling import (
     random_rational,
     random_tangential_derivation,
 )
-from kvquad.verify import _bernoulli_side, _projected_bernoulli_side, measured_operator_coefficients
+from kvquad.verify import (
+    DegreeResult,
+    _bernoulli_side,
+    _projected_bernoulli_side,
+    measured_operator_coefficients,
+    report_zero,
+)
 
 from oracles import bernoulli_kernel
 
@@ -129,24 +136,24 @@ def test_verify_prop_last_with_combination(sol6):
 
 
 def test_verify_all_acts_on_the_combination_once(monkeypatch, capsys):
-    # propU and propLast both need act(U, ch(x,y,z)); the defect is memoized on U
-    combinations, acted = [], []
-    build, original_act = cli.simplicial_combination, tangential.act
+    # propU and propLast both read the defect of U on ch(x,y,z), memoized on U; every
+    # build of U's images, by ch_defect or by act, goes through tangential._images
+    combinations, built_for = [], []
+    build, original_images = cli.simplicial_combination, tangential._images
 
     def built(s):
         combinations.append(build(s))
         return combinations[-1]
 
-    def counted(u, a):
-        acted.append(u)
-        return original_act(u, a)
+    def counted(u, order):
+        built_for.append(u)
+        return original_images(u, order)
 
     monkeypatch.setattr(cli, "simplicial_combination", built)
-    monkeypatch.setattr(tangential, "act", counted)
-    monkeypatch.setattr(verify, "act", counted, raising=False)  # in case a verifier calls it itself
+    monkeypatch.setattr(tangential, "_images", counted)
     assert cli.main(["verify", "--suite", "all", "--order", "6"]) == 0
     [U] = combinations
-    assert sum(u is U for u in acted) == 1
+    assert sum(u is U for u in built_for) == 1
 
 
 def test_verify_prop_last_gauge_difference(sol6):
@@ -167,6 +174,66 @@ def test_verify_prop_last_skips_bad_instances():
     skip_entries = [r for r in report.results if r.status == "skip"]
     assert all(r.witness is not None for r in skip_entries)
     assert not report.passed
+
+
+def slow_prop_last_skip(u):
+    """The skip line of ``verify_prop_last([u])`` from the full defect act(u, ch), or None."""
+    full = act(u, bch_multi(u.arity, u.order))
+    if full.is_zero():
+        return None
+    degree = min(len(w) for w, _ in full.sorted_items())
+    return DegreeResult(degree, "skip",
+                        verify._leading_witness(full, degree, prefix="instance 0: ch defect "))
+
+
+def defect_instances(order):
+    """Seeded three-letter derivations: random ones, U plus random higher terms, and zero."""
+    rng = random.Random(2323)
+    U = simplicial_combination(canonical_solution(order))
+    instances = [random_tangential_derivation(rng, 3, order) for _ in range(4)]
+    for i in range(3):  # [x_i, shift] is nonzero through the order, so the defect is too
+        low = rng.randint(2, order - 1)
+        basis = [w for w in lyndon_words(3, order - 1) if len(w) >= low]
+        shift = LieElement(3, order, {w: random_rational(rng) or 1 for w in rng.sample(basis, 3)})
+        instances.append(TangentialDerivation(
+            [a + shift if j == i else a for j, a in enumerate(U.components)]))
+    return instances + [U, TangentialDerivation.zero(3, order)]
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_defect_reports_match_the_full_lie_defect(sol6, order):
+    # ch_defect keeps the defect's word coefficients at Lyndon words only; the Lie
+    # series act(u, ch) reports the same lines, degree by degree
+    instances, skipped = defect_instances(order), 0
+    for u in instances:
+        full = act(u, bch_multi(3, order))
+        assert isinstance(full, LieElement)
+        got = verify_prop_U(sol6, u)
+        assert got.to_json_lines() == report_zero("propU", full).to_json_lines()
+        assert got.summary() == report_zero("propU", full).summary()
+        skip = slow_prop_last_skip(u)
+        assert [r for r in verify_prop_last([u]).results if r.status == "skip"] == (
+            [skip] if skip else [])
+        skipped += skip is not None
+    assert skipped == len(instances) - 2  # all but U and the zero derivation
+
+
+def test_perturbed_combination_witness_is_pinned(sol6):
+    # recorded from the full Lie defect act(U', ch), before the defect was read at Lyndon words
+    order = 6
+    U = simplicial_combination(canonical_solution(order))
+    x, y = generator(3, 0, order), generator(3, 1, order)
+    shift = lie.bracket(x, lie.bracket(x, y)) * Fraction(1, 7)
+    perturbed = TangentialDerivation([U.components[0] + shift, *U.components[1:]])
+    assert verify_prop_last([perturbed]).to_json_lines() == [
+        {"check": "propLast", "degree": 4, "status": "skip",
+         "witness": {"degree": 4, "item": "instance 0: ch defect aaab", "delta": "1/7"}}]
+    lines = verify_prop_U(sol6, perturbed).to_json_lines()
+    assert [line["status"] for line in lines] == ["pass"] * 4 + ["fail"] * 3
+    assert [line["witness"] for line in lines[4:]] == [
+        {"degree": 4, "item": "aaab", "delta": "1/7"},
+        {"degree": 5, "item": "aaabb", "delta": "1/14"},
+        {"degree": 6, "item": "aaaabb", "delta": "1/84"}]
 
 
 def test_verify_cocycle_equation(sol6):
