@@ -12,9 +12,10 @@ the peel at once, where it is the membership check.  An element made from
 coordinates keeps them and expands on the first ``expand()``.  Powers of one
 ad and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on
 words through one nested-ad kernel, a letter bracket per level, on pairs.  The
-Campbell-Hausdorff series (Goldberg's word coefficients; a lower order is
-truncated from a held higher one), generator substitution, degree scaling and
-univariate operator kernels in one adjoint slot all live here.
+Campbell-Hausdorff series (the logarithm of the product of the letters'
+exponentials, on the integer word kernels; a lower order is truncated from a
+held higher one), generator substitution, degree scaling and univariate
+operator kernels in one adjoint slot all live here.
 """
 
 import functools
@@ -38,6 +39,9 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     _linear_sum,
     _substitute_ints,
     _word_name,
+    exp,
+    log,
+    mul,
     substitute_letter_linear,
     univariate_substitute,
 )
@@ -206,67 +210,28 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement.from_words(AssocSeries._make(a.arity, order, *words))
 
 
-def _goldberg_words(arity: int, order: int) -> tuple[dict[bytes, int], int]:
+def _ch_words(arity: int, order: int) -> tuple[dict[bytes, int], int]:
     """Word coefficients of log(e^{x_0} ... e^{x_{arity-1}}) through ``order``, as a pair.
 
-    Goldberg's segment formula (Duke Math. J. 23, 1956): the coefficient of w
-    is the sum over m of (-1)^(m-1)/m S(w, m), where S(w, m) sums
-    1/prod(run lengths!) over the cuts of w into m nonempty segments that are
-    each nondecreasing in letter index.  A depth-first walk keeps one S-vector
-    per prefix; appending a letter only varies the last segment, which lies in
-    the final nondecreasing stretch.  S is stored times order!, so every
-    partial sum is an exact integer, and the alternating sum times
-    lcm(1..order): the numerators over order! lcm(1..order).
+    The definition itself, on the integer word kernels: the ``mul`` product
+    of the letters' ``exp`` and that product's ``log``.
     """
-    scale = math.factorial(order)
-    lcm = math.lcm(*range(1, order + 1))
-    weights = [0] + [(-1) ** (m - 1) * (lcm // m) for m in range(1, order + 1)]
-    denominator = scale * lcm
-    word = bytearray()
-    sums = [[scale]]  # sums[n][m]: S(w[:n], m) * order!, with S(empty, 0) = 1
-    starts = [0]      # starts[n]: where the final nondecreasing stretch of w[:n] begins
-    out: dict[bytes, int] = {}
-
-    def walk(n: int):
-        for letter in range(arity):
-            word.append(letter)
-            start = starts[n] if n and word[n - 1] <= letter else n
-            cut = [0] * (n + 2)
-            run = q = 1
-            for j in range(n, start - 1, -1):  # the last segment is w[j:n+1]
-                if j < n:
-                    run = run + 1 if word[j] == word[j + 1] else 1
-                    q *= run
-                for m, s in enumerate(sums[j]):
-                    if s:
-                        cut[m + 1] += s // q  # exact: each cut's order!/prod(runs!) is an integer
-            total = sum(weights[m] * s for m, s in enumerate(cut) if s)
-            if total:
-                out[bytes(word)] = total
-            if n + 1 < order:
-                sums.append(cut)
-                starts.append(start)
-                walk(n + 1)
-                sums.pop()
-                starts.pop()
-            word.pop()
-
-    walk(0)
-    del walk  # a recursive closure is a reference cycle: free its state now
-    return out, denominator
+    letters = (exp(AssocSeries.letter(arity, i, order)) for i in range(arity))
+    return log(functools.reduce(mul, letters))._pair
 
 
 @functools.lru_cache(maxsize=8)
 def log_exp_product(arity: int, order: int) -> LieElement:
     """log(e^{x_0} e^{x_1} ... e^{x_{arity-1}}) as a Lie series.
 
-    The series is stored as Goldberg's word coefficients.  Its first
-    coordinate read peels them, which both projects and certifies them: a
-    wrong coefficient raises NotLieError there.
+    The series is stored as the word coefficients of the product of the
+    exponentials and its logarithm.  Its first coordinate read peels them,
+    which both projects and certifies them: a wrong coefficient raises
+    NotLieError there.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return LieElement.from_words(AssocSeries._make(arity, order, *_goldberg_words(arity, order)))
+    return LieElement.from_words(AssocSeries._make(arity, order, *_ch_words(arity, order)))
 
 
 _highest: dict[int, weakref.ref] = {}  # arity -> the highest-order series built, while held
@@ -373,8 +338,10 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
     """Named operator kernels, expanded exactly by series division.
 
     ``alpha`` and ``beta_odd`` take the rational parameter ``b`` (the degree-one
-    x-coefficient of the second solution component); both have a simple pole
-    cancellation which is carried out exactly at one extra working order.
+    x-coefficient of the second solution component).  Both come from the two
+    transport kernels k1 = t/(1-e^{-t}) and k2 = t/(e^t-1) of ``ab_to_AB``:
+    alpha = b k1 + k1(1 - k2)/t and beta_odd = (b/2)t + (t/4 + k2(1 - k1)/2)/t,
+    where each division by t is exact and costs one extra working order.
     """
     if name == "f":
         # t/(e^t - 1) - 1 + t/2: the Bernoulli generating series without
@@ -389,19 +356,17 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
         if b is None:
             raise ValueError(f"kernel {name!r} needs the rational parameter b")
         b = Fraction(b)
-        working = order + 1  # one extra order pays for the pole cancellation
-        e_plus = _exp_minus_one(working + 1, 1).shifted_down(1)    # (e^t-1)/t
-        e_minus = _exp_minus_one(working + 1, -1).shifted_down(1)  # (1-e^{-t})/t
-        inv_minus = e_minus.inverse()              # t/(1-e^{-t})
-        inv_both = (e_plus * e_minus).inverse()    # t^2/((e^t-1)(1-e^{-t}))
+        working = order + 1  # one extra order pays for the division by t
+        k1 = kernel_series("t/(1-exp(-t))", working)
+        k2 = kernel_series("t/(exp(t)-1)", working)
+        one = RationalUnivariateSeries(working, {0: 1})
         if name == "alpha":
-            # b*t/(1-e^{-t}) - t/((e^t-1)(1-e^{-t})) + 1/(1-e^{-t})
-            return b * inv_minus + (inv_minus - inv_both).shifted_down(1)
-        exp_plus_one = _exp_minus_one(working, 1) + RationalUnivariateSeries(working, {0: 2})
-        # (b/2)t - (1/2) t/((e^t-1)(1-e^{-t})) + (1/4)(e^t+1)/(e^t-1)
-        pole_part = Fraction(-1, 2) * inv_both + Fraction(1, 4) * (exp_plus_one * e_plus.inverse())
+            # b*k1 + k1(1 - k2)/t
+            return b * k1 + (k1 * (one - k2)).shifted_down(1)
+        # (b/2)t + (t/4 + k2(1 - k1)/2)/t
         linear = RationalUnivariateSeries(order, {1: b / 2} if order >= 1 else {})
-        return linear + pole_part.shifted_down(1)
+        quarter_t = RationalUnivariateSeries(working, {1: Fraction(1, 4)})
+        return linear + (quarter_t + Fraction(1, 2) * (k2 * (one - k1))).shifted_down(1)
     raise ValueError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
 
 
@@ -435,14 +400,15 @@ def _ad_words(terms, z_words, order: int) -> tuple[dict[bytes, int], int]:
     return _ad_ints(t, z, order), dt * dz
 
 
-def _ad_polynomial(phi: RationalUnivariateSeries, index: int, a: LieElement):
-    """Pair of sum phi_k x_index^k; ``_ad_words`` runs Horner's scheme for phi(ad x_index) on it."""
-    if phi.order < a.order:
+def _ad_polynomial(phi: RationalUnivariateSeries, index: int, arity: int, order: int):
+    """Pair of sum phi_k x_index^k, k < order; ``_ad_words`` runs Horner's scheme for
+    phi(ad x_index) on it, acting on a series of that arity and order."""
+    if phi.order < order:
         raise ValueError("operator kernel truncated below the series order")
-    if not 0 <= index < a.arity:
-        raise ValueError(f"generator {index} out of range for arity {a.arity}")
+    if not 0 <= index < arity:
+        raise ValueError(f"generator {index} out of range for arity {arity}")
     ints, d = phi._pair
-    return {w.replace(b"\x00", bytes([index])): n for w, n in ints.items() if len(w) < a.order}, d
+    return {w.replace(b"\x00", bytes([index])): n for w, n in ints.items() if len(w) < order}, d
 
 
 def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieElement) -> LieElement:
@@ -451,7 +417,7 @@ def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieEleme
     Computed in the word basis from one expansion of ``a``, and stored as
     those words.
     """
-    words = _ad_words(_ad_polynomial(phi, index, a), a.expand()._pair, a.order)
+    words = _ad_words(_ad_polynomial(phi, index, a.arity, a.order), a.expand()._pair, a.order)
     return LieElement.from_words(AssocSeries._make(a.arity, a.order, *words))
 
 

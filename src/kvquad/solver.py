@@ -213,8 +213,7 @@ def kv1_residual(s: KVSolution) -> LieElement:
         base, operand = gauge
         parts = [(1, *kv1_residual(base).expand()._pair)]
     for index, (sign, component) in enumerate(((-1, operand.A), (1, operand.B))):
-        component = component.with_order(order)
-        u, du = _ad_polynomial(_exp_minus_one(order, sign), index, component)
+        u, du = _ad_polynomial(_exp_minus_one(order, sign), index, component.arity, order)
         z, dz = component.expand()._pair
         parts.append((1, _ad_ints(u, z, order), du * dz))
     residual = LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))

@@ -4,7 +4,11 @@ Nearly everything here is deliberately written from scratch on tuple-encoded
 words with its own arithmetic, so that agreement with the library is a
 genuine cross-check and not a tautology.  A few helpers use library series
 or Lyndon combinatorics: ``product_log_ch`` is the slow path of the
-Campbell-Hausdorff series, a product of exponentials and a logarithm;
+Campbell-Hausdorff series, a product of exponentials and a logarithm, which
+shares the library's construction and its ``mul``; ``goldberg_words`` is the
+CH series' independent reference, Goldberg's segment formula in integers,
+the library's former builder; ``pole_cancellation_kernel`` is the former
+construction of the ``alpha`` and ``beta_odd`` kernels by cancelling a pole;
 ``lyndon_image_substitute`` is the former Lie substitution, which builds
 the image of each standard bracketing from the images of its factors;
 ``fraction_lyndon_coordinates`` is the former Lyndon peel in ``Fraction``
@@ -200,6 +204,54 @@ def product_log_ch(arity: int, order: int) -> AssocSeries:
         log_series, product - AssocSeries.unit(arity, order)))
 
 
+def goldberg_words(arity: int, order: int) -> tuple[dict[bytes, int], int]:
+    """Word coefficients of log(e^{x_0} ... e^{x_{arity-1}}) through ``order``, as a pair.
+
+    Goldberg's segment formula (Duke Math. J. 23, 1956): the coefficient of w
+    is the sum over m of (-1)^(m-1)/m S(w, m), where S(w, m) sums
+    1/prod(run lengths!) over the cuts of w into m nonempty segments that are
+    each nondecreasing in letter index.  A depth-first walk keeps one S-vector
+    per prefix; appending a letter only varies the last segment, which lies in
+    the final nondecreasing stretch.  S is stored times order!, so every
+    partial sum is an exact integer, and the alternating sum times
+    lcm(1..order): the numerators over order! lcm(1..order), not reduced.
+    """
+    scale = math.factorial(order)
+    lcm = math.lcm(*range(1, order + 1))
+    weights = [0] + [(-1) ** (m - 1) * (lcm // m) for m in range(1, order + 1)]
+    word = bytearray()
+    sums = [[scale]]  # sums[n][m]: S(w[:n], m) * order!, with S(empty, 0) = 1
+    starts = [0]      # starts[n]: where the final nondecreasing stretch of w[:n] begins
+    out: dict[bytes, int] = {}
+
+    def walk(n: int):
+        for letter in range(arity):
+            word.append(letter)
+            start = starts[n] if n and word[n - 1] <= letter else n
+            cut = [0] * (n + 2)
+            run = q = 1
+            for j in range(n, start - 1, -1):  # the last segment is w[j:n+1]
+                if j < n:
+                    run = run + 1 if word[j] == word[j + 1] else 1
+                    q *= run
+                for m, s in enumerate(sums[j]):
+                    if s:
+                        cut[m + 1] += s // q  # exact: each cut's order!/prod(runs!) is an integer
+            total = sum(weights[m] * s for m, s in enumerate(cut) if s)
+            if total:
+                out[bytes(word)] = total
+            if n + 1 < order:
+                sums.append(cut)
+                starts.append(start)
+                walk(n + 1)
+                sums.pop()
+                starts.pop()
+            word.pop()
+
+    walk(0)
+    return out, scale * lcm
+
+
 def lyndon_image_substitute(elements, args) -> list[LieElement]:
     """Lie substitution x_i -> args[i] through the images of Lyndon bracketings.
 
@@ -361,6 +413,32 @@ def univariate_derivative(s: RationalUnivariateSeries) -> RationalUnivariateSeri
 
 def univariate_odd_part(s: RationalUnivariateSeries) -> RationalUnivariateSeries:
     return RationalUnivariateSeries(s.order, {k: c for k, c in s.coeffs.items() if k % 2 == 1})
+
+
+def pole_cancellation_kernel(name: str, order: int, b) -> RationalUnivariateSeries:
+    """``alpha`` or ``beta_odd`` by cancelling a simple pole, at one extra working order.
+
+    alpha = b t/(1-e^{-t}) - t/((e^t-1)(1-e^{-t})) + 1/(1-e^{-t}) and
+    beta_odd = (b/2)t - (1/2) t/((e^t-1)(1-e^{-t})) + (1/4)(e^t+1)/(e^t-1),
+    each from the quotients (e^t-1)/t and (1-e^{-t})/t and their inverses.
+    """
+    b = Fraction(b)
+    working = order + 1
+
+    def exp_minus_one(n: int, sign: int) -> RationalUnivariateSeries:  # e^t-1 or 1-e^{-t}
+        return RationalUnivariateSeries(
+            n, {k: Fraction(sign ** (k + 1), math.factorial(k)) for k in range(1, n + 1)})
+
+    e_plus = exp_minus_one(working + 1, 1).shifted_down(1)    # (e^t-1)/t
+    e_minus = exp_minus_one(working + 1, -1).shifted_down(1)  # (1-e^{-t})/t
+    inv_minus = e_minus.inverse()              # t/(1-e^{-t})
+    inv_both = (e_plus * e_minus).inverse()    # t^2/((e^t-1)(1-e^{-t}))
+    if name == "alpha":
+        return b * inv_minus + (inv_minus - inv_both).shifted_down(1)
+    exp_plus_one = exp_minus_one(working, 1) + RationalUnivariateSeries(working, {0: 2})
+    pole_part = Fraction(-1, 2) * inv_both + Fraction(1, 4) * (exp_plus_one * e_plus.inverse())
+    linear = RationalUnivariateSeries(order, {1: b / 2} if order >= 1 else {})
+    return linear + pole_part.shifted_down(1)
 
 
 def bernoulli_kernel(order: int) -> list[Fraction]:

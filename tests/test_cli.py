@@ -41,7 +41,7 @@ def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
     def refuse(arity, order):
         raise AssertionError(f"the series was built at arity {arity}, order {order}")
 
-    monkeypatch.setattr(kvquad.lie, "_goldberg_words", refuse)
+    monkeypatch.setattr(kvquad.lie, "_ch_words", refuse)
     code, out, err = run(capsys, "bch", "--arity", "26", "--order", "10")
     assert code == 2 and not out
     assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err
@@ -49,7 +49,7 @@ def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
     assert code == 2 and f"ceiling of {BCH_WORD_CEILING} words" in err
 
 
-def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypatch):
+def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypatch, cold_caches):
     """Two letters at the order + 1 for every suite, homo too, and three letters at the
     three-letter order; a request below the ceiling goes on to build its series."""
 
@@ -59,11 +59,7 @@ def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypa
     def build(*args):
         raise Built(*args)
 
-    for cache in (kvquad.lie.log_exp_product, kvquad.solver.kv_rhs,
-                  kvquad.solver.canonical_solution):
-        cache.cache_clear()  # so an allowed request reaches the CH build
-    kvquad.lie._highest.clear()
-    monkeypatch.setattr(kvquad.lie, "_goldberg_words", build)
+    monkeypatch.setattr(kvquad.lie, "_ch_words", build)
     for argv in (["solve-kv", "--order", "15"],
                  ["solve-kv", "--order", "15", "--gauge", "2"],
                  ["verify", "--suite", "theorem", "--order", "15"],

@@ -15,7 +15,9 @@ coboundary solve passes; the order-12 digest was recorded from the dense
 rows that the sparse rows replaced.  The four ``bch`` runs pin the Lyndon
 coordinates of the Campbell-Hausdorff series in two and three letters; the
 order-12 and three-letter order-8 digests were recorded from the
-product-and-logarithm construction that Goldberg's formula replaced.  The
+``Fraction`` product-and-logarithm construction, and all four hold for both
+Goldberg's segment formula, which replaced it, and the integer
+product-and-logarithm build, which replaced that formula in turn.  The
 ``all --order 8`` run pins propU, propLast and cocycle one order above the
 benchmark's propU job; its digest was recorded from the Lyndon-bracketing
 substitution and the ``Fraction`` peel that the word substitution kernel and

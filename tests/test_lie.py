@@ -42,14 +42,16 @@ from kvquad import (
 from kvquad.cli import BCH_WORD_CEILING, main
 from kvquad.lyndon import bracket_expansion, lyndon_coordinates
 from kvquad.sampling import random_lie_element, random_rational
-from kvquad.words import _fractions, _pair_of, word_to_str
+from kvquad.words import _fractions, _normal, _pair_of, word_to_str
 
 from oracles import (
     bernoulli_kernel,
     dynkin_bch,
     fraction_lyndon_coordinates,
+    goldberg_words,
     left_nested,
     lyndon_image_substitute,
+    pole_cancellation_kernel,
     product_log_ch,
     random_assoc_series,
     to_word_dict,
@@ -92,7 +94,7 @@ def test_expansion_cache_holds_every_bch_the_cli_accepts(monkeypatch, capsys):
     largest accepted order is the last one under ``BCH_WORD_CEILING``; the
     CLI refuses the next one up front.
     """
-    monkeypatch.setattr(kvquad.lie, "_goldberg_words", None)  # a refusal builds nothing
+    monkeypatch.setattr(kvquad.lie, "_ch_words", None)  # a refusal builds nothing
     counts = {}
     for arity in range(1, 27):
         order, words = 0, 1
@@ -226,7 +228,7 @@ CH_CASES = ([(1, n) for n in (1, 2, 5, 9)] + [(2, n) for n in range(1, 11)]
 
 @pytest.mark.parametrize("arity, order", CH_CASES)
 def test_log_exp_product_matches_product_log_oracle(arity, order):
-    """Goldberg's coefficients agree with the product of exponentials and its logarithm."""
+    """The CH words agree with the oracle's product of exponentials and its logarithm."""
     got = kvquad.lie.log_exp_product(arity, order)
     words = product_log_ch(arity, order)
     assert got.to_json_dict() == assoc_to_lie(words).to_json_dict()
@@ -236,6 +238,17 @@ def test_log_exp_product_matches_product_log_oracle(arity, order):
         assert got.to_json_dict() == generator(1, 0, order).to_json_dict()
 
 
+GOLDBERG_CASES = ([(1, n) for n in range(1, 12)] + [(2, n) for n in range(1, 14)]
+                  + [(3, n) for n in range(1, 9)] + [(4, n) for n in range(1, 7)]
+                  + [(17, 4), (26, 3)])  # the last two: the widest bch requests the CLI accepts
+
+
+@pytest.mark.parametrize("arity, order", GOLDBERG_CASES)
+def test_ch_words_match_goldberg_oracle(arity, order):
+    """The product-and-logarithm build equals Goldberg's segment formula in lowest terms."""
+    assert kvquad.lie._ch_words(arity, order) == _normal(*goldberg_words(arity, order))
+
+
 @pytest.mark.parametrize("word", ["ab", "ba", "aab", "abab", "bbaab", "abbbab"])
 def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
     """The Lyndon peel still certifies the words: one perturbed coefficient raises.
@@ -243,16 +256,16 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
     The series is built from its words, so the peel runs at the first
     coordinate read; the perturbed word also breaks the three-letter series.
     """
-    goldberg = kvquad.lie._goldberg_words
+    build = kvquad.lie._ch_words
 
     def perturbed(arity, order):
-        ints, d = goldberg(arity, order)  # numerators over d; add 1/7 = d/(7d) at w
+        ints, d = build(arity, order)  # numerators over d; add 1/7 = d/(7d) at w
         w = word_from_str(word)
         ints = {v: 7 * n for v, n in ints.items()}
         ints[w] = ints.get(w, 0) + d
         return ints, 7 * d
 
-    monkeypatch.setattr(kvquad.lie, "_goldberg_words", perturbed)
+    monkeypatch.setattr(kvquad.lie, "_ch_words", perturbed)
     for arity in (2, 3):
         series = kvquad.lie.log_exp_product.__wrapped__(arity, 6)  # uncached: the perturbed build
         with pytest.raises(NotLieError) as err:
@@ -260,30 +273,20 @@ def test_log_exp_product_rejects_a_wrong_coefficient(monkeypatch, word):
         assert err.value.degree == len(word)
 
 
-@pytest.fixture
-def fresh_ch_caches():
-    """Empty the Campbell-Hausdorff cache and the weak references to held series for one test."""
-    kvquad.lie.log_exp_product.cache_clear()
-    kvquad.lie._highest.clear()
-    yield
-    kvquad.lie.log_exp_product.cache_clear()
-    kvquad.lie._highest.clear()
-
-
 def built_orders(monkeypatch) -> list:
-    """Record the (arity, order) of every Campbell-Hausdorff series built from Goldberg's words."""
-    goldberg, built = kvquad.lie._goldberg_words, []
+    """Record the (arity, order) of every Campbell-Hausdorff series built from its words."""
+    build, built = kvquad.lie._ch_words, []
 
     def recording(arity, order):
         built.append((arity, order))
-        return goldberg(arity, order)
+        return build(arity, order)
 
-    monkeypatch.setattr(kvquad.lie, "_goldberg_words", recording)
+    monkeypatch.setattr(kvquad.lie, "_ch_words", recording)
     return built
 
 
 @pytest.mark.parametrize("arity, low, high", [(2, 7, 9), (2, 1, 4), (3, 4, 6)])
-def test_bch_multi_truncates_a_held_higher_order(monkeypatch, fresh_ch_caches, arity, low, high):
+def test_bch_multi_truncates_a_held_higher_order(monkeypatch, cold_caches, arity, low, high):
     built = built_orders(monkeypatch)
     bch_multi(arity, high)
     got = bch_multi(arity, low)
@@ -296,7 +299,7 @@ def test_bch_multi_truncates_a_held_higher_order(monkeypatch, fresh_ch_caches, a
         bch_multi(arity, 0)
 
 
-def test_bch_multi_never_builds_above_the_order_asked(monkeypatch, fresh_ch_caches):
+def test_bch_multi_never_builds_above_the_order_asked(monkeypatch, cold_caches):
     built = built_orders(monkeypatch)
     for order in (5, 3, 6, 6, 4):
         assert bch_multi(2, order).order == order
@@ -305,7 +308,7 @@ def test_bch_multi_never_builds_above_the_order_asked(monkeypatch, fresh_ch_cach
     assert built[-1] == (3, 2)
 
 
-def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, fresh_ch_caches):
+def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, cold_caches):
     built = built_orders(monkeypatch)
     bch_multi(2, 6)
     kvquad.lie.log_exp_product.cache_clear()  # nothing holds the order-6 series now
@@ -314,7 +317,7 @@ def test_bch_multi_builds_again_once_the_higher_order_is_released(monkeypatch, f
     assert built == [(2, 6), (2, 4)]
 
 
-def test_bch_multi_serves_from_the_highest_order_a_caller_holds(monkeypatch, fresh_ch_caches):
+def test_bch_multi_serves_from_the_highest_order_a_caller_holds(monkeypatch, cold_caches):
     built = built_orders(monkeypatch)
     bch_multi(2, 4)
     held = bch_multi(2, 6)
@@ -324,7 +327,7 @@ def test_bch_multi_serves_from_the_highest_order_a_caller_holds(monkeypatch, fre
     assert built == [(2, 4), (2, 6)]
 
 
-def test_bch_multi_serves_racing_threads(fresh_ch_caches):
+def test_bch_multi_serves_racing_threads(cold_caches):
     """Eight threads ask for orders 3-10 in two letters and 3-8 in three at once.
 
     The weak reference to the highest order is replaced without a lock, so a
@@ -636,6 +639,15 @@ def test_alpha_kernel_pole_cancellation():
     for b in (Fraction(-1, 4), Fraction(3, 4), 0):
         alpha = kernel_series("alpha", 6, b=b)
         assert alpha.coefficient(0) == b + Fraction(1, 2)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta_odd"])
+@pytest.mark.parametrize("b", [0, Fraction(1, 2), Fraction(-3, 7), 5])
+def test_alpha_and_beta_odd_match_the_pole_cancellation_form(name, b):
+    """From k1 and k2 alone, both kernels equal the pole-cancelling form, orders included."""
+    for order in range(16):
+        got, want = kernel_series(name, order, b=b), pole_cancellation_kernel(name, order, b)
+        assert (got.order, got._pair) == (want.order, want._pair), order
 
 
 def test_univariate_series_ops():

@@ -25,8 +25,6 @@ from fractions import Fraction
 import pytest
 
 import kvquad.lie
-import kvquad.solver
-import kvquad.verify
 from kvquad import (
     AssocSeries,
     LieElement,
@@ -300,19 +298,6 @@ def test_equality_across_truncation_orders():
     p = AssocSeries(2, 2, {b"\x00": Fraction(1, 3), b"\x01\x01": Fraction(1, 5)})
     q = AssocSeries(2, 1, {b"\x00": Fraction(1, 3)})
     assert p._pair[1] == 15 and q._pair[1] == 3 and p == q and q == p
-
-
-@pytest.fixture
-def cold_caches():
-    caches = (kvquad.lie.log_exp_product, kvquad.solver.kv_rhs, kvquad.solver.canonical_solution,
-              kvquad.verify._bernoulli_side, kvquad.verify._projected_bernoulli_side)
-    for cache in caches:
-        cache.cache_clear()
-    kvquad.lie._highest.clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-    kvquad.lie._highest.clear()
 
 
 @pytest.mark.parametrize("argv", ["verify --suite propU --order 7",

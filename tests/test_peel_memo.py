@@ -28,7 +28,6 @@ import pytest
 import kvquad.lie
 import kvquad.lyndon
 import kvquad.solver
-import kvquad.verify
 from kvquad import (
     AssocSeries,
     KVSolution,
@@ -281,11 +280,11 @@ def test_an_unread_element_copies_without_a_peel(duplicate):
 
 
 @pytest.fixture
-def peel_letters(monkeypatch):
+def peel_letters(monkeypatch, cold_caches):
     """The highest letter of each ``lyndon_coordinates`` call, counted in every module binding it.
 
-    The CH caches and the canonical solutions start empty, so a memo left by another
-    test hides no peel.
+    The process caches start empty (``cold_caches``), so a memo left by another test
+    hides no peel.
     """
     peel = kvquad.lyndon.lyndon_coordinates
     letters: list[int] = []
@@ -300,15 +299,7 @@ def peel_letters(monkeypatch):
     assert {kvquad.lie, kvquad.lyndon} <= set(bound)
     for module in bound:
         monkeypatch.setattr(module, "lyndon_coordinates", counting)
-    caches = (log_exp_product, kv_rhs, canonical_solution, kvquad.verify._bernoulli_side,
-              kvquad.verify._projected_bernoulli_side)
-    for cache in caches:
-        cache.cache_clear()
-    kvquad.lie._highest.clear()
-    yield letters
-    for cache in caches:
-        cache.cache_clear()
-    kvquad.lie._highest.clear()
+    return letters
 
 
 def test_verify_prop_u_peels_no_three_letter_series(peel_letters, capsys):
