@@ -86,15 +86,16 @@ def _emit(payload: dict, out: str | None):
 
 def _check_word_count(command: str, arity: int, order: int):
     """Refuse, before anything is built, a request for series over ``arity`` letters through
-    ``order`` that may have more than ``BCH_WORD_CEILING`` words, as a CH series may."""
+    ``order`` that may have more than ``BCH_WORD_CEILING`` words, as a CH series may;
+    one letter counts as two, since its build's integers grow like (order!)^order."""
     words = 0
     for k in range(order + 1):  # stops at the ceiling, however large the order
-        words += arity ** k
+        words += max(arity, 2) ** k
         if words > BCH_WORD_CEILING:
             raise ValueError(
                 f"{command} needs series over {arity} letters through order {order}, "
                 f"more than the ceiling of {BCH_WORD_CEILING} words "
-                f"(the sum of arity^k for k <= order)")
+                f"(the sum of max(arity, 2)^k for k <= order)")
 
 
 def _cmd_bch(args) -> int:

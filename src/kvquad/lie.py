@@ -11,7 +11,8 @@ integer numerators over one denominator.  ``assoc_to_lie`` runs
 the peel at once, where it is the membership check.  An element made from
 coordinates keeps them and expands on the first ``expand()``.  Powers of one
 ad and the extended adjoint action ad_w z = [w_0, [w_1, [..., z]]] act on
-words through one nested-ad kernel, a letter bracket per level, on pairs.  The
+words through one nested-ad kernel, ``_ad_ints``: the first-letter recursion
+of :mod:`kvquad.words` with a letter bracket per level, on numerators.  The
 Campbell-Hausdorff series (the logarithm of the product of the letters'
 exponentials, on the integer word kernels; a lower order is truncated from a
 held higher one), generator substitution, degree scaling and univariate
@@ -24,9 +25,9 @@ import weakref
 from fractions import Fraction
 
 from .lyndon import (
-    _letter_bracket,
+    _bracket_into,
+    _commutator_ints,
     bracket_expansion,
-    commutator,
     is_lyndon,
     lyndon_coordinates,
 )
@@ -36,6 +37,7 @@ from .words import (  # RationalUnivariateSeries and univariate_substitute are r
     Rational,
     RationalUnivariateSeries,
     _SparseSeries,
+    _horner,
     _linear_sum,
     _substitute_ints,
     _word_name,
@@ -206,8 +208,9 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, computed as a commutator of word expansions."""
     a._check_compatible(b)
     order = min(a.order, b.order)
-    words = commutator(a.expand()._pair, b.expand()._pair, order)
-    return LieElement.from_words(AssocSeries._make(a.arity, order, *words))
+    (na, da), (nb, db) = a.expand()._pair, b.expand()._pair
+    words = _commutator_ints(na, nb, order)
+    return LieElement.from_words(AssocSeries._make(a.arity, order, words, da * db))
 
 
 def _ch_words(arity: int, order: int) -> tuple[dict[bytes, int], int]:
@@ -371,37 +374,20 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
 
 
 def _ad_ints(terms: dict, z_words: dict, order: int) -> dict[bytes, int]:
-    """``_ad_words`` on integer word maps; zeros dropped."""
-    out: dict[bytes, int] = {}
-    by_first: dict[int, dict[bytes, int]] = {}
-    for w, c in terms.items():
-        if not w:
-            for v, k in z_words.items():
-                if len(v) <= order:
-                    out[v] = out.get(v, 0) + c * k
-        elif len(w) < order:
-            by_first.setdefault(w[0], {})[w[1:]] = c
-    for i, rest in by_first.items():
-        for v, k in _letter_bracket(i, _ad_ints(rest, z_words, order - 1), order).items():
-            out[v] = out.get(v, 0) + k
-    return {w: n for w, n in out.items() if n}
+    """Sum of c * ad_w z over the words w of ``terms``, on integer word maps; zeros dropped.
 
-
-def _ad_words(terms, z_words, order: int) -> tuple[dict[bytes, int], int]:
-    """Sum of c * ad_w z over the words w of ``terms``, in the word basis.
-
-    ad_w z = [w_0, [w_1, [..., [w_last, z]]]] with z given by its word map.
-    Words sharing a first letter share that outermost bracket, and each level
-    down truncates one degree lower, at what the brackets still to come keep.
-    The sum is bilinear in ``terms`` and ``z_words``, two pairs, so it runs on
-    their numerators and lies over the product of their denominators.
+    ad_w z = [w_0, [w_1, [..., [w_last, z]]]] with z given by its word map:
+    the first-letter Horner scheme ``words._horner`` with z as the leaf and a
+    letter bracket as the step, so words sharing a first letter share that
+    outermost bracket, and each level down truncates one degree lower.  The
+    sum is bilinear; a caller with pairs multiplies their denominators.
     """
-    (t, dt), (z, dz) = terms, z_words
-    return _ad_ints(t, z, order), dt * dz
+    return _horner(terms, lambda t, room: {v: t * k for v, k in z_words.items() if len(v) <= room},
+                   _bracket_into, order)
 
 
 def _ad_polynomial(phi: RationalUnivariateSeries, index: int, arity: int, order: int):
-    """Pair of sum phi_k x_index^k, k < order; ``_ad_words`` runs Horner's scheme for
+    """Pair of sum phi_k x_index^k, k < order; ``_ad_ints`` runs Horner's scheme for
     phi(ad x_index) on it, acting on a series of that arity and order."""
     if phi.order < order:
         raise ValueError("operator kernel truncated below the series order")
@@ -417,8 +403,9 @@ def apply_operator_series(phi: RationalUnivariateSeries, index: int, a: LieEleme
     Computed in the word basis from one expansion of ``a``, and stored as
     those words.
     """
-    words = _ad_words(_ad_polynomial(phi, index, a.arity, a.order), a.expand()._pair, a.order)
-    return LieElement.from_words(AssocSeries._make(a.arity, a.order, *words))
+    (u, du), (z, dz) = _ad_polynomial(phi, index, a.arity, a.order), a.expand()._pair
+    words = _ad_ints(u, z, a.order)
+    return LieElement.from_words(AssocSeries._make(a.arity, a.order, words, du * dz))
 
 
 def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
@@ -430,8 +417,9 @@ def ad_apply(a: AssocSeries, z: LieElement) -> LieElement:
     if a.arity != z.arity:
         raise ArityMismatchError(f"arity mismatch: {a.arity} vs {z.arity}")
     order = min(z.order, a.order + 1)
-    words = _ad_words(a._pair, z.expand()._pair, order)
-    return LieElement.from_words(AssocSeries._make(z.arity, order, *words))
+    (na, da), (nz, dz) = a._pair, z.expand()._pair
+    words = _ad_ints(na, nz, order)
+    return LieElement.from_words(AssocSeries._make(z.arity, order, words, da * dz))
 
 
 def directional_derivative(a, index: int, z):

@@ -8,10 +8,12 @@ canonical basis used for Lie series.  Expansions are cached process-wide in
 a bounded ``lru_cache``, keyed by the word bytes: they only depend on the
 letters, not on the ambient alphabet size.  Peeling least words against
 these expansions gives Lyndon coordinates and decides Lie membership in one
-pass.  ``commutator`` is the
-one word-basis bracket, and ``_letter_bracket`` its case [x_i, v], built by
-prefixing and suffixing the letter.  They and the peel take and return the
-stored pair of :mod:`kvquad.words`, integer numerators over one denominator.
+pass.  ``_commutator_ints`` is the one word-basis bracket of two integer
+word maps, and ``_bracket_into`` its case [x_i, v], built by prefixing and
+suffixing the letter and added into a caller's map, the step of the
+nested-ad kernel; ``_letter_bracket`` is its zero-dropping call.  The peel
+takes and returns the stored pair of :mod:`kvquad.words`, integer numerators
+over one denominator.
 """
 
 import functools
@@ -73,26 +75,22 @@ def _commutator_ints(left: dict, right: dict, order: int) -> dict[bytes, int]:
     return {w: n for w, n in result.items() if n}
 
 
-def _letter_bracket(index: int, terms: dict, order: int) -> dict[bytes, int]:
-    """[x_index, v] = x_index v - v x_index for an integer word map v; words beyond ``order`` and zeros dropped."""
+def _bracket_into(out: dict, index: int, terms: dict, room: int):
+    """out += [x_index, v] = x_index v - v x_index for an integer word map v, through ``room``."""
     letter = bytes([index])
-    out: dict[bytes, int] = {}
     for w, n in terms.items():
-        if len(w) < order:
+        if len(w) < room:
             v = letter + w
             out[v] = out.get(v, 0) + n
             v = w + letter
             out[v] = out.get(v, 0) - n
+
+
+def _letter_bracket(index: int, terms: dict, order: int) -> dict[bytes, int]:
+    """[x_index, v] for an integer word map v; words beyond ``order`` and zeros dropped."""
+    out: dict[bytes, int] = {}
+    _bracket_into(out, index, terms, order)
     return {w: n for w, n in out.items() if n}
-
-
-def commutator(left, right, order: int) -> tuple[dict[bytes, int], int]:
-    """left * right - right * left for two (numerators, denominator) pairs of word maps.
-
-    Words beyond ``order`` and zeros are dropped; the denominators multiply.
-    """
-    (nl, dl), (nr, dr) = left, right
-    return _commutator_ints(nl, nr, order), dl * dr
 
 
 @functools.lru_cache(maxsize=1 << 15)  # above the Lyndon-word count of any bch the CLI accepts

@@ -15,7 +15,8 @@ over one letter.  The word kernels (``mul``, the substitution
 ``_substitute_ints`` behind Lie, simplicial and trace substitution, the
 Leibniz splice ``_splice_ints`` and its pull form ``_splice_at``;
 expansion, brackets, nested ad and peel in :mod:`kvquad.lyndon` and
-:mod:`kvquad.lie`) take and return such pairs.
+:mod:`kvquad.lie`) take and return such pairs or their numerators.  One
+first-letter Horner recursion, ``_horner``, runs substitution and nested ad.
 """
 
 import math
@@ -289,7 +290,12 @@ class _SparseSeries:
                 and isinstance(t.get("coeff"), str) for t in raw):
             raise ValueError(f"{name} JSON 'terms' must be a list of objects "
                              "with string 'word' and 'coeff'")
-        terms = {word_from_str(t["word"]): parse_rational(t["coeff"]) for t in raw}
+        terms = {}
+        for t in raw:
+            w = word_from_str(t["word"])
+            if w in terms:  # a dict would keep the last coefficient silently
+                raise ValueError(f"{name} JSON lists {cls._key_kind} {_word_name(w)} twice")
+            terms[w] = parse_rational(t["coeff"])
         return cls(data["arity"], data["order"], terms)
 
 
@@ -357,6 +363,20 @@ def _by_length(terms: dict) -> dict[int, list]:
     return buckets
 
 
+def _mul_into(out: dict, left: dict, right: dict, room: int):
+    """Add the products of the words of two integer maps, through length ``room``, into out."""
+    buckets = _by_length(right)
+    for u, a in left.items():
+        fit = room - len(u)
+        if fit < 0:
+            continue
+        for length, items in buckets.items():
+            if length <= fit:
+                for v, b in items:
+                    w = u + v
+                    out[w] = out.get(w, 0) + a * b
+
+
 def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
     """Concatenation product, truncated at min(a.order, b.order).
 
@@ -367,42 +387,31 @@ def mul(a: AssocSeries, b: AssocSeries) -> AssocSeries:
     order = min(a.order, b.order)
     (na, da), (nb, db) = a._pair, b._pair
     out: dict[bytes, int] = {}
-    b_buckets = _by_length(nb)
-    for wa, ca in na.items():
-        room = order - len(wa)
-        if room < 0:
-            continue
-        for lb, items in b_buckets.items():
-            if lb > room:
-                continue
-            for wb, cb in items:
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
+    _mul_into(out, na, nb, order)
     return type(a)._make(a.arity, order, out, da * db)
 
 
-def _horner_words(terms: dict, images, room: int) -> dict:
-    """sum of t_w images[w_0] ... images[w_last] over integer maps, words up to ``room``.
+def _horner(terms: dict, leaf, step, room: int) -> dict:
+    """sum of t_w act_{w_0} act_{w_1} ... act_{w_last} leaf over the words w of an integer map.
 
-    Words sharing a first letter share that leftmost factor; each image word
-    has length >= 1, so the factors still to come get one letter less room.
+    Horner's scheme over first letters: words sharing a first letter share
+    that outermost action, and every action adds at least one letter, so the
+    words after it get one letter less room and words longer than ``room``
+    are dropped.  ``leaf(t, room)`` is a fresh map, t times the innermost
+    operand through ``room``; ``step(out, i, inner, room)`` adds the action
+    of letter i on the inner sum into out, through ``room``.  Zeros are dropped.
     """
     out: dict[bytes, int] = {}
     by_first: dict[int, dict[bytes, int]] = {}
     for w, t in terms.items():
+        if len(w) > room:
+            continue
         if w:
             by_first.setdefault(w[0], {})[w[1:]] = t
         else:
-            out[b""] = t
+            out = leaf(t, room)
     for i, rest in by_first.items():
-        tails = _by_length(_horner_words(rest, images, room - 1))
-        for u, a in images[i].items():
-            fit = room - len(u)
-            for length, items in tails.items():
-                if length <= fit:
-                    for v, b in items:
-                        w = u + v
-                        out[w] = out.get(w, 0) + a * b
+        step(out, i, _horner(rest, leaf, step, room - 1), room)
     return {w: n for w, n in out.items() if n}
 
 
@@ -437,18 +446,20 @@ def _substitute_ints(terms, images, order: int):
     maps = [({w: n for w, n in ints.items() if len(w) <= order}, t)
             for ints, t in (terms if several else [terms])]
     if len(maps) == 1:
-        numerators = {w: n * d ** (order - len(w)) for w, n in maps[0][0].items()}
-        sums = [_horner_words(numerators, scaled, order)]
+        numerators = maps[0][0]
     else:
         bound = max(sum(map(abs, nums.values())) for nums, _ in maps) * max(
             [d, *(sum(map(abs, image.values())) for image in scaled)]) ** order
         stride = bound.bit_length() + 1
-        packed: dict[bytes, int] = {}
+        numerators = {}
         for k, (nums, _) in enumerate(maps):
             for w, n in nums.items():
-                packed[w] = packed.get(w, 0) + (n << stride * k)
-        packed = {w: p * d ** (order - len(w)) for w, p in packed.items()}
-        sums = _unpack(_horner_words(packed, scaled, order), stride, len(maps))
+                numerators[w] = numerators.get(w, 0) + (n << stride * k)
+    # the leaf is the empty word, and letter i's step multiplies by images[i] on the left
+    sums = _horner({w: n * d ** (order - len(w)) for w, n in numerators.items()},
+                   lambda t, room: {b"": t},
+                   lambda out, i, inner, room: _mul_into(out, scaled[i], inner, room), order)
+    sums = [sums] if len(maps) == 1 else _unpack(sums, stride, len(maps))
     out = [_normal(ints, t * d ** order) for ints, (_, t) in zip(sums, maps)]
     return out if several else out[0]
 

@@ -19,6 +19,8 @@ accumulated every product as a ``Fraction`` (here without their length
 buckets, through this module's own ``_accumulate``);
 ``fraction_univariate_substitute`` is the former power loop phi(a) = sum
 phi_k a^k, which ``product_log_ch`` uses as its logarithm;
+``fraction_substitute_words`` substitutes one word at a time, each product
+formed letter by letter, with no shared prefixes;
 ``fraction_trace_projection`` sums a word map into cyclic classes from the
 orbit sets of ``rotation_orbit`` and ``signed_cyclic_class``;
 ``univariate_inverse`` (the division recurrence), ``univariate_shifted_down``,
@@ -36,7 +38,7 @@ import random
 from fractions import Fraction
 
 from kvquad.lie import LieElement, apply_operator_series, assoc_to_lie, kernel_series
-from kvquad.lyndon import bracket_expansion, commutator, is_lyndon, standard_factorization
+from kvquad.lyndon import _commutator_ints, bracket_expansion, is_lyndon, standard_factorization
 from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
@@ -189,6 +191,21 @@ def fraction_univariate_substitute(phi, a) -> dict:
     return result
 
 
+def fraction_substitute_words(terms: dict, images: list, order: int) -> dict:
+    """sum_w c_w images[w_0] ... images[w_last] through ``order``, in ``Fraction``.
+
+    Each word's product is formed on its own, left to right with ``omul``;
+    the images have no constant term, so a word longer than ``order`` adds nothing.
+    """
+    out: dict[bytes, Fraction] = {}
+    for w, c in terms.items():
+        product = {b"": Fraction(c)}
+        for letter in w:
+            product = omul(product, images[letter], order)
+        out = oadd(out, product)
+    return out
+
+
 def product_log_ch(arity: int, order: int) -> AssocSeries:
     """log(e^{x_0} ... e^{x_{arity-1}}) in words, as a product of exponentials and a logarithm.
 
@@ -269,8 +286,9 @@ def lyndon_image_substitute(elements, args) -> list[LieElement]:
                 cache[w] = args_words[w[0]]
             else:
                 u, v = standard_factorization(w)
-                words = commutator(image(u)._pair, image(v)._pair, args_order)
-                cache[w] = AssocSeries._make(arity_out, args_order, *words)
+                (nu, du), (nv, dv) = image(u)._pair, image(v)._pair
+                words = _commutator_ints(nu, nv, args_order)
+                cache[w] = AssocSeries._make(arity_out, args_order, words, du * dv)
         return cache[w]
 
     out = []

@@ -38,6 +38,12 @@ def test_bch_rejects_bad_order(capsys):
 
 
 def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
+    """One letter counts as two: its series is x alone, but the build's integers and
+    recursion depth grow with the order, so it is refused from the two-letter order 16."""
+    code, out, _ = run(capsys, "bch", "--arity", "1", "--order", "15")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"word": "a", "coeff": "1/1"}]
+
     def refuse(arity, order):
         raise AssertionError(f"the series was built at arity {arity}, order {order}")
 
@@ -45,8 +51,10 @@ def test_bch_refuses_an_oversized_request_up_front(capsys, monkeypatch):
     code, out, err = run(capsys, "bch", "--arity", "26", "--order", "10")
     assert code == 2 and not out
     assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err
-    code, _, err = run(capsys, "bch", "--arity", "1", "--order", "1000000000")
-    assert code == 2 and f"ceiling of {BCH_WORD_CEILING} words" in err
+    for order in ("16", "1000000000"):
+        code, out, err = run(capsys, "bch", "--arity", "1", "--order", order)
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and f"ceiling of {BCH_WORD_CEILING} words" in err
 
 
 def test_solve_kv_and_verify_refuse_oversized_requests_up_front(capsys, monkeypatch, cold_caches):
@@ -251,6 +259,21 @@ def test_solution_with_a_non_lyndon_key_names_the_word(tmp_path, capsys):
     _assert_one_error_line(code, out, err)
     assert "'ba' is not a Lyndon word" in err
     assert "Traceback" not in err and "\\x" not in err
+
+
+def test_solution_listing_a_word_twice_is_usage_error(tmp_path, capsys):
+    """A repeated word is refused, not read as its last coefficient."""
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "3", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    terms = data["A"]["terms"]
+    [term] = [t for t in terms if t["word"] == "ab"]
+    term["coeff"] = "1/2"
+    terms.append({"word": "ab", "coeff": "1/3"})
+    out_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--order", "3", "--solution", str(out_file))
+    _assert_one_error_line(code, out, err)
+    assert "LieElement JSON lists word 'ab' twice" in err
 
 
 def test_python_dash_m_kvquad_prints_what_main_prints(capsys):

@@ -1,7 +1,7 @@
 """The word-basis commutator and the derivation action built on it.
 
-``lyndon.commutator`` is the one word-basis commutator; ``act`` splices the
-images [x_i, a_i] into one word expansion and projects once, and
+``lyndon._commutator_ints`` is the one word-basis commutator; ``act``
+splices the images [x_i, a_i] into one word expansion and projects once, and
 ``act_on_trace`` makes one action on the sum of the class representatives.
 These seeded tests compare them with tuple-word oracles built from two
 products per commutator, and with the per-class sum.
@@ -26,7 +26,7 @@ from kvquad import (
     tr_quad,
     trace_pairing,
 )
-from kvquad.lyndon import commutator
+from kvquad.lyndon import _commutator_ints
 from kvquad.words import _fractions, _pair_of
 from kvquad.sampling import random_lie_element
 
@@ -48,7 +48,8 @@ def test_commutator_truncates_like_products(unit_left):
         else:
             assert any(c != 1 for c in left.values())
         right = random_assoc_series(rng, arity, 6, terms=rng.randint(0, 8)).terms
-        got = _fractions(commutator(_pair_of(left), _pair_of(right), order))
+        (nl, dl), (nr, dr) = _pair_of(left), _pair_of(right)
+        got = _fractions((_commutator_ints(nl, nr, order), dl * dr))
         assert all(len(w) <= order and c for w, c in got.items())
         L, R = tuple_map(left), tuple_map(right)
         expected = oadd(omul(L, R, order), oscale(omul(R, L, order), -1))

@@ -1,11 +1,12 @@
 """The integer word kernels against their ``Fraction`` references.
 
-``LieElement.expand``, ``lyndon.commutator``, the nested-ad kernel
-``lie._ad_words``, ``words.mul`` and ``words.substitute_letter_linear`` sum
-integer numerators over one denominator, taking and returning (numerators,
-denominator) pairs.  These seeded tests compare each, read through the
-``Fraction`` view ``words._fractions`` of its pair (inputs converted by
-``words._pair_of``), with the former ``Fraction`` body kept in
+``LieElement.expand``, the commutator ``lyndon._commutator_ints``, the
+nested-ad kernel ``lie._ad_ints``, ``words.mul`` and
+``words.substitute_letter_linear`` sum integer numerators over one
+denominator; the two integer kernels are read here over the product of their
+operands' denominators (``pair_commutator``, ``ad_words``).  These seeded
+tests compare each, read through the ``Fraction`` view ``words._fractions``
+of its pair (inputs converted by ``words._pair_of``), with the former ``Fraction`` body kept in
 ``tests/oracles.py`` and with an independent tuple-word oracle, on
 coefficients over pairwise coprime denominators (7, 11, 13 and 10007, so a
 lost or doubled denominator factor changes the value), on empty maps and on
@@ -20,7 +21,11 @@ same way.
 scheme of ``substitute_words``; it is compared with the former power loop
 ``oracles.fraction_univariate_substitute`` and with the tuple-word
 ``oexp``/``olog``, and ``_substitute_ints``, the integer form of the
-simplicial maps, with the numerators of ``substitute_words``.
+simplicial maps, with the numerators of ``substitute_words``.  Both run on
+the one first-letter recursion ``words._horner``, which is also read alone
+with a step that truncates nothing, and against ``fraction_ad_words`` and
+``fraction_substitute_words`` on terms holding the empty word and words at
+and just past the truncation order.
 """
 
 import functools
@@ -32,11 +37,12 @@ from fractions import Fraction
 import pytest
 
 from kvquad import AssocSeries, LieElement, RationalUnivariateSeries, exp, log, lyndon_words, mul
-from kvquad.lie import _ad_words
-from kvquad.lyndon import _letter_bracket, commutator, standard_factorization
+from kvquad.lie import _ad_ints
+from kvquad.lyndon import _commutator_ints, _letter_bracket, standard_factorization
 from kvquad.words import (
     _common_denominator,
     _fractions,
+    _horner,
     _linear_sum,
     _pair_of,
     _splice_at,
@@ -55,6 +61,7 @@ from oracles import (
     fraction_expand,
     fraction_mul,
     fraction_substitute_letter_linear,
+    fraction_substitute_words,
     fraction_univariate_substitute,
     oadd,
     oexp,
@@ -144,6 +151,12 @@ def test_expand_drops_words_that_cancel():
     assert checked >= 5
 
 
+def pair_commutator(left, right, order: int) -> tuple[dict[bytes, int], int]:
+    """``_commutator_ints`` on two pairs, over the product of their denominators."""
+    (nl, dl), (nr, dr) = left, right
+    return _commutator_ints(nl, nr, order), dl * dr
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_commutator_matches_fraction_commutator(arity):
     rng = random.Random(1300 + arity)
@@ -153,7 +166,7 @@ def test_commutator_matches_fraction_commutator(arity):
         right = word_map(rng, arity, 5, rng.randint(0, 8))
         if trial % 5 == 0:
             right = dict(left)  # [a, a] = 0: every word cancels
-        got = _fractions(commutator(_pair_of(left), _pair_of(right), order))
+        got = _fractions(pair_commutator(_pair_of(left), _pair_of(right), order))
         assert_reduced(got)
         assert got == fraction_commutator(left, right, order)
         L, R = tuple_map(left), tuple_map(right)
@@ -169,7 +182,7 @@ def test_ad_words_matches_fraction_nested_ad(arity):
         order = rng.randint(1, 7)
         terms = word_map(rng, arity, 4, rng.randint(0, 6))
         z = word_map(rng, arity, 4, rng.randint(0, 6), min_len=1)
-        got = _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
+        got = ad_words(terms, z, order)
         assert_reduced(got)
         assert got == fraction_ad_words(terms, z, order)
 
@@ -181,14 +194,16 @@ def test_ad_words_powers_match_the_operator_oracle():
             phi = [coprime_rational(rng) for _ in range(order + 1)]
             terms = {bytes([index]) * k: c for k, c in enumerate(phi) if k < order}
             z = word_map(rng, arity, order, 6, min_len=1)
-            got = _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
+            got = ad_words(terms, z, order)
             assert_reduced(got)
             assert tuple_map(got) == ad_power_series(phi, index, tuple_map(z), order)
 
 
 def ad_words(terms: dict, z: dict, order: int) -> dict:
-    """``_ad_words`` on rational word maps, read as ``Fraction`` values."""
-    return _fractions(_ad_words(_pair_of(terms), _pair_of(z), order))
+    """``_ad_ints`` on rational word maps over the product of their denominators, read as
+    ``Fraction`` values."""
+    (t, dt), (zi, dz) = _pair_of(terms), _pair_of(z)
+    return _fractions((_ad_ints(t, zi, order), dt * dz))
 
 
 def test_ad_words_on_empty_and_cancelling_input():
@@ -204,8 +219,87 @@ def test_ad_words_on_empty_and_cancelling_input():
     got = ad_words(terms, z, 4)
     assert_reduced(got)
     x, y = ({b"\x00": 1}, 1), ({b"\x01": 1}, 1)
-    xy_x = _fractions(commutator(commutator(x, y, 2), x, 3))
+    xy_x = _fractions(pair_commutator(pair_commutator(x, y, 2), x, 3))
     assert got == fraction_ad_words(terms, z, 4) == {w: c / (7 * 13) for w, c in xy_x.items()}
+
+
+def horner_terms(rng: random.Random, arity: int, order: int, terms: int) -> dict:
+    """Terms for the first-letter recursion: random words, the empty word and words of
+    length order and order + 1, which lie at and just past the pruning bound."""
+    out = word_map(rng, arity, order + 1, terms)
+    for length in (0, order, order + 1):
+        out[bytes(rng.randrange(arity) for _ in range(length))] = coprime_rational(rng)
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_nested_ad_at_the_pruning_bound_matches_fraction_nested_ad(arity):
+    rng = random.Random(2400 + arity)
+    for trial in range(40):
+        order = rng.randint(0, 6)
+        terms = horner_terms(rng, arity, order, rng.randint(0, 6)) if trial % 8 else {}
+        z = word_map(rng, arity, order + 1, rng.randint(0, 6)) if trial % 5 else {}
+        if z:  # a word past the order, which the leaf must drop
+            z[bytes(rng.randrange(arity) for _ in range(order + 1))] = coprime_rational(rng)
+        got = ad_words(terms, z, order)
+        assert_reduced(got)
+        assert got == fraction_ad_words(terms, z, order)
+        assert all(len(w) <= order for w in got)
+
+
+def test_horner_gives_the_words_after_each_letter_one_letter_less_room():
+    """With a step that prefixes its letter and truncates nothing, ``_horner`` shows its own
+    bound: a word w of length <= room meets the leaf through room - |w|, and a longer
+    word adds nothing."""
+    def prefix(out, i, inner, room):
+        for v, n in inner.items():
+            out[bytes([i]) + v] = out.get(bytes([i]) + v, 0) + n
+
+    rng = random.Random(2600)
+    for trial in range(30):
+        order = rng.randint(0, 5)
+        terms = integer_map(rng, 2, order + 2, rng.randint(0, 10))
+        z = integer_map(rng, 2, order + 1, rng.randint(0, 5))
+        expected: dict[bytes, int] = {}
+        for w, t in terms.items():
+            for v, k in z.items():
+                if len(w) + len(v) <= order:
+                    expected[w + v] = expected.get(w + v, 0) + t * k
+        z_leaf = lambda t, room: {v: t * k for v, k in z.items() if len(v) <= room}
+        assert _horner(terms, z_leaf, prefix, order) == {w: n for w, n in expected.items() if n}
+        kept = {w: t for w, t in terms.items() if len(w) <= order}
+        assert _horner(terms, lambda t, room: {b"": t}, prefix, order) == kept
+    # x z - 1 z with z = 1 + x: the word x cancels and is dropped
+    z = {b"": 1, b"\x00": 1}
+    leaf = lambda t, room: {v: t * k for v, k in z.items()}
+    got = _horner({b"\x00": 1, b"": -1}, leaf, prefix, 2)
+    assert got == {b"\x00\x00": 1, b"": -1}
+
+
+def substitution_images(rng: random.Random, arity: int) -> list[dict]:
+    """One image per letter in three letters: words of one to three letters, some maps empty."""
+    images = [word_map(rng, 3, 3, rng.randint(0, 4), min_len=1) for _ in range(arity)]
+    for image in images[:2]:
+        if rng.random() < 0.8:
+            for length in (2, 3):
+                image[bytes(rng.randrange(3) for _ in range(length))] = coprime_rational(rng)
+    return images
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_substitution_at_the_pruning_bound_matches_the_fraction_oracle(arity):
+    rng = random.Random(2500 + arity)
+    for trial in range(40):
+        order = rng.randint(0, 6)
+        maps = [horner_terms(rng, arity, order, rng.randint(0, 6)) if (trial + k) % 8 else {}
+                for k in range(2)]
+        images = substitution_images(rng, arity)
+        expected = [fraction_substitute_words(terms, images, order) for terms in maps]
+        got = substitute_words(maps[0], images, order)
+        assert_reduced(got)
+        assert got == expected[0]
+        packed = _substitute_ints(pairs(maps), pairs(images), order)
+        assert [_fractions(pair) for pair in packed] == expected
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -260,7 +354,7 @@ def test_substitute_letter_linear_matches_the_derivation_oracle():
         for index in range(arity):
             a = AssocSeries(arity, order, word_map(rng, arity, order, 10))
             a_i = word_map(rng, arity, order - 1, 4, min_len=1)
-            image = _fractions(commutator(({bytes([index]): 1}, 1), _pair_of(a_i), order))
+            image = _fractions(pair_commutator(({bytes([index]): 1}, 1), _pair_of(a_i), order))
             got = substitute_letter_linear(a, index, AssocSeries(arity, order, image))
             components = [tuple_map(a_i) if i == index else {} for i in range(arity)]
             assert to_word_dict(got) == derivation_action(components, to_word_dict(a), order)

@@ -91,16 +91,16 @@ def test_expansion_cache_holds_every_bch_the_cli_accepts(monkeypatch, capsys):
 
     ``bch`` peels every Lyndon word through its order, so a lower bound would
     evict expansions while one request still reads them.  For each arity the
-    largest accepted order is the last one under ``BCH_WORD_CEILING``; the
-    CLI refuses the next one up front.
+    largest accepted order is the last one under ``BCH_WORD_CEILING``, words
+    counted over at least two letters; the CLI refuses the next one up front.
     """
     monkeypatch.setattr(kvquad.lie, "_ch_words", None)  # a refusal builds nothing
     counts = {}
     for arity in range(1, 27):
-        order, words = 0, 1
-        while words + arity ** (order + 1) <= BCH_WORD_CEILING:
+        order, words, base = 0, 1, max(arity, 2)
+        while words + base ** (order + 1) <= BCH_WORD_CEILING:
             order += 1
-            words += arity ** order
+            words += base ** order
         assert main(["bch", "--arity", str(arity), "--order", str(order + 1)]) == 2
         counts[arity, order] = len(lyndon_words(arity, order))
     capsys.readouterr()

@@ -123,6 +123,17 @@ def test_malformed_series_json_raises_value_error(cls, data):
         cls.from_json_dict(data)
 
 
+@pytest.mark.parametrize("cls", (AssocSeries, LieElement), ids=lambda c: c.__name__)
+def test_series_json_listing_a_word_twice_raises_value_error(cls):
+    data = {"arity": 2, "order": 3,
+            "terms": [{"word": "ab", "coeff": "1/2"}, {"word": "aab", "coeff": "1/5"},
+                      {"word": "ab", "coeff": "1/3"}]}
+    with pytest.raises(ValueError, match="lists word 'ab' twice"):
+        cls.from_json_dict(data)
+    del data["terms"][2]
+    assert cls.from_json_dict(data).coefficient(b"\x00\x01") == Fraction(1, 2)
+
+
 def test_trace_json_requires_its_space_and_lie_json_defaults_its_basis():
     g = QuadTraceSeries(2, 2, {b"\x00\x01": 1})
     data = g.to_json_dict()
