@@ -21,7 +21,7 @@ import sys
 from .sampling import random_gauge_pairs
 from .solver import KVSolution, canonical_solution, gauge_family, standard_gauge_pairs
 from .tangential import TangentialDerivation
-from .lie import LieElement, bch_multi
+from .lie import bch_multi
 from .verify import (
     VerificationReport,
     check_full_trace_equation,
@@ -124,14 +124,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cut_coordinates(series: LieElement, order: int) -> LieElement:
-    """A loaded series through ``order``, cut from the coordinates in its slot: no peel,
-    and no word above ``order`` is expanded."""
-    ints, d = series._pair
-    return LieElement._make(series.arity, order, {w: n for w, n in ints.items() if len(w) <= order},
-                            d)
-
-
 def _report_lines(report: VerificationReport, json_lines: bool) -> list[str]:
     if json_lines:
         return [json.dumps(line) for line in report.to_json_lines()]
@@ -164,9 +156,8 @@ def _cmd_verify(args) -> int:
     residual_ok = True
     if any(s != "homo" for s in suites):
         base = loaded if loaded is not None else canonical_solution(max(order2, order3))
-        cut = LieElement.truncated if loaded is None else _cut_coordinates
         truncations = {order: base if order == base.order else
-                       KVSolution(cut(base.A, order), cut(base.B, order), base.method)
+                       KVSolution(base.A.truncated(order), base.B.truncated(order), base.method)
                        for order in {order2, order3}}
         solution2, solution3 = truncations[order2], truncations[order3]
         residual_report = verify_kv1(solution2 if order2 >= order3 else solution3)

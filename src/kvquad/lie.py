@@ -127,9 +127,14 @@ class LieElement(_SparseSeries):
         return LieElement.from_words(self.expand() + other.expand())
 
     def _termwise(self, f, order: int | None = None, over: int = 1) -> "LieElement":
-        """The core's ``_termwise`` on the words: negation, scaling, truncation and the
-        homogeneous parts all come here."""
-        return LieElement.from_words(AssocSeries._termwise(self.expand(), f, order, over))
+        """The core's ``_termwise`` on the words if built, else on the coordinates: every map
+        here (negation, scaling, truncation, homogeneous parts, ``scale``, ``without_letters``)
+        acts by degree or on the one-letter words x_i, where both forms agree."""
+        try:
+            words = self._assoc
+        except AttributeError:
+            return _SparseSeries._termwise(self, f, order, over)
+        return LieElement.from_words(AssocSeries._termwise(words, f, order, over))
 
     degree_part = _SparseSeries.homogeneous_part
 

@@ -13,6 +13,8 @@ from .lyndon import lyndon_words
 from .tangential import TangentialDerivation
 from .traces import TraceSeries, trace_pairing
 
+MAX_ZERO_PAIRINGS = 100  # draws with tr(l r) = 0 that one call of random_gauge_pairs tolerates
+
 
 def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 6) -> Fraction:
     num = rng.randint(-max_num, max_num)
@@ -52,8 +54,9 @@ def random_gauge_pairs(rng: random.Random, order: int,
     A gauge shift at this order transports the tuple of tr(l r), taken at
     order + 1; a zero pairing, such as tr(u [u, v]) = 0, would give the
     solution back.  ``solver.gauge_family`` reuses the pairing tested here.
+    After ``MAX_ZERO_PAIRINGS`` zero pairings in one call, ValueError.
     """
-    pairs = []
+    pairs, zeros = [], 0
     while len(pairs) < count:
         d = rng.randint(1, order)
         left = random_lie_element(rng, 2, d, terms=3)
@@ -61,4 +64,6 @@ def random_gauge_pairs(rng: random.Random, order: int,
         p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
         if not p.is_zero():
             pairs.append((left, right, p))
+        elif (zeros := zeros + 1) == MAX_ZERO_PAIRINGS:
+            raise ValueError(f"random gauge pairs at order {order}: {zeros} draws paired to zero")
     return pairs

@@ -3,11 +3,11 @@
 A derivation is identified with its tuple (a_1, ..., a_n) of Lie series.  The
 tuple is normalized on construction by dropping the x_i-linear term of a_i,
 which never changes the action since [x_i, x_i] = 0; with that convention the
-tuple determines the derivation uniquely.  The module also provides the
-simplicial embeddings of two-letter derivations into three letters, the
-divergence valued in cyclic words (plain and signed-reversal quotients), the
-induced action on trace series, and the correspondence sending a quadratic
-trace expression to the unique tuple with sum of brackets zero.
+tuple determines the derivation uniquely.  The module also provides the four
+signed simplicial faces of two-letter word maps in three letters and the
+embeddings built on them, the divergence valued in cyclic words (plain and
+signed-reversal quotients), the induced action on trace series, and the
+correspondence from a quadratic trace expression to its tuple with zero bracket sum.
 """
 
 from .lie import (
@@ -174,8 +174,27 @@ def ch_defect(u: TangentialDerivation) -> AssocSeries:
         return u._ch_defect
 
 
-_SIMPLICIAL_PATTERNS = ("1,2", "2,3", "12,3", "1,23")
+_FACES = {"1,2": 1, "2,3": -1, "12,3": 1, "1,23": -1}  # signs: u^{1,2}+u^{12,3}-u^{1,23}-u^{2,3}
 _YZ = bytes([1, 2]) + bytes(range(2, 256))  # bytes.translate table: letters x, y become y, z
+
+
+def _face_words(maps, pattern: str, order: int, join=None) -> list[tuple[dict, int]]:
+    """Two-letter word maps, as (integers, denominator), sent into x, y, z along one face.
+
+    1,2 keeps x, y and 2,3 relabels them onto y, z; 12,3 and 1,23 substitute
+    (join, z) and (x, join relabelled onto y, z) into every map in one
+    ``_substitute_ints`` pass.  The join is ch(x, y) unless given (x + y for homo).
+    """
+    if pattern == "1,2":
+        return list(maps)
+    if pattern == "2,3":
+        return [({w.translate(_YZ): n for w, n in ints.items()}, d) for ints, d in maps]
+    join = bch_multi(2, order).expand()._pair if join is None else join
+    if pattern == "12,3":
+        images = [join, ({b"\x02": 1}, 1)]
+    else:
+        images = [({b"\x00": 1}, 1), ({w.translate(_YZ): n for w, n in join[0].items()}, join[1])]
+    return _substitute_ints(list(maps), images, order)
 
 
 def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict, int], ...]:
@@ -186,31 +205,16 @@ def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict,
       2,3  -> (0, A(y,z), B(y,z))
       12,3 -> (A(ch(x,y),z), A(ch(x,y),z), B(ch(x,y),z))
       1,23 -> (A(x,ch(y,z)), B(x,ch(y,z)), B(x,ch(y,z)))
-    with ch the two-letter Campbell-Hausdorff series.  The maps are Lie, and
-    a repeated component is one map.  The letter patterns relabel the
-    pairs of A's and B's word expansions; the CH patterns substitute
-    both expansions in one Horner pass in integers (``_substitute_ints`` on
-    the pair), with the CH words as they stand, or relabelled onto y, z, as
-    one image and the remaining letter as the other.
+    with ch the two-letter Campbell-Hausdorff series: the faces of the pair
+    of A's and B's word expansions (``_face_words``).  The maps are Lie, and
+    a repeated component is one map.
     """
     if u.arity != 2:
         raise ArityMismatchError("simplicial maps embed arity-2 derivations")
-    if pattern not in _SIMPLICIAL_PATTERNS:
+    if pattern not in _FACES:
         raise ValueError(
-            f"unknown simplicial pattern {pattern!r}; expected one of {_SIMPLICIAL_PATTERNS}")
-    order = u.order
-    expansions = [a.expand()._pair for a in u.components]
-    if pattern == "1,2":
-        A, B = expansions
-    elif pattern == "2,3":
-        A, B = (({w.translate(_YZ): n for w, n in ints.items()}, d) for ints, d in expansions)
-    else:
-        ch, d = bch_multi(2, order).expand()._pair
-        if pattern == "12,3":
-            images = [(ch, d), ({b"\x02": 1}, 1)]
-        else:
-            images = [({b"\x00": 1}, 1), ({w.translate(_YZ): n for w, n in ch.items()}, d)]
-        A, B = _substitute_ints(expansions, images, order)
+            f"unknown simplicial pattern {pattern!r}; expected one of {tuple(_FACES)}")
+    A, B = _face_words([a.expand()._pair for a in u.components], pattern, u.order)
     zero = ({}, 1)
     return {"1,2": (A, B, zero), "2,3": (zero, A, B),
             "12,3": (A, A, B), "1,23": (A, B, B)}[pattern]

@@ -5,7 +5,9 @@ degree; the first discrepancy is recorded as a witness (the offending word or
 cyclic class together with the coefficient delta).  Checks whose hypothesis
 is the equation itself refuse to run on a pair with nonzero residual; the
 residual has its own report so that corrupted inputs surface as ordinary
-failures rather than usage errors.
+failures rather than usage errors.  The three-letter checks share the simplicial
+faces of :mod:`kvquad.tangential`: propU and propLast act by their signed sum U,
+and cocycle and homo sum the faces of trace classes (``_face_sum``).
 """
 
 import functools
@@ -19,13 +21,13 @@ from .lie import (
     bch,
     generator,
     kernel_series,
-    substitute,
     univariate_substitute,
 )
 from .linalg import rational_kernel, rational_solve
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import TangentialDerivation, ch_defect, div_quad, divergence_words, simplicial_words
+from .tangential import (_FACES, TangentialDerivation, _face_words, ch_defect, div_quad,
+                         divergence_words, simplicial_words)
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
 from .words import AssocSeries, _linear_sum, format_rational, word_to_str
 
@@ -198,7 +200,7 @@ def simplicial_combination(s: KVSolution) -> TangentialDerivation:
     """
     u = s.derivation()
     sums: list[list] = [[], [], []]
-    for pattern, sign in (("1,2", 1), ("12,3", 1), ("1,23", -1), ("2,3", -1)):
+    for pattern, sign in _FACES.items():
         for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
             parts.append((sign, ints, d))
     return TangentialDerivation(
@@ -244,22 +246,21 @@ def verify_prop_last(instances) -> VerificationReport:
     return VerificationReport("propLast", order, tuple(results))
 
 
+def _face_sum(pair, order: int, join=None) -> QuadTraceSeries:
+    """The signed faces of a two-letter map (``_face_words``), summed, then projected once."""
+    parts = [(sign, *_face_words([pair], face, order, join)[0]) for face, sign in _FACES.items()]
+    return tr_quad(AssocSeries._make(3, order, *_linear_sum(parts)))
+
+
 def verify_cocycle_equation(s: KVSolution) -> VerificationReport:
     """Four-term combination of the quadratic divergence vanishes in three letters.
 
     With g the quadratic divergence of the pair's derivation, checks
-    g(x,y) + g(ch(x,y),z) - g(x,ch(y,z)) - g(y,z) = 0.
+    g(x,y) + g(ch(x,y),z) - g(x,ch(y,z)) - g(y,z) = 0 by ``_face_sum`` on g's
+    class representatives; as in ``trace_substitute``, any representative serves.
     """
     _require_solution(s)
-    order = s.order
-    g = div_quad(s.derivation())
-    x, y, z = (generator(3, i, order) for i in range(3))
-    ch2 = bch(order)
-    ch_xy = substitute(ch2, (x, y))
-    ch_yz = substitute(ch2, (y, z))
-    combo = (trace_substitute(g, (x, y)) + trace_substitute(g, (ch_xy, z))
-             - trace_substitute(g, (x, ch_yz)) - trace_substitute(g, (y, z)))
-    return report_zero("cocycle", combo)
+    return report_zero("cocycle", _face_sum(div_quad(s.derivation())._pair, s.order))
 
 
 def _quad_class_basis(arity: int, degree: int) -> list[bytes]:
@@ -293,16 +294,10 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
         raise ValueError("degree must be >= 2")
     n = degree
     basis2 = _quad_class_basis(2, n)
-    x, y, z = (generator(3, i, n) for i in range(3))
-    arg_sets = [((x, y), 1), ((x + y, z), 1), ((x, y + z), -1), ((y, z), -1)]
-    rows: dict[bytes, dict[int, Fraction]] = {}  # one per three-letter class met
-    for j, rep in enumerate(basis2):
-        g = QuadTraceSeries._make(2, n, {rep: 1})
-        image = QuadTraceSeries.zero(3, n)
-        for args, sign in arg_sets:
-            image = image + trace_substitute(g, args) * sign
-        for w, c in image._pair[0].items():  # linalg takes integers as they are
-            rows.setdefault(w, {})[j] = Fraction(c, image._pair[1]) if image._pair[1] > 1 else c
+    rows: dict[bytes, dict[int, int]] = {}  # one per three-letter class met
+    for j, rep in enumerate(basis2):  # faces of an integer map, join x + y: sums over 1
+        for w, c in _face_sum(({rep: 1}, 1), n, ({b"\x00": 1, b"\x01": 1}, 1))._pair[0].items():
+            rows.setdefault(w, {})[j] = c
     kernel = rational_kernel(list(rows.values()), len(basis2)) if basis2 else []
     vectors = [QuadTraceSeries(2, n, {basis2[j]: v for j, v in vec.items()}) for vec in kernel]
     expected_dim = 1 if n % 2 == 0 else 0

@@ -8,9 +8,10 @@ import pytest
 
 import kvquad.cli
 import kvquad.lie
+import kvquad.sampling
 import kvquad.solver
 import kvquad.verify
-from kvquad import KVSolution, bch_multi, kv1_residual
+from kvquad import KVSolution, TraceSeries, bch_multi, kv1_residual
 from kvquad.cli import BCH_WORD_CEILING, main
 
 
@@ -197,6 +198,13 @@ def test_verify_expands_a_stored_solution_only_through_the_order_asked(tmp_path,
     code, out, _ = run(capsys, "verify", "--order", "6", "--solution", str(out_file))
     assert code == 0 and "propU: pass" in out
     assert lengths and max(lengths) == 6
+
+
+def test_theorem_with_an_always_zero_pairing_is_usage_error(capsys, monkeypatch):
+    # the randomized gauge members cannot be drawn: one error line, not a hang
+    monkeypatch.setattr(kvquad.sampling, "trace_pairing",
+                        lambda left, right: TraceSeries.zero(2, left.order))
+    _assert_one_error_line(*run(capsys, "verify", "--suite", "theorem", "--seed", "0"))
 
 
 def test_missing_solution_file(capsys):

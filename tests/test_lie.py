@@ -379,8 +379,31 @@ def test_lie_truncation_keeps_a_known_word_expansion(monkeypatch):
         assert cut._assoc.terms == LieElement(3, order, cut.terms).expand().terms
     bare = LieElement(3, 6, a.terms)
     fresh = LieElement(3, 4, {w: c for w, c in a.terms.items() if len(w) <= 4}).expand()
-    no_peel(monkeypatch)  # truncating a coordinate-built element maps its words
+    no_peel(monkeypatch)  # truncating a coordinate-built element maps its coordinates
     assert bare.truncated(4).expand() == fresh
+
+
+def test_termwise_maps_of_a_coordinate_built_element_stay_on_coordinates(monkeypatch):
+    """Truncation, homogeneous parts, negation, scaling and ``scale`` of an element made
+    from coordinates map the coordinates: they equal the word route and expand nothing."""
+    rng = random.Random(2610)
+    a = random_lie_element(rng, 3, 6, terms=12)
+    maps = [lambda e: e.truncated(4), lambda e: e.homogeneous_part(3), lambda e: -e,
+            lambda e: e * Fraction(-2, 3), lambda e: scale(e, Fraction(3, 2))]
+    words = LieElement(3, 6, a.terms)
+    words.expand()  # the word route
+    expected = [f(words) for f in maps]
+
+    def no_expansion(w):
+        raise AssertionError(f"unexpected expansion of {w!r}")
+
+    monkeypatch.setattr(kvquad.lie, "bracket_expansion", no_expansion)
+    no_peel(monkeypatch)
+    got = [f(a) for f in maps]
+    assert not hasattr(a, "_assoc") and not any(hasattr(g, "_assoc") for g in got)
+    monkeypatch.undo()
+    for g, e in zip(got, expected, strict=True):
+        assert g == e and g.order == e.order and g.to_json_dict() == e.to_json_dict()
 
 
 # --- substitution, scaling --------------------------------------------------
@@ -547,7 +570,7 @@ def test_scale_keeps_a_known_word_expansion(monkeypatch):
         assert scaled.expand() is scaled._assoc
     plain = random_lie_element(random.Random(213), 2, 6)  # coordinate-built
     fresh = LieElement(2, 6, {w: c * 2 ** len(w) for w, c in plain.terms.items()}).expand()
-    no_peel(monkeypatch)  # scaling it maps its words
+    no_peel(monkeypatch)  # scaling it maps its coordinates
     assert scale(plain, 2).expand() == fresh
 
 

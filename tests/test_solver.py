@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import kvquad.sampling
 from kvquad import (
     KVSolution,
     LieElement,
+    TraceSeries,
     ab_to_AB,
     bracket,
     canonical_solution,
@@ -376,6 +378,20 @@ def test_random_gauge_pairs_fit_and_pair(order):
             p = trace_pairing(left.with_order(order + 1), right.with_order(order + 1))
             assert paired == p and paired.order == order + 1  # the pairing gauge_family reuses
             assert not all(a.is_zero() for a in quadratic_trace_tuple(p))
+
+
+def test_random_gauge_pairs_refuse_a_pairing_that_is_always_zero(monkeypatch):
+    # a broken pairing must fail the draw, not loop forever
+    calls = []
+
+    def zero(left, right):
+        calls.append(1)
+        return TraceSeries.zero(2, left.order)
+
+    monkeypatch.setattr(kvquad.sampling, "trace_pairing", zero)
+    with pytest.raises(ValueError, match=f"order 5: {kvquad.sampling.MAX_ZERO_PAIRINGS} draws"):
+        random_gauge_pairs(random.Random(0), 5, 2)
+    assert len(calls) == kvquad.sampling.MAX_ZERO_PAIRINGS
 
 
 @pytest.mark.parametrize("order", range(1, 9))

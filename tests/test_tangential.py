@@ -34,10 +34,10 @@ from kvquad import (
 )
 from kvquad.sampling import random_lie_element, random_lie_pairs, random_tangential_derivation
 from kvquad.solver import canonical_solution
-from kvquad.tangential import divergence_words, simplicial_words
+from kvquad.tangential import _FACES, _face_words, divergence_words, simplicial_words
 from kvquad.words import _fractions
 
-from oracles import lyndon_image_substitute
+from oracles import lyndon_image_substitute, random_assoc_series
 
 X = generator(2, 0, 6)
 Y = generator(2, 1, 6)
@@ -169,6 +169,33 @@ def test_simplicial_words_match_the_lyndon_image_route(order):
         expected = lyndon_route_embeddings(u)
         for pattern in ("1,2", "2,3", "12,3", "1,23"):
             assert tuple(map(_fractions, simplicial_words(u, pattern))) == expected[pattern]
+
+
+PLUS = ({b"\x00": 1, b"\x01": 1}, 1)  # x + y, the join of the additive faces
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_faces_match_the_substitution_route(order):
+    """Every face, under both joins, equals substituting its letter images into nonzero
+    trace series (``trace_substitute``) and Lie series (``substitute``), all in one call."""
+    rng = random.Random(2600 + order)
+    x, y, z = (generator(3, i, order) for i in range(3))
+    g = tr(random_assoc_series(rng, 2, order, terms=10))
+    gq = tr_quad(random_assoc_series(rng, 2, order, terms=10))
+    A, B = (random_lie_element(rng, 2, order, terms=5) for _ in range(2))
+    assert not any(series.is_zero() for series in (g, gq, A, B))
+    ch = bch(order)
+    for join, (j_xy, j_yz) in ((None, (substitute(ch, (x, y)), substitute(ch, (y, z)))),
+                               (PLUS, (x + y, y + z))):
+        args = {"1,2": (x, y), "2,3": (y, z), "12,3": (j_xy, z), "1,23": (x, j_yz)}
+        for pattern in _FACES:
+            maps = [g._pair, gq._pair, A.expand()._pair, B.expand()._pair]
+            got = [AssocSeries._make(3, order, *m)
+                   for m in _face_words(maps, pattern, order, join)]
+            assert tr(got[0]) == trace_substitute(g, args[pattern])
+            assert tr_quad(got[1]) == trace_substitute(gq, args[pattern])
+            assert got[2] == substitute(A, args[pattern]).expand()
+            assert got[3] == substitute(B, args[pattern]).expand()
 
 
 def test_simplicial_tuple_shapes():

@@ -281,6 +281,57 @@ def test_cocycle_anti_test_plain_class():
     assert combo.homogeneous_part(4).coefficient(word_from_str("aabc")) == Fraction(1, 6)
 
 
+def test_cocycle_faces_of_the_plain_class():
+    # the face path of verify_cocycle_equation and homo_kernel on g = [xy]: zero with the
+    # additive join, and 1/6 at [aabc] in degree 4 with the Campbell-Hausdorff join
+    g = QuadTraceSeries(2, 4, {word_from_str("ab"): 1})
+    assert verify._face_sum(g._pair, 4, ({b"\x00": 1, b"\x01": 1}, 1)).is_zero()
+    combo = verify._face_sum(g._pair, 4)
+    assert combo.homogeneous_part(3).is_zero()
+    assert combo.homogeneous_part(4).coefficient(word_from_str("aabc")) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_homo_rows_match_the_substitution_route(monkeypatch, n):
+    """The four-term rows handed to the elimination, one per three-letter class, equal the
+    signed sums of ``trace_substitute`` at (x, y), (x+y, z), (x, y+z) and (y, z)."""
+    seen = []
+
+    def recording(rows, columns):
+        seen.append(rows)
+        return kernel(rows, columns)
+
+    kernel = verify.rational_kernel
+    monkeypatch.setattr(verify, "rational_kernel", recording)
+    homo_kernel(n)
+    x, y, z = (generator(3, i, n) for i in range(3))
+    expected: dict[bytes, dict[int, Fraction]] = {}
+    for j, rep in enumerate(verify._quad_class_basis(2, n)):
+        g = QuadTraceSeries._make(2, n, {rep: 1})
+        image = (trace_substitute(g, (x, y)) + trace_substitute(g, (x + y, z))
+                 - trace_substitute(g, (x, y + z)) - trace_substitute(g, (y, z)))
+        for w, c in image.terms.items():
+            expected.setdefault(w, {})[j] = c
+    assert len(seen) == (n not in (3, 5))  # degrees 3 and 5 have no nonzero class
+    rows = [row for call in seen for row in call]  # in any order: the kernel is the same
+
+    def key(row):
+        return sorted(row.items())
+
+    assert sorted(rows, key=key) == sorted(expected.values(), key=key)
+    assert all(type(c) is int for row in rows for c in row.values())
+
+
+def test_homo_kernel_builds_no_campbell_hausdorff_series(monkeypatch):
+    # on a homogeneous class truncated at its degree only the linear part x + y of ch
+    # survives, so the CH join would give the same rows: this pins the cheap join
+    def no_ch(arity, order):
+        raise AssertionError(f"unexpected CH series ({arity}, {order})")
+
+    monkeypatch.setattr(tangential, "bch_multi", no_ch)
+    assert all(homo_kernel(n)[1].passed for n in range(2, 8))
+
+
 def test_homo_kernel_dimensions():
     for n, expected in [(2, 1), (3, 0), (4, 1), (5, 0), (6, 1), (7, 0), (8, 1)]:
         vectors, report = homo_kernel(n)
