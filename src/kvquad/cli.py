@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .sampling import random_gauge_pairs
 from .solver import KVSolution, canonical_solution, gauge_family, standard_gauge_pairs
@@ -75,8 +76,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _append_json(value, pad: str, pieces: list):
+    """Append the text of ``json.dumps(value, indent=2)`` at indent ``pad`` to ``pieces``.
+
+    With an indent, ``json.dumps`` runs its pure-Python generator encoder.  This
+    writer gives the same text: strings, keys among them, go through the C escaper
+    that encoder calls, and the caller joins the pieces once.
+    """
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            pieces += (sep, encode_basestring_ascii(key), ": ")
+            _append_json(item, inner, pieces)
+            sep = ",\n" + inner
+        pieces.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            pieces.append(sep)
+            _append_json(item, inner, pieces)
+            sep = ",\n" + inner
+        pieces.append("\n" + pad + "]")
+    else:  # numbers, bools, None and empty containers
+        pieces.append(json.dumps(value))
+
+
+def _indented_json(payload) -> str:
+    """``json.dumps(payload, indent=2)`` for payloads with string keys, joined once."""
+    pieces: list[str] = []
+    _append_json(payload, "", pieces)
+    return "".join(pieces)
+
+
 def _emit(payload: dict, out: str | None):
-    text = json.dumps(payload, indent=2)
+    text = _indented_json(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

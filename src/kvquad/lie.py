@@ -339,6 +339,12 @@ def _exp_minus_one(order: int, sign: int) -> RationalUnivariateSeries:
         order, {k: Fraction(sign ** (k + 1), math.factorial(k)) for k in range(1, order + 1)})
 
 
+@functools.lru_cache(maxsize=8)
+def _transport_kernel(sign: int, order: int) -> RationalUnivariateSeries:
+    """t/(e^t-1) for sign +1, t/(1-e^{-t}) for sign -1, by series inversion, once per order."""
+    return _exp_minus_one(order + 1, sign).shifted_down(1).inverse()
+
+
 KERNEL_NAMES = ("f", "t/(1-exp(-t))", "t/(exp(t)-1)", "alpha", "beta_odd")
 
 
@@ -354,19 +360,18 @@ def kernel_series(name: str, order: int, b: Rational | None = None) -> RationalU
     if name == "f":
         # t/(e^t - 1) - 1 + t/2: the Bernoulli generating series without
         # its constant and linear terms
-        return (kernel_series("t/(exp(t)-1)", order)
+        return (_transport_kernel(1, order)
                 + RationalUnivariateSeries(order, {0: -1, 1: Fraction(1, 2)}))
     if name == "t/(1-exp(-t))":
-        return _exp_minus_one(order + 1, -1).shifted_down(1).inverse()
+        return _transport_kernel(-1, order)
     if name == "t/(exp(t)-1)":
-        return _exp_minus_one(order + 1, 1).shifted_down(1).inverse()
+        return _transport_kernel(1, order)
     if name in ("alpha", "beta_odd"):
         if b is None:
             raise ValueError(f"kernel {name!r} needs the rational parameter b")
         b = Fraction(b)
         working = order + 1  # one extra order pays for the division by t
-        k1 = kernel_series("t/(1-exp(-t))", working)
-        k2 = kernel_series("t/(exp(t)-1)", working)
+        k1, k2 = _transport_kernel(-1, working), _transport_kernel(1, working)
         one = RationalUnivariateSeries(working, {0: 1})
         if name == "alpha":
             # b*k1 + k1(1 - k2)/t

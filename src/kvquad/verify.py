@@ -12,14 +12,12 @@ and cocycle and homo sum the faces of trace classes (``_face_sum``).
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import (
     LieElement,
     RationalUnivariateSeries,
     bch,
-    generator,
     kernel_series,
     univariate_substitute,
 )
@@ -28,14 +26,15 @@ from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
 from .tangential import (_FACES, TangentialDerivation, _face_words, ch_defect, div_quad,
                          divergence_words, simplicial_words)
-from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad, trace_substitute
-from .words import AssocSeries, _linear_sum, format_rational, word_to_str
+from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad
+from .words import (AssocSeries, _linear_sum, _Record, _substitute_ints, format_rational,
+                    word_to_str)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """First failing item of a check: where, what, and by how much."""
 
+    __slots__ = ("degree", "item", "delta")
     degree: int
     item: str
     delta: Fraction
@@ -45,25 +44,27 @@ class Witness:
                 "delta": format_rational(self.delta)}
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(_Record):
+    __slots__ = ("degree", "status", "witness")
+    _defaults = {"witness": None}
     degree: int
     status: str  # "pass" | "fail" | "skip" | "info"
-    witness: Witness | None = None
+    witness: Witness | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of one named check, one entry per degree.
 
     ``gating`` is False for purely informational checks, which never affect
     an overall verdict.  Any failing or skipped entry carries a witness.
     """
 
+    __slots__ = ("check", "order", "results", "gating")
+    _defaults = {"gating": True}
     check: str
     order: int
     results: tuple[DegreeResult, ...]
-    gating: bool = True
+    gating: bool
 
     @property
     def passed(self) -> bool:
@@ -308,14 +309,13 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
                                 Fraction(len(kernel) - expected_dim)))
     # coboundary certification: solve cob * h = v over one-letter classes
     basis1 = _quad_class_basis(1, n)
-    x2, z2 = generator(2, 0, n), generator(2, 1, n)
-    cob_rows: dict[bytes, dict[int, Fraction]] = {}  # one per two-letter class met
-    for j, rep in enumerate(basis1):
-        h = QuadTraceSeries._make(1, n, {rep: 1})
-        cob = (trace_substitute(h, (x2,)) + trace_substitute(h, (z2,))
-               - trace_substitute(h, (x2 + z2,)))
-        for w, c in cob._pair[0].items():
-            cob_rows.setdefault(w, {})[j] = Fraction(c, cob._pair[1]) if cob._pair[1] > 1 else c
+    x, z = ({b"\x00": 1}, 1), ({b"\x01": 1}, 1)
+    images = ((1, x), (1, z), (-1, ({b"\x00": 1, b"\x01": 1}, 1)))
+    cob_rows: dict[bytes, dict[int, int]] = {}  # one per two-letter class met
+    for j, rep in enumerate(basis1):  # integer images of an integer map: sums over 1
+        parts = [(sign, *_substitute_ints(({rep: 1}, 1), [image], n)) for sign, image in images]
+        for w, c in tr_quad(AssocSeries._make(2, n, *_linear_sum(parts)))._pair[0].items():
+            cob_rows.setdefault(w, {})[j] = c
     for vec in vectors:
         if basis1:
             # one equation per two-letter class where either side is nonzero

@@ -21,7 +21,6 @@ first-letter Horner recursion, ``_horner``, runs substitution and nested ad.
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -33,18 +32,19 @@ class ArityMismatchError(ValueError):
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_LETTERS = _ALPHABET.encode("ascii").ljust(256, b"?")  # bytes.translate table: index i -> 'a' + i
 
 
 def word_to_str(w: bytes) -> str:
     """Encode a word as a string, letter index 0 -> 'a', 1 -> 'b', ..."""
-    if any(letter >= 26 for letter in w):
+    if w and max(w) >= 26:
         raise ValueError("letter index beyond 'z' cannot be serialized")
-    return "".join(_ALPHABET[letter] for letter in w)
+    return w.translate(_LETTERS).decode("ascii")
 
 
 def _word_name(w: bytes) -> str:
     """A word for messages: quoted letters, or its letter indices when one is beyond 'z'."""
-    return repr(word_to_str(w)) if all(letter < 26 for letter in w) else str(list(w))
+    return str(list(w)) if w and max(w) >= 26 else repr(word_to_str(w))
 
 
 def word_from_str(s: str) -> bytes:
@@ -617,8 +617,60 @@ def tau(a: AssocSeries) -> AssocSeries:
         a.arity, a.order, {w[::-1]: n if len(w) % 2 == 0 else -n for w, n in ints.items()}, d)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _Record:
+    """Immutable record whose fields are its ``__slots__``, in order.
+
+    It is built from positional or keyword arguments, ``_defaults`` filling the
+    fields left out, and behaves as a frozen dataclass: equality and hash over
+    the tuple of fields (equal only to a record of the same class), the repr
+    ``Name(field=value, ...)``, ``AttributeError`` on assignment, and pickle
+    and copy through the constructor.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self.__slots__, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes at most {len(fields)} arguments, got {len(args)}")
+        values = {**self._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields or key in fields[:len(args)]:
+                raise TypeError(f"{name} got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name} is missing {', '.join(map(repr, missing))}")
+        for key in fields:
+            object.__setattr__(self, key, values[key])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Decomposition(_Record):
     """Writing of a series as constant + sum_i (partials[i] * x_i).
 
     ``partials[i]`` collects the prefixes of the words ending in letter i, so
@@ -626,6 +678,7 @@ class Decomposition:
     decomposition exactly through the original order.
     """
 
+    __slots__ = ("constant", "partials", "order")
     constant: Fraction
     partials: tuple[AssocSeries, ...]
     order: int

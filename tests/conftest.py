@@ -19,12 +19,14 @@ def sol8():
 @pytest.fixture
 def cold_caches():
     """Empty every process cache for one test: the CH series and the weak references to
-    held ones, the right-hand side, the canonical solutions and the Bernoulli sides.
+    held ones, the transport kernels, the right-hand side, the canonical solutions and the
+    Bernoulli sides.
 
     A memo left by another test then hides no build or peel.
     """
-    caches = (kvquad.lie.log_exp_product, kvquad.solver.kv_rhs, kvquad.solver.canonical_solution,
-              kvquad.verify._bernoulli_side, kvquad.verify._projected_bernoulli_side)
+    caches = (kvquad.lie.log_exp_product, kvquad.lie._transport_kernel, kvquad.solver.kv_rhs,
+              kvquad.solver.canonical_solution, kvquad.verify._bernoulli_side,
+              kvquad.verify._projected_bernoulli_side)
 
     def clear():
         for cache in caches:

@@ -295,3 +295,44 @@ def test_python_dash_m_kvquad_prints_what_main_prints(capsys):
                          env={**os.environ, "PYTHONPATH": path})
     assert (run.returncode, run.stdout) == (code, out.encode("utf-8"))
     assert code == 0 and run.stderr == b""
+
+
+def _cli_payloads():
+    solution = kvquad.solver.canonical_solution(5)
+    family = kvquad.solver.gauge_family(solution, kvquad.solver.standard_gauge_pairs(3, 5))
+    return ([bch_multi(arity, 4).to_json_dict() for arity in (1, 2, 3)]
+            + [solution.to_json_dict(), {"family": [m.to_json_dict() for m in family]},
+               solution.derivation().to_json_dict()])
+
+
+EDGE_JSON_VALUES = [
+    {}, [], (), {"a": {}, "b": [], "c": [{}, [[]], {"d": ()}]}, [[], [{}]],
+    (1, ("x", ()), [2]), "", "é ☃ \U0001F600", 'say "hi"', "back\\slash",
+    "\x00\x01\x1f\t\n\r\x7f", {"é\n\"": "ключ"}, -7, 0, 2 ** 70, True, False, None,
+    {"mixed": [-1, True, None, "s", {"z": False}]},
+]
+
+
+@pytest.mark.parametrize("payload", _cli_payloads() + EDGE_JSON_VALUES)
+def test_indented_json_writer_matches_json_dumps(payload):
+    assert kvquad.cli._indented_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [["bch", "--arity", "3", "--order", "3"],
+                                  ["solve-kv", "--order", "4"],
+                                  ["solve-kv", "--order", "4", "--gauge", "2"]])
+def test_stdout_and_out_file_hold_the_indented_json(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    out_file = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out_file)]) == 0
+    assert out_file.read_text(encoding="utf-8") == out
+
+
+def test_cli_imports_without_dataclasses_or_inspect():
+    """The CLI's cold start loads neither ``dataclasses`` nor what it pulls in."""
+    source_root = str(Path(kvquad.cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {source_root!r}); import kvquad.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -656,6 +656,12 @@ def test_kernel_series_errors():
         kernel_series("alpha", 4)  # parameter b required
 
 
+def test_kernel_series_returns_one_transport_kernel_per_order():
+    for name in ("t/(1-exp(-t))", "t/(exp(t)-1)"):
+        assert kernel_series(name, 7) is kernel_series(name, 7)
+        assert kernel_series(name, 7) is not kernel_series(name, 6)
+
+
 def test_alpha_kernel_pole_cancellation():
     # alpha(t; b) = b*t/(1-e^{-t}) - t/((e^t-1)(1-e^{-t})) + 1/(1-e^{-t})
     # has a finite limit b + 1/2 at t = 0

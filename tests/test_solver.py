@@ -10,6 +10,7 @@ import kvquad.sampling
 from kvquad import (
     KVSolution,
     LieElement,
+    RationalUnivariateSeries,
     TraceSeries,
     ab_to_AB,
     bracket,
@@ -51,6 +52,21 @@ def bracket_identity(a, b, r):
     order = r.order
     x, y = generator(2, 0, order), generator(2, 1, order)
     return bracket(x, a.with_order(order)) + bracket(y, b.with_order(order)) == r
+
+
+def test_gauge_family_inverts_each_transport_kernel_once_per_order(monkeypatch, cold_caches):
+    inverted = []
+    inverse = RationalUnivariateSeries.inverse
+
+    def counted(series):
+        inverted.append(series)
+        return inverse(series)
+
+    monkeypatch.setattr(RationalUnivariateSeries, "inverse", counted)
+    family = gauge_family(canonical_solution(6), standard_gauge_pairs(4, 6))
+    assert len(family) == 5
+    inverted = [repr(series) for series in inverted]  # equal reprs: the same kernel and order
+    assert inverted and len(inverted) == len(set(inverted))
 
 
 def test_kv_rhs_low_degrees():

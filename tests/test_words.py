@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,8 @@ from kvquad import (
     word_from_str,
     word_to_str,
 )
+from kvquad.verify import DegreeResult, VerificationReport, Witness
+from kvquad.words import _word_name
 
 from oracles import oadd, oexp, olog, omul, oscale, random_assoc_series, to_word_dict
 
@@ -39,6 +43,46 @@ def test_word_codec_roundtrip():
     assert word_from_str("") == b""
     with pytest.raises(ValueError):
         word_from_str("a1")
+
+
+def test_word_to_str_names_every_letter_and_refuses_beyond_z():
+    assert word_to_str(bytes(range(26))) == "abcdefghijklmnopqrstuvwxyz"
+    assert word_to_str(bytes(range(25, -1, -1))) == "zyxwvutsrqponmlkjihgfedcba"
+    assert word_to_str(b"") == ""
+    for w in (b"\x1a", b"\x00\x1a", b"\xff"):
+        with pytest.raises(ValueError, match="^letter index beyond 'z' cannot be serialized$"):
+            word_to_str(w)
+    assert _word_name(b"\x00\x19") == "'az'" and _word_name(b"\x00\x1a") == "[0, 26]"
+
+
+def test_records_behave_as_frozen_dataclasses():
+    """Decomposition and the verify records: construction, defaults, equality, hash,
+    repr, immutability, and pickle and copy."""
+    witness = Witness(2, item="ab", delta=Fraction(1, 2))
+    assert witness == Witness(degree=2, item="ab", delta=Fraction(1, 2))
+    assert hash(witness) == hash(Witness(2, "ab", Fraction(1, 2)))
+    assert witness != Witness(2, "ab", 1) and witness != (2, "ab", Fraction(1, 2))
+    assert repr(witness) == "Witness(degree=2, item='ab', delta=Fraction(1, 2))"
+    assert DegreeResult(3, "pass") == DegreeResult(3, "pass", None)
+    report = VerificationReport("c", 3, (DegreeResult(3, "fail", witness),))
+    assert report.gating is True and report == VerificationReport("c", 3, report.results, True)
+    assert repr(report) == (
+        "VerificationReport(check='c', order=3, results=(DegreeResult(degree=3, status='fail', "
+        "witness=Witness(degree=2, item='ab', delta=Fraction(1, 2))),), gating=True)")
+    parts = decompose(from_str(2, {"": 2, "ab": 1}))
+    assert repr(parts) == ("Decomposition(constant=Fraction(2, 1), partials=(AssocSeries(arity=2, "
+                           "order=1, 0), AssocSeries(arity=2, order=1, a)), order=2)")
+    for record in (witness, report, parts):
+        for dup in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(dup) is type(record) and dup == record
+        with pytest.raises(AttributeError):
+            record.order = 0
+        with pytest.raises(AttributeError):
+            del record.order
+    for bad in (lambda: Witness(1, "a"), lambda: Witness(1, "a", 0, 0),
+                lambda: Witness(1, "a", degree=1), lambda: Witness(1, "a", 0, colour=0)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_rational_codec():
