@@ -182,6 +182,8 @@ def _cmd_verify(args) -> int:
             except RecursionError:
                 raise ValueError(f"{args.solution}: JSON nested too deeply") from None
         loaded = KVSolution.from_json_dict(data)
+        if loaded.order < 1:
+            raise ValueError(f"{args.solution}: solution order {loaded.order} is below 1")
         order2 = min(order2, loaded.order)
         order3 = min(order3, loaded.order)
 
@@ -201,14 +203,6 @@ def _cmd_verify(args) -> int:
         reports.append(residual_report)
         residual_ok = residual_report.passed
 
-    combination = None
-
-    def get_combination() -> TangentialDerivation:
-        nonlocal combination
-        if combination is None:
-            combination = simplicial_combination(solution3)
-        return combination
-
     for suite in suites:
         if suite == "homo":
             for degree in range(2, order2 + 1):
@@ -227,9 +221,9 @@ def _cmd_verify(args) -> int:
         elif suite == "series":
             reports.append(verify_series_identities(solution2))
         elif suite == "propU":
-            reports.append(verify_prop_U(solution3, combination=get_combination()))
+            reports.append(verify_prop_U(solution3))
         elif suite == "propLast":
-            instances = [get_combination(), TangentialDerivation.zero(3, order3)]
+            instances = [simplicial_combination(solution3), TangentialDerivation.zero(3, order3)]
             reports.append(verify_prop_last(instances))
         elif suite == "cocycle":
             reports.append(verify_cocycle_equation(solution3))

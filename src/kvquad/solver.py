@@ -63,8 +63,10 @@ class KVSolution:
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "_memo", {})
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("KVSolution is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return KVSolution, (self.A, self.B, self.method)

@@ -5,9 +5,10 @@ tuple is normalized on construction by dropping the x_i-linear term of a_i,
 which never changes the action since [x_i, x_i] = 0; with that convention the
 tuple determines the derivation uniquely.  The module also provides the four
 signed simplicial faces of two-letter word maps in three letters and the
-embeddings built on them, the divergence valued in cyclic words (plain and
-signed-reversal quotients), the induced action on trace series, and the
-correspondence from a quadratic trace expression to its tuple with zero bracket sum.
+embeddings built on them, the one-letter coboundary h(x) + h(y) - h(join),
+the divergence valued in cyclic words (plain and signed-reversal quotients),
+the induced action on trace series, and the correspondence from a quadratic
+trace expression to its tuple with zero bracket sum.
 """
 
 from .lie import (
@@ -55,8 +56,10 @@ class TangentialDerivation:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "components", tuple(normalized))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("TangentialDerivation is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         return TangentialDerivation, (self.components,)
@@ -195,6 +198,14 @@ def _face_words(maps, pattern: str, order: int, join=None) -> list[tuple[dict, i
     else:
         images = [({b"\x00": 1}, 1), ({w.translate(_YZ): n for w, n in join[0].items()}, join[1])]
     return _substitute_ints(list(maps), images, order)
+
+
+def _coboundary(pair, order: int, join=None) -> tuple[dict, int]:
+    """h(x) + h(y) - h(join), the one-letter differential of a word map h, as (integers,
+    denominator); the join is ch(x, y) unless given (x + y for homo)."""
+    join = bch_multi(2, order).expand()._pair if join is None else join
+    return _linear_sum((sign, *_substitute_ints(pair, [image], order)) for sign, image in
+                       ((1, ({b"\x00": 1}, 1)), (1, ({b"\x01": 1}, 1)), (-1, join)))
 
 
 def simplicial_words(u: TangentialDerivation, pattern: str) -> tuple[tuple[dict, int], ...]:

@@ -14,21 +14,14 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .lie import (
-    LieElement,
-    RationalUnivariateSeries,
-    bch,
-    kernel_series,
-    univariate_substitute,
-)
+from .lie import LieElement, RationalUnivariateSeries, kernel_series
 from .linalg import rational_kernel, rational_solve
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import (_FACES, TangentialDerivation, _face_words, ch_defect, div_quad,
-                         divergence_words, simplicial_words)
+from .tangential import (_FACES, TangentialDerivation, _coboundary, _face_words, ch_defect,
+                         div_quad, divergence_words, simplicial_words)
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad
-from .words import (AssocSeries, _linear_sum, _Record, _substitute_ints, format_rational,
-                    word_to_str)
+from .words import AssocSeries, _linear_sum, _Record, format_rational, word_to_str
 
 
 class Witness(_Record):
@@ -75,10 +68,7 @@ class VerificationReport(_Record):
 
     @property
     def witness(self) -> Witness | None:
-        for r in self.results:
-            if r.witness is not None:
-                return r.witness
-        return None
+        return next((r.witness for r in self.results if r.witness is not None), None)
 
     def to_json_lines(self) -> list[dict]:
         lines = []
@@ -100,11 +90,14 @@ class VerificationReport(_Record):
         return out
 
 
-def _leading_witness(series, degree: int, prefix: str = "") -> Witness:
-    terms = [(w, c) for w, c in series.sorted_items() if len(w) == degree]
-    w, c = terms[0]
-    name = word_to_str(w) if w else "1"
-    return Witness(degree=degree, item=prefix + name, delta=c)
+def _witnesses(series, prefix: str = "") -> dict[int, Witness]:
+    """The least key of each degree of ``series``, with its coefficient, in one pass."""
+    ints, d = series._pair
+    least: dict[int, bytes] = {}
+    for w in ints:
+        least[len(w)] = min(w, least.get(len(w), w))
+    return {n: Witness(n, prefix + (word_to_str(w) if w else "1"), Fraction(ints[w], d))
+            for n, w in least.items()}
 
 
 def _degree_report(check: str, order: int, witnesses: dict[int, Witness],
@@ -117,15 +110,8 @@ def _degree_report(check: str, order: int, witnesses: dict[int, Witness],
 
 
 def report_zero(check: str, series, gating: bool = True) -> VerificationReport:
-    """Per-degree zero check of any sparse series with sorted_items().
-
-    A Lie series is zero in a degree exactly when its words are, so its
-    degrees are read off its words; only a failing degree reads coordinates.
-    """
-    words = series.expand() if isinstance(series, LieElement) else series
-    degrees_hit = {len(w) for w in words._pair[0]}
-    return _degree_report(check, series.order,
-                          {d: _leading_witness(series, d) for d in degrees_hit}, gating)
+    """Per-degree zero check of any sparse series; a Lie series is read at its coordinates."""
+    return _degree_report(check, series.order, _witnesses(series), gating)
 
 
 def verify_kv1(s: KVSolution) -> VerificationReport:
@@ -145,11 +131,7 @@ def _bernoulli_side(order: int) -> AssocSeries:
 
     It does not depend on the solution, so it is built once per order.
     """
-    f = kernel_series("f", order)
-    ints, d = f._pair
-    f_x = AssocSeries._make(2, order, ints, d)  # f's own words are powers of letter 0 = x
-    f_y = AssocSeries._make(2, order, {w.replace(b"\x00", b"\x01"): n for w, n in ints.items()}, d)
-    return f_x + f_y - univariate_substitute(f, bch(order).expand())
+    return AssocSeries._make(2, order, *_coboundary(kernel_series("f", order)._pair, order))
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,26 +176,28 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
 
 
 def simplicial_combination(s: KVSolution) -> TangentialDerivation:
-    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B).
+    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B), memoized on s.
 
     The four embeddings are summed as integer word maps, which are the
     components' stored words: ``act`` reads them, and nothing here peels them.
+    U is stored in the solution's memo directly: ``_linear`` adds coefficientwise.
     """
-    u = s.derivation()
-    sums: list[list] = [[], [], []]
-    for pattern, sign in _FACES.items():
-        for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
-            parts.append((sign, ints, d))
-    return TangentialDerivation(
-        [LieElement.from_words(AssocSeries._make(3, u.order, *_linear_sum(parts)))
-         for parts in sums])
+    if "U" not in s._memo:
+        u = s.derivation()
+        sums: list[list] = [[], [], []]
+        for pattern, sign in _FACES.items():
+            for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
+                parts.append((sign, ints, d))
+        s._memo["U"] = TangentialDerivation(
+            [LieElement.from_words(AssocSeries._make(3, u.order, *_linear_sum(parts)))
+             for parts in sums])
+    return s._memo["U"]
 
 
-def verify_prop_U(s: KVSolution, combination: TangentialDerivation | None = None) -> VerificationReport:
+def verify_prop_U(s: KVSolution) -> VerificationReport:
     """The simplicial combination annihilates the three-letter CH series."""
     _require_solution(s)
-    U = simplicial_combination(s) if combination is None else combination
-    return report_zero("propU", ch_defect(U))
+    return report_zero("propU", ch_defect(simplicial_combination(s)))
 
 
 def verify_prop_last(instances) -> VerificationReport:
@@ -225,22 +209,17 @@ def verify_prop_last(instances) -> VerificationReport:
     instances = list(instances)
     order = max((u.order for u in instances), default=0)
     failures: dict[int, Witness] = {}
-    skips: list[DegreeResult] = []
+    results: list[DegreeResult] = []  # the skips, then the checked degrees
     checked_any = False
     for idx, u in enumerate(instances):
-        defect = ch_defect(u)
-        if not defect.is_zero():
-            degree = min(len(w) for w, _ in defect.sorted_items())
-            skips.append(DegreeResult(
-                degree, "skip",
-                _leading_witness(defect, degree, prefix=f"instance {idx}: ch defect ")))
+        defect = _witnesses(ch_defect(u), f"instance {idx}: ch defect ")
+        if defect:
+            degree = min(defect)
+            results.append(DegreeResult(degree, "skip", defect[degree]))
             continue
         checked_any = True
-        dq = div_quad(u)
-        for d in range(u.order + 1):
-            if d not in failures and not dq.homogeneous_part(d).is_zero():
-                failures[d] = _leading_witness(dq, d, prefix=f"instance {idx}: ")
-    results = list(skips)
+        for d, witness in _witnesses(div_quad(u), f"instance {idx}: ").items():
+            failures.setdefault(d, witness)
     if checked_any:
         results += _degree_report("propLast", order, failures).results
     results.sort(key=lambda r: r.degree)
@@ -281,6 +260,19 @@ def _quad_class_basis(arity: int, degree: int) -> list[bytes]:
     return sorted(reps)
 
 
+_X_PLUS_Y = ({b"\x00": 1, b"\x01": 1}, 1)  # the join of homo's faces and coboundaries
+
+
+def _class_rows(basis, image) -> dict[bytes, dict[int, int]]:
+    """One sparse row per class met by the images of the basis classes: the image of the
+    j-th class's integer map at column j (integer images of integer maps lie over 1)."""
+    rows: dict[bytes, dict[int, int]] = {}
+    for j, rep in enumerate(basis):
+        for w, c in image(({rep: 1}, 1))._pair[0].items():
+            rows.setdefault(w, {})[j] = c
+    return rows
+
+
 def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]:
     """Exact kernel of the additive four-term equation in fixed degree.
 
@@ -295,10 +287,7 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
         raise ValueError("degree must be >= 2")
     n = degree
     basis2 = _quad_class_basis(2, n)
-    rows: dict[bytes, dict[int, int]] = {}  # one per three-letter class met
-    for j, rep in enumerate(basis2):  # faces of an integer map, join x + y: sums over 1
-        for w, c in _face_sum(({rep: 1}, 1), n, ({b"\x00": 1, b"\x01": 1}, 1))._pair[0].items():
-            rows.setdefault(w, {})[j] = c
+    rows = _class_rows(basis2, lambda h: _face_sum(h, n, _X_PLUS_Y))
     kernel = rational_kernel(list(rows.values()), len(basis2)) if basis2 else []
     vectors = [QuadTraceSeries(2, n, {basis2[j]: v for j, v in vec.items()}) for vec in kernel]
     expected_dim = 1 if n % 2 == 0 else 0
@@ -309,13 +298,8 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
                                 Fraction(len(kernel) - expected_dim)))
     # coboundary certification: solve cob * h = v over one-letter classes
     basis1 = _quad_class_basis(1, n)
-    x, z = ({b"\x00": 1}, 1), ({b"\x01": 1}, 1)
-    images = ((1, x), (1, z), (-1, ({b"\x00": 1, b"\x01": 1}, 1)))
-    cob_rows: dict[bytes, dict[int, int]] = {}  # one per two-letter class met
-    for j, rep in enumerate(basis1):  # integer images of an integer map: sums over 1
-        parts = [(sign, *_substitute_ints(({rep: 1}, 1), [image], n)) for sign, image in images]
-        for w, c in tr_quad(AssocSeries._make(2, n, *_linear_sum(parts)))._pair[0].items():
-            cob_rows.setdefault(w, {})[j] = c
+    cob_rows = _class_rows(
+        basis1, lambda h: tr_quad(AssocSeries._make(2, n, *_coboundary(h, n, _X_PLUS_Y))))
     for vec in vectors:
         if basis1:
             # one equation per two-letter class where either side is nonzero
@@ -338,12 +322,8 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
         if not ratio or vec != span * ratio:
             failures.append(Witness(n, "kernel not spanned by (x+z)^n - x^n - z^n", Fraction(0)))
 
-    if failures:
-        results = tuple(DegreeResult(n, "fail", w) for w in failures)
-    else:
-        results = (DegreeResult(n, "pass"),)
-    report = VerificationReport("homo", n, results)
-    return vectors, report
+    results = tuple(DegreeResult(n, "fail", w) for w in failures) or (DegreeResult(n, "pass"),)
+    return vectors, VerificationReport("homo", n, results)
 
 
 def measured_operator_coefficients(element: LieElement) -> RationalUnivariateSeries:

@@ -143,8 +143,10 @@ class _SparseSeries:
             raise ValueError(
                 f"{self._key_kind} {_word_name(w)} uses letters beyond arity {self.arity}")
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # pickle and copy rebuild the pair through _make, which never sets a memo slot

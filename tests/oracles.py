@@ -28,7 +28,11 @@ orbit sets of ``rotation_orbit`` and ``signed_cyclic_class``;
 of those ``RationalUnivariateSeries`` methods, on the exponent dict;
 ``inverse_transport`` and ``inverse_route_gauge_family`` are the former
 route to gauge members, which inverted the whole solution and transported
-each shifted factorization forward again; and
+each shifted factorization forward again; ``univariate_coboundary`` is the
+former body of ``verify._bernoulli_side``, which relabelled the one-letter
+series and substituted the join with ``univariate_substitute``;
+``leading_witnesses`` is the former witness route of ``verify.report_zero``,
+degrees read off the words and one ``sorted_items`` pass per failing degree; and
 ``random_assoc_series`` draws seeded inputs for the property suites.
 """
 
@@ -43,7 +47,8 @@ from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
 from kvquad.traces import trace_pairing
-from kvquad.words import AssocSeries, RationalUnivariateSeries, word_to_str
+from kvquad.verify import Witness
+from kvquad.words import AssocSeries, RationalUnivariateSeries, univariate_substitute, word_to_str
 
 Word = tuple[int, ...]
 
@@ -655,3 +660,21 @@ def inverse_route_gauge_family(s, pairs) -> list:
         shift_a, shift_b = quadratic_trace_tuple(p)
         family.append(ab_to_AB(base_a + shift_a, base_b + shift_b, method=f"{s.method}+gauge"))
     return family
+
+
+def univariate_coboundary(h: RationalUnivariateSeries, join: AssocSeries) -> AssocSeries:
+    """h(x) + h(y) - h(join) in two-letter words, for a one-letter series h."""
+    ints, d = h._pair
+    h_x = AssocSeries._make(2, h.order, ints, d)  # h's own words are powers of letter 0 = x
+    h_y = AssocSeries._make(2, h.order, {w.replace(b"\x00", b"\x01"): n for w, n in ints.items()}, d)
+    return h_x + h_y - univariate_substitute(h, join)
+
+
+def leading_witnesses(series, prefix: str = "") -> dict:
+    """The least key of each nonzero degree with its coefficient, by degree."""
+    words = series.expand() if isinstance(series, LieElement) else series
+    out = {}
+    for degree in {len(w) for w in words._pair[0]}:
+        w, c = [(w, c) for w, c in series.sorted_items() if len(w) == degree][0]
+        out[degree] = Witness(degree, prefix + (word_to_str(w) if w else "1"), c)
+    return out

@@ -11,7 +11,7 @@ import kvquad.lie
 import kvquad.sampling
 import kvquad.solver
 import kvquad.verify
-from kvquad import KVSolution, TraceSeries, bch_multi, kv1_residual
+from kvquad import KVSolution, LieElement, TraceSeries, bch_multi, kv1_residual
 from kvquad.cli import BCH_WORD_CEILING, main
 
 
@@ -255,6 +255,16 @@ def test_solution_with_an_exponent_coefficient_is_refused_at_once(tmp_path, caps
 
 def test_verify_without_any_check_is_usage_error(capsys):
     _assert_one_error_line(*run(capsys, "verify", "--suite", "homo", "--order", "1"))
+
+
+def test_solution_below_order_one_is_refused_by_its_order(tmp_path, capsys):
+    out_file = tmp_path / "solution.json"
+    zero = LieElement.zero(2, 0)
+    out_file.write_text(json.dumps(KVSolution(zero, zero).to_json_dict()))
+    for suite in ("all", "series", "homo"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--solution", str(out_file))
+        _assert_one_error_line(code, out, err)
+        assert err == f"error: {out_file}: solution order 0 is below 1\n"
 
 
 def test_solution_with_a_non_lyndon_key_names_the_word(tmp_path, capsys):

@@ -27,8 +27,10 @@ from kvquad import (
     log,
     tr,
     tr_quad,
+    simplicial_combination,
     verify_prop_last,
 )
+from kvquad.tangential import ch_defect
 from kvquad.sampling import random_lie_element, random_rational
 
 from oracles import (
@@ -185,6 +187,25 @@ def test_value_classes_pickle_and_deepcopy(duplicate):
         if isinstance(value, KVSolution):
             assert dup.method == value.method
             assert kv1_residual(dup).is_zero() and kv1_residual(dup).order == value.order + 1
+
+
+def test_value_classes_refuse_deletion(cold_caches):
+    # the caches are cleared after the test, so a deletion let through hurts no other test
+    s = canonical_solution(3)
+    u = s.derivation()
+    ch_defect(u)  # fills the defect memo
+    simplicial_combination(s)  # fills the solution's memo dictionary
+    names = ("arity", "order", "_pair", "_assoc", "components", "_ch_defect",
+             "A", "B", "method", "_memo", "_residual")
+    for value in value_objects() + [AssocSeries.letter(2, 0, 3), u, s]:
+        before = pickle.dumps(value)
+        deleted = [name for name in names if hasattr(value, name)]
+        for name in deleted:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+        assert all(hasattr(value, name) for name in deleted)
+        assert pickle.loads(before) == value
+    assert canonical_solution(3).derivation() == u and ch_defect(u).is_zero() is False
 
 
 def test_univariate_series_is_the_one_letter_word_series():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import kvquad.verify as verify
 from kvquad import (
     ArityMismatchError,
     AssocSeries,
     LieElement,
     NotLieError,
+    RationalUnivariateSeries,
     TangentialDerivation,
     TraceSeries,
     act,
@@ -20,6 +22,7 @@ from kvquad import (
     div,
     div_quad,
     generator,
+    kernel_series,
     left_letter_mul,
     lyndon_words,
     quadratic_trace_tuple,
@@ -32,12 +35,13 @@ from kvquad import (
     trace_substitute,
     word_from_str,
 )
-from kvquad.sampling import random_lie_element, random_lie_pairs, random_tangential_derivation
+from kvquad.sampling import (random_lie_element, random_lie_pairs, random_rational,
+                             random_tangential_derivation)
 from kvquad.solver import canonical_solution
-from kvquad.tangential import _FACES, _face_words, divergence_words, simplicial_words
+from kvquad.tangential import _FACES, _coboundary, _face_words, divergence_words, simplicial_words
 from kvquad.words import _fractions
 
-from oracles import lyndon_image_substitute, random_assoc_series
+from oracles import lyndon_image_substitute, random_assoc_series, univariate_coboundary
 
 X = generator(2, 0, 6)
 Y = generator(2, 1, 6)
@@ -196,6 +200,23 @@ def test_faces_match_the_substitution_route(order):
             assert tr_quad(got[1]) == trace_substitute(gq, args[pattern])
             assert got[2] == substitute(A, args[pattern]).expand()
             assert got[3] == substitute(B, args[pattern]).expand()
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_coboundary_matches_the_relabel_and_substitute_route(order):
+    """h(x) + h(y) - h(join) for the Bernoulli kernel f and seeded one-letter maps, constant
+    terms included, under both joins, equals relabelling h and substituting the join."""
+    rng = random.Random(2800 + order)
+    maps = [kernel_series("f", order)] + [
+        RationalUnivariateSeries(order, [random_rational(rng) for _ in range(order + 1)])
+        for _ in range(3)]
+    ch = bch(order).expand()
+    plus = AssocSeries._make(2, order, *PLUS)
+    for h in maps:
+        for join, words in ((None, ch), (ch._pair, ch), (PLUS, plus)):
+            got = AssocSeries._make(2, order, *_coboundary(h._pair, order, join))
+            assert got.order == order and got == univariate_coboundary(h, words)
+    assert verify._bernoulli_side(order) == univariate_coboundary(maps[0], ch)
 
 
 def test_simplicial_tuple_shapes():

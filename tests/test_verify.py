@@ -15,6 +15,7 @@ from kvquad import (
     LieElement,
     QuadTraceSeries,
     TangentialDerivation,
+    TraceSeries,
     act,
     bch,
     bch_multi,
@@ -30,6 +31,7 @@ from kvquad import (
     simplicial_combination,
     standard_gauge_pairs,
     substitute,
+    tr,
     tr_quad,
     trace_substitute,
     verify_cocycle_equation,
@@ -46,6 +48,7 @@ from kvquad.sampling import (
     random_rational,
     random_tangential_derivation,
 )
+from kvquad.tangential import _FACES, ch_defect
 from kvquad.verify import (
     DegreeResult,
     _bernoulli_side,
@@ -54,7 +57,7 @@ from kvquad.verify import (
     report_zero,
 )
 
-from oracles import bernoulli_kernel
+from oracles import bernoulli_kernel, leading_witnesses, random_assoc_series
 
 
 def corrupt(s, word, eps=Fraction(1, 5)):
@@ -156,6 +159,49 @@ def test_verify_all_acts_on_the_combination_once(monkeypatch, capsys):
     assert sum(u is U for u in built_for) == 1
 
 
+def test_combination_is_memoized_on_the_solution(monkeypatch, cold_caches):
+    # propU and propLast share one U, stored on the solution: one call per face in all
+    faces, original = [], verify.simplicial_words
+    monkeypatch.setattr(verify, "simplicial_words",
+                        lambda u, pattern: faces.append(pattern) or original(u, pattern))
+    assert cli.main(["verify", "--suite", "all", "--order", "6"]) == 0
+    assert sorted(faces) == sorted(_FACES)
+    s = canonical_solution(6)
+    assert simplicial_combination(s) is simplicial_combination(s)
+    assert len(faces) == 4
+    # a gauge member's U is its own: built from its (A, B), not summed from its base's
+    s4 = canonical_solution(4)
+    for member in gauge_family(s4, standard_gauge_pairs(2, 4))[1:]:
+        U = simplicial_combination(member)
+        assert U is simplicial_combination(member) and U is not simplicial_combination(s4)
+        assert U == simplicial_combination(KVSolution(member.A, member.B))
+
+
+def witness_inputs(rng, order):
+    """Series of every kind with failures in several degrees, a degree-0 key among them."""
+    words = random_assoc_series(rng, 2, order, terms=12) - AssocSeries.unit(2, order) * 3
+    coords = random_lie_element(rng, 3, order, terms=8)
+    return [words, tr(words), tr_quad(words), TraceSeries(2, order, {b"": 2, b"\x01": 1}),
+            QuadTraceSeries(1, order, {b"": Fraction(1, 3)}), coords,
+            LieElement(3, order, dict(coords.terms)),  # coordinates not yet expanded
+            LieElement.from_words(coords.expand()), act(TangentialDerivation([coords] * 3), coords)]
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_witnesses_match_the_sorted_items_route(order):
+    rng = random.Random(2810 + order)
+    zero_keys = 0
+    rebuilt = witness_inputs(random.Random(2810 + order), order)  # the same inputs, anew
+    for fresh, again in zip(witness_inputs(rng, order), rebuilt):
+        for prefix in ("", "instance 1: ch defect "):
+            got = verify._witnesses(fresh, prefix)  # a Lie series from words is peeled here
+            assert got == leading_witnesses(again, prefix)
+        zero_keys += 0 in got
+        assert report_zero("check", fresh).results == verify._degree_report(
+            "check", order, leading_witnesses(again)).results
+    assert zero_keys == 5  # the word series, its two projections and the two trace series
+
+
 def test_verify_prop_last_gauge_difference(sol6):
     s4 = KVSolution(sol6.A.truncated(4), sol6.B.truncated(4), sol6.method)
     members = gauge_family(s4, standard_gauge_pairs(2, 4))
@@ -182,8 +228,7 @@ def slow_prop_last_skip(u):
     if full.is_zero():
         return None
     degree = min(len(w) for w, _ in full.sorted_items())
-    return DegreeResult(degree, "skip",
-                        verify._leading_witness(full, degree, prefix="instance 0: ch defect "))
+    return DegreeResult(degree, "skip", verify._witnesses(full, "instance 0: ch defect ")[degree])
 
 
 def defect_instances(order):
@@ -201,14 +246,14 @@ def defect_instances(order):
 
 
 @pytest.mark.parametrize("order", [5, 6])
-def test_defect_reports_match_the_full_lie_defect(sol6, order):
+def test_defect_reports_match_the_full_lie_defect(order):
     # ch_defect keeps the defect's word coefficients at Lyndon words only; the Lie
     # series act(u, ch) reports the same lines, degree by degree
     instances, skipped = defect_instances(order), 0
     for u in instances:
         full = act(u, bch_multi(3, order))
         assert isinstance(full, LieElement)
-        got = verify_prop_U(sol6, u)
+        got = report_zero("propU", ch_defect(u))
         assert got.to_json_lines() == report_zero("propU", full).to_json_lines()
         assert got.summary() == report_zero("propU", full).summary()
         skip = slow_prop_last_skip(u)
@@ -218,7 +263,7 @@ def test_defect_reports_match_the_full_lie_defect(sol6, order):
     assert skipped == len(instances) - 2  # all but U and the zero derivation
 
 
-def test_perturbed_combination_witness_is_pinned(sol6):
+def test_perturbed_combination_witness_is_pinned():
     # recorded from the full Lie defect act(U', ch), before the defect was read at Lyndon words
     order = 6
     U = simplicial_combination(canonical_solution(order))
@@ -228,7 +273,7 @@ def test_perturbed_combination_witness_is_pinned(sol6):
     assert verify_prop_last([perturbed]).to_json_lines() == [
         {"check": "propLast", "degree": 4, "status": "skip",
          "witness": {"degree": 4, "item": "instance 0: ch defect aaab", "delta": "1/7"}}]
-    lines = verify_prop_U(sol6, perturbed).to_json_lines()
+    lines = report_zero("propU", ch_defect(perturbed)).to_json_lines()
     assert [line["status"] for line in lines] == ["pass"] * 4 + ["fail"] * 3
     assert [line["witness"] for line in lines[4:]] == [
         {"degree": 4, "item": "aaab", "delta": "1/7"},
