@@ -48,9 +48,9 @@ class KVSolution:
     its base solution and its shift; its checks and coordinates are summed.
     """
 
-    # filled on first use: the residual and the values of ``_linear`` by key; set
-    # by gauge_family: (base solution, shift)
-    __slots__ = ("A", "B", "order", "method", "_residual", "_memo", "_gauge")
+    # _memo is filled on first use, one entry per name: the residual, U and the values
+    # of ``_linear`` by key; _gauge is set by gauge_family: (base solution, shift)
+    __slots__ = ("A", "B", "order", "method", "_memo", "_gauge")
 
     def __init__(self, A: LieElement, B: LieElement, method: str = "unspecified"):
         if A.arity != 2 or B.arity != 2:
@@ -203,10 +203,8 @@ def kv1_residual(s: KVSolution) -> LieElement:
     words; only a nonzero residual is peeled, to name its witness.
     The result is memoized on the solution, which is immutable, on first use.
     """
-    try:
-        return s._residual
-    except AttributeError:
-        pass
+    if "residual" in s._memo:
+        return s._memo["residual"]
     order = s.order + 1
     gauge = getattr(s, "_gauge", None)
     if gauge is None:
@@ -218,9 +216,8 @@ def kv1_residual(s: KVSolution) -> LieElement:
         u, du = _ad_polynomial(_exp_minus_one(order, sign), index, component.arity, order)
         z, dz = component.expand()._pair
         parts.append((1, _ad_ints(u, z, order), du * dz))
-    residual = LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
-    object.__setattr__(s, "_residual", residual)
-    return residual
+    s._memo["residual"] = LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
+    return s._memo["residual"]
 
 
 @functools.lru_cache(maxsize=4)

@@ -22,12 +22,14 @@ from kvquad import (
     assoc_to_lie,
     canonical_solution,
     exp,
+    gauge_family,
     kernel_series,
     kv1_residual,
     log,
     tr,
     tr_quad,
     simplicial_combination,
+    standard_gauge_pairs,
     verify_prop_last,
 )
 from kvquad.tangential import ch_defect
@@ -195,9 +197,11 @@ def test_value_classes_refuse_deletion(cold_caches):
     u = s.derivation()
     ch_defect(u)  # fills the defect memo
     simplicial_combination(s)  # fills the solution's memo dictionary
+    member = gauge_family(s, standard_gauge_pairs(1, 3))[1]
+    assert kv1_residual(member).is_zero()  # the residual joins the member's memo dictionary
     names = ("arity", "order", "_pair", "_assoc", "components", "_ch_defect",
-             "A", "B", "method", "_memo", "_residual")
-    for value in value_objects() + [AssocSeries.letter(2, 0, 3), u, s]:
+             "A", "B", "method", "_memo", "_gauge")
+    for value in value_objects() + [AssocSeries.letter(2, 0, 3), u, s, member]:
         before = pickle.dumps(value)
         deleted = [name for name in names if hasattr(value, name)]
         for name in deleted:

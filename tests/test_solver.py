@@ -476,7 +476,7 @@ def test_solution_stays_immutable_with_memo(sol6):
     with pytest.raises(AttributeError):
         sol6.A = sol6.B
     with pytest.raises(AttributeError):
-        sol6._residual = LieElement.zero(2, 7)
+        sol6._memo = {"residual": LieElement.zero(2, 7)}
     assert kv1_residual(sol6).is_zero()
 
 

@@ -211,6 +211,23 @@ def test_verify_prop_last_gauge_difference(sol6):
     assert report.passed
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_prop_last_on_gauge_brackets_and_differences(seed):
+    """Non-vacuous propLast instances: with U the simplicial combination of the canonical
+    solution and U' that of a random gauge member, [U, U'] and U' - U are nonzero and
+    annihilate the three-letter CH series, so every degree is checked, none skipped."""
+    s = canonical_solution(6)
+    member = gauge_family(s, random_gauge_pairs(random.Random(seed), 6, 1))[1]
+    U, U_prime = simplicial_combination(s), simplicial_combination(member)
+    instances = [U.bracket(U_prime), U_prime - U]
+    for u in instances:
+        assert not u.is_zero()
+        assert ch_defect(u).is_zero()
+    report = verify_prop_last(instances)
+    assert [r.status for r in report.results] == ["pass"] * 7
+    assert report.passed
+
+
 def test_verify_prop_last_skips_bad_instances():
     rng = random.Random(601)
     junk = random_tangential_derivation(rng, 3, 4)
@@ -390,6 +407,48 @@ def test_homo_kernel_degree_two_span():
     (vec,) = vectors
     # spanned by [ab], proportional to the projection of (x+z)^2 - x^2 - z^2
     assert set(vec.terms) == {word_from_str("ab")}
+
+
+NOT_COBOUNDARY = ("kernel vector is not a coboundary", 0)
+NO_ONE_LETTER_CLASS = ("nonzero kernel but no one-letter classes", 0)
+NOT_SPANNED = ("kernel not spanned by (x+z)^n - x^n - z^n", 0)
+
+
+def dimension(found, expected):
+    return (f"kernel dimension {found}, expected {expected}", found - expected)
+
+
+def wrong_kernels():
+    """Faults the elimination could hand homo, with the witnesses each must give at degree n:
+    no vectors, a stray unit vector beside the true kernel, and the true kernel zeroed."""
+    return [
+        (lambda true: [],
+         lambda n: [dimension(0, 1)] if n % 2 == 0 else []),
+        (lambda true: true + [{0: Fraction(1)}],
+         lambda n: [dimension(2, 1), NOT_COBOUNDARY] if n % 2 == 0
+         else [dimension(1, 0), NO_ONE_LETTER_CLASS]),
+        (lambda true: [dict.fromkeys(vec, Fraction(0)) for vec in true],
+         lambda n: [NOT_SPANNED] if n % 2 == 0 else []),
+    ]
+
+
+@pytest.mark.parametrize("fault", range(3), ids=["empty", "extra-unit", "zeroed"])
+def test_homo_failure_witnesses_are_pinned(monkeypatch, fault):
+    """Each certification of ``homo_kernel`` names its failure: the kernel dimension, a
+    vector that is not a coboundary (or any nonzero vector when no one-letter class
+    exists) and an even kernel the coboundary class does not span, in that order."""
+    wrong, expected = wrong_kernels()[fault]
+    kernel = verify.rational_kernel
+    monkeypatch.setattr(verify, "rational_kernel", lambda rows, cols: wrong(kernel(rows, cols)))
+    for n in range(2, 10):
+        report = homo_kernel(n)[1]
+        if n in (3, 5):  # no nonzero two-letter class: nothing reaches the elimination
+            assert report.passed
+            continue
+        witnesses = [(r.witness.item, r.witness.delta) for r in report.results if r.witness]
+        assert witnesses == expected(n), f"degree {n}"
+        assert report.passed == (not witnesses)
+        assert all(r.status == ("fail" if witnesses else "pass") for r in report.results)
 
 
 def test_homo_kernel_rejects_degree_below_two():
