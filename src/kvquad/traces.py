@@ -12,6 +12,9 @@ to the same class in either factor order, which is checked in the tests and
 relied on by substitution.
 """
 
+import functools
+import operator
+
 from .lie import LieElement
 from .words import (
     ArityMismatchError,
@@ -23,10 +26,47 @@ from .words import (
 )
 
 
+@functools.lru_cache(maxsize=64)  # word lengths: far above any order the CLI accepts
+def _rotator(n: int) -> operator.itemgetter:
+    """The getter of the rotations of a word of length n from the word doubled.
+
+    One C-level call slices every window; it takes at least two windows, so
+    that it returns a tuple also for n < 2, where each window is the word.
+    """
+    return operator.itemgetter(*[slice(i, i + n) for i in range(max(n, 2))])
+
+
+def _orbits(w: bytes, signed: bool) -> tuple[tuple[tuple[bytes, ...], tuple[bytes, int] | None], ...]:
+    """The rotations of w, and with ``signed`` those of its reversal, each with its words' class.
+
+    A class is (representative, sign), or None for a zero class.  The plain
+    class of a word is its least rotation with sign 1.  The signed class is
+    keyed by the lesser of the least rotations of the two orbits; at odd
+    length it is zero when they are equal (two rotation orbits are equal or
+    disjoint), and otherwise a word whose orbit lacks the representative
+    reaches it by reversal, with sign -1.  At even length every sign is 1.
+    """
+    rotations, doubled = _rotator(len(w)), w + w
+    fwd = rotations(doubled)
+    least = min(fwd)
+    if not signed:
+        return ((fwd, (least, 1)),)
+    rev = rotations(doubled[::-1])
+    least_rev = min(rev)
+    if not len(w) & 1:
+        canon = (min(least, least_rev), 1)
+        return (fwd, canon), (rev, canon)
+    if least == least_rev:
+        return ((fwd, None),)
+    if least < least_rev:
+        return (fwd, (least, 1)), (rev, (least, -1))
+    return (fwd, (least_rev, -1)), (rev, (least_rev, 1))
+
+
 def canonical_rotation(w: bytes) -> bytes:
     """Lexicographically least rotation: the representative of the plain class."""
-    doubled, n = w + w, len(w)
-    return min([doubled[i:i + n] for i in range(n)]) if n else w
+    ((_, (rep, _)),) = _orbits(w, False)
+    return rep
 
 
 def quad_canonical(w: bytes) -> tuple[bytes, int] | None:
@@ -35,17 +75,9 @@ def quad_canonical(w: bytes) -> tuple[bytes, int] | None:
     Returns None when the class is zero: odd length with the rotation orbit
     meeting the reversed orbit.  Otherwise the representative is the least
     word over both orbits, and the sign is (-1)^len(w) when the representative
-    is reached only through reversal.  Two rotation orbits are equal or
-    disjoint, so comparing their least words decides both.
+    is reached only through reversal (the rule of ``_orbits``).
     """
-    fwd = canonical_rotation(w)
-    rev = canonical_rotation(w[::-1])
-    odd = len(w) % 2 == 1
-    if odd and fwd == rev:
-        return None
-    if fwd <= rev:
-        return fwd, 1
-    return rev, -1 if odd else 1
+    return _orbits(w, True)[0][1]
 
 
 class TraceSeries(_SparseSeries):
@@ -86,12 +118,29 @@ class QuadTraceSeries(_SparseSeries):
             raise ValueError(f"{_word_name(w)} is not a canonical class representative")
 
 
-def _project(space, a: AssocSeries, canonical):
-    """Sum the numerators of ``a`` into their classes; ``canonical`` gives (representative, sign) or None."""
+def _classes(words, signed: bool) -> dict:
+    """The class of each of ``words`` (a set-like keys view), each class computed once.
+
+    The first word met of a class gives its orbits through ``_orbits``, and
+    their class is recorded for every word of them that ``words`` holds, so
+    the map holds exactly ``words``.
+    """
+    memo: dict[bytes, tuple[bytes, int] | None] = {}
+    for w in words:
+        if w not in memo:
+            for orbit, canon in _orbits(w, signed):
+                for v in words & orbit:
+                    memo[v] = canon
+    return memo
+
+
+def _project(space, a: AssocSeries, signed: bool):
+    """Sum the numerators of ``a`` into their plain or signed classes."""
     ints, d = a._pair
+    classes = _classes(ints.keys(), signed)
     out: dict[bytes, int] = {}
     for w, n in ints.items():
-        canon = canonical(w)
+        canon = classes[w]
         if canon is not None:
             rep, sign = canon
             out[rep] = out.get(rep, 0) + (n if sign == 1 else -n)
@@ -100,12 +149,12 @@ def _project(space, a: AssocSeries, canonical):
 
 def tr(a: AssocSeries) -> TraceSeries:
     """Project a series onto cyclic words."""
-    return _project(TraceSeries, a, lambda w: (canonical_rotation(w), 1))
+    return _project(TraceSeries, a, False)
 
 
 def tr_quad(a: AssocSeries) -> QuadTraceSeries:
     """Project a series onto cyclic words modulo signed reversal."""
-    return _project(QuadTraceSeries, a, quad_canonical)
+    return _project(QuadTraceSeries, a, True)
 
 
 def trace_pairing(a: LieElement, b: LieElement) -> TraceSeries:

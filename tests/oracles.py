@@ -23,6 +23,8 @@ phi_k a^k, which ``product_log_ch`` uses as its logarithm;
 formed letter by letter, with no shared prefixes;
 ``fraction_trace_projection`` sums a word map into cyclic classes from the
 orbit sets of ``rotation_orbit`` and ``signed_cyclic_class``;
+``per_word_projection`` is the former route of ``tr`` and ``tr_quad``, which
+canonicalized every word of a series on its own;
 ``univariate_inverse`` (the division recurrence), ``univariate_shifted_down``,
 ``univariate_derivative`` and ``univariate_odd_part`` are the former bodies
 of those ``RationalUnivariateSeries`` methods, on the exponent dict;
@@ -46,7 +48,7 @@ from kvquad.lyndon import _commutator_ints, bracket_expansion, is_lyndon, standa
 from kvquad.sampling import random_rational
 from kvquad.solver import ab_to_AB
 from kvquad.tangential import quadratic_trace_tuple
-from kvquad.traces import trace_pairing
+from kvquad.traces import QuadTraceSeries, TraceSeries, canonical_rotation, quad_canonical, trace_pairing
 from kvquad.verify import Witness
 from kvquad.words import AssocSeries, RationalUnivariateSeries, univariate_substitute, word_to_str
 
@@ -621,6 +623,22 @@ def fraction_trace_projection(terms: dict, signed: bool) -> dict:
         if canon is not None:
             _accumulate(out, bytes(canon[0]), canon[1] * Fraction(c))
     return out
+
+
+def per_word_projection(a: AssocSeries, signed: bool):
+    """``tr`` (or with ``signed`` ``tr_quad``) of a, one canonicalization per word.
+
+    Each numerator is summed into the class that ``canonical_rotation`` or
+    ``quad_canonical`` gives its word, with no memo across the words of a.
+    """
+    ints, d = a._pair
+    out: dict[bytes, int] = {}
+    for w, n in ints.items():
+        canon = quad_canonical(w) if signed else (canonical_rotation(w), 1)
+        if canon is not None:
+            rep, sign = canon
+            out[rep] = out.get(rep, 0) + (n if sign == 1 else -n)
+    return (QuadTraceSeries if signed else TraceSeries)._make(a.arity, a.order, out, d)
 
 
 def signed_cyclic_reps(arity: int, degree: int) -> list[Word]:

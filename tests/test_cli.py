@@ -344,5 +344,6 @@ def test_cli_imports_without_dataclasses_or_inspect():
     source_root = str(Path(kvquad.cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {source_root!r}); import kvquad.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    # -B: isolated mode ignores PYTHONDONTWRITEBYTECODE, and the import must leave no __pycache__
+    run = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,10 +21,17 @@ from kvquad import (
     trace_substitute,
     word_from_str,
 )
+from kvquad import traces
 from kvquad.sampling import random_lie_element
 from kvquad.verify import _quad_class_basis
 
-from oracles import random_assoc_series, rotation_orbit, signed_cyclic_class, signed_cyclic_reps
+from oracles import (
+    per_word_projection,
+    random_assoc_series,
+    rotation_orbit,
+    signed_cyclic_class,
+    signed_cyclic_reps,
+)
 
 X = AssocSeries.letter(2, 0, 6)
 Y = AssocSeries.letter(2, 1, 6)
@@ -101,6 +109,63 @@ def test_quad_class_basis_matches_all_words(arity):
     for degree in range(1, 9):
         got = _quad_class_basis(arity, degree)
         assert [tuple(w) for w in got] == signed_cyclic_reps(arity, degree), degree
+
+
+DENSE_DEGREE = {1: 9, 2: 8, 3: 5}
+# the empty word, one-letter words, the zero odd orbit of aab with its reversal and
+# the signed orbit of aabbb with its reversal
+SPECIAL_WORDS = ["", "a", "b", "aa", "aaa", "aab", "baa", "aba", "aabbb", "bbbaa", "babba"]
+
+
+def word_series(rng, arity, degree, keep=1.0):
+    """Every word through ``degree``, each kept with probability ``keep``, with nonzero coefficients."""
+    return AssocSeries(arity, degree, {
+        bytes(w): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        for n in range(degree + 1) for w in itertools.product(range(arity), repeat=n)
+        if rng.random() < keep})
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_projections_match_the_per_word_route(arity):
+    # dense series, series holding about half of each orbit, sparse series and the
+    # special words, each projected in one call against one canonicalization per word
+    rng = random.Random(310 + arity)
+    degree = DENSE_DEGREE[arity]
+    special = [word_from_str(s) for s in SPECIAL_WORDS if all(ord(c) - 97 < arity for c in s)]
+    series = [word_series(rng, arity, degree), word_series(rng, arity, degree, keep=0.5),
+              AssocSeries(arity, degree, {w: k + 1 for k, w in enumerate(special)})]
+    series += [random_assoc_series(rng, arity, degree, terms=rng.randint(1, 12)) for _ in range(20)]
+    for a in series:
+        for project, signed in ((tr, False), (tr_quad, True)):
+            got, want = project(a), per_word_projection(a, signed)
+            # the same classes, numerators and denominator, in the same order
+            assert list(got._pair[0].items()) == list(want._pair[0].items())
+            assert got._pair[1] == want._pair[1]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_projection_computes_each_class_once(monkeypatch, signed):
+    rng = random.Random(320)
+    dense, partial = word_series(rng, 2, 8), word_series(rng, 2, 8, keep=0.5)
+
+    def class_of(w):
+        orbit = rotation_orbit(tuple(w))
+        return frozenset(orbit | rotation_orbit(tuple(w[::-1])) if signed else orbit)
+
+    seen = []
+    orbits = traces._orbits
+
+    def counted(w, signed_):
+        seen.append(w)
+        return orbits(w, signed_)
+
+    monkeypatch.setattr(traces, "_orbits", counted)
+    (tr_quad if signed else tr)(dense)
+    present = {class_of(w) for w in dense.terms}
+    assert len(seen) == len({class_of(w) for w in seen}) == len(present)
+    # the memo of one call holds exactly the words of its input
+    for a in (dense, partial):
+        assert traces._classes(a._pair[0].keys(), signed).keys() == a._pair[0].keys()
 
 
 def test_tr_identifies_rotations():
