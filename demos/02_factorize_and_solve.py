@@ -7,6 +7,11 @@ the kernels t/(1-e^{-t}) and t/(e^t-1) in the respective adjoint slots gives
 the pair (A, B) solving
 
     (1 - exp(-ad_x)) A + (exp(ad_y) - 1) B = x + y - ch(y, x).
+
+Since ch(x, y) = -ch(-y, -x), the defect changes sign under the mirror
+x -> -y, y -> -x, and the first-letter split commutes with it, so b is a with
+x and y exchanged and odd degrees negated.  The second kernel is the first at
+-t, so B is the same mirror of A: only a is computed and transported.
 """
 
 from kvquad import (

@@ -7,7 +7,11 @@ The equation asks for a pair of Lie series A, B in two letters with
 where ch is the Campbell-Hausdorff series.  Writing a = ((1-e^{-t})/t)(ad_x) A
 and b = ((e^t-1)/t)(ad_y) B turns it into [x, a] + [y, b] = x + y - ch(y, x),
 which is solved degree by degree by rewriting the right-hand side as a
-combination of bracket monomials grouped by their first letter.  Adding any
+combination of bracket monomials grouped by their first letter.  Since
+ch(x, y) = -ch(-y, -x), the right-hand side F satisfies F(-y, -x) = -F(x, y),
+and the split commutes with the mirror x -> -y, y -> -x: b(x, y) = a(-y, -x).
+The two transport kernels are K(t) and K(-t), so B(x, y) = A(-y, -x) too, and
+the canonical solution computes the x side alone (``_mirror``).  Adding any
 pair with [x, a'] + [y, b'] = 0 (spanned by the slots of quadratic traces, as
 test_quadratic_traces_span_the_gauge_kernel in tests/test_solver.py certifies)
 produces further solutions; the flow reformulation provides an independent
@@ -136,6 +140,17 @@ def kv_rhs(order: int) -> LieElement:
     return without_letters(scale(bch(order), -1), range(2))
 
 
+_SWAP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _mirror(e: LieElement) -> LieElement:
+    """e(-y, -x) for a two-letter series e, on its integer pair: the letters swapped
+    and the numerators of odd-length words negated, over the same denominator."""
+    ints, d = e.expand()._pair
+    return LieElement.from_words(AssocSeries._make(
+        2, e.order, {w.translate(_SWAP): -n if len(w) % 2 else n for w, n in ints.items()}, d))
+
+
 def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieElement]:
     """Write r = [x, a] + [y, b] by first-letter splitting.
 
@@ -151,26 +166,40 @@ def factorize(r: LieElement, order: int | None = None) -> tuple[LieElement, LieE
     are complete only through r.order - 1; that is their default order.  The
     identity [x, a] + [y, b] = r holds through the full order of r once the
     factors are reinterpreted one order higher (they are polynomials).
+
+    The mirror x -> -y, y -> -x sends the words of first letter x to those of
+    first letter y, and the bracketing is multilinear, so it commutes with
+    the split: if r(-y, -x) = -r(x, y), then b(x, y) = a(-y, -x).  The defect
+    x + y - ch(y, x) is such an r, because ch(x, y) = -ch(-y, -x).  When the
+    kept words of r (those of degree <= order + 1) satisfy it exactly, only
+    the groups of first letter x are computed and b is ``_mirror(a)``;
+    otherwise both sides are.
     """
+    if r.arity != 2:
+        raise ValueError(f"factorization input must have two letters, not {r.arity}")
     if order is None:
         order = r.order - 1
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if order > r.order - 1:
         raise ValueError("factors are only determined through r.order - 1")
     expanded = r.expand()
     if expanded.constant_term or not expanded.homogeneous_part(1).is_zero():
         raise ValueError("factorization input must start in degree two")
     numerators, d = expanded._pair
+    mirrored = all(numerators.get(w.translate(_SWAP)) == (n if len(w) % 2 else -n)
+                   for w, n in numerators.items() if len(w) - 1 <= order)
     lengths = math.lcm(*range(2, order + 2))  # a multiple of every |w| kept below
     groups: dict[tuple[int, int], dict[bytes, int]] = {}
     for w, n in numerators.items():
-        if len(w) - 1 <= order:
+        if len(w) - 1 <= order and not (mirrored and w[0]):
             groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = n * (lengths // len(w))
     sides: list[list] = [[], []]
     for (first, last), middles in groups.items():
         sides[first].append((1, _ad_ints(middles, {bytes([last]): 1}, order), d * lengths))
     a, b = (LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
             for parts in sides)
-    return a, b
+    return (a, _mirror(a)) if mirrored else (a, b)
 
 
 def ab_to_AB(a: LieElement, b: LieElement, method: str = "unspecified") -> KVSolution:
@@ -229,11 +258,17 @@ def canonical_solution(order: int) -> KVSolution:
     never constrains the top degree (its operators raise the degree), but the
     quadratic trace identity does read it.
 
+    The defect is antisymmetric under the mirror x -> -y, y -> -x, so the
+    factor b is the mirror of a (see ``factorize``).  The kernel t/(e^t - 1)
+    that transports b is t/(1 - e^{-t}) at -t, so B = A(-y, -x): only a is
+    transported, and B is ``_mirror(A)``.
+
     Cached per order like ``kv_rhs``: the solution is immutable, so its
     memos (coordinates, residual, divergence sides) serve every later caller.
     """
-    a, b = factorize(kv_rhs(order + 1), order)
-    return ab_to_AB(a, b, method="dynkin-first-letter")
+    a, _ = factorize(kv_rhs(order + 1), order)
+    A = apply_operator_series(kernel_series("t/(1-exp(-t))", a.order), 0, a)
+    return KVSolution(A, _mirror(A), method="dynkin-first-letter")
 
 
 def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:

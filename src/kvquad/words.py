@@ -106,6 +106,13 @@ def _canonical(ints: dict) -> list[bytes]:
     return sorted(ints, key=lambda w: (len(w), w))
 
 
+def _check_shape(arity: int, order: int):
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+
+
 class _SparseSeries:
     """Immutable sparse map from words to nonzero rationals, truncated at ``order``.
 
@@ -125,10 +132,7 @@ class _SparseSeries:
     _tag_required = True
 
     def __init__(self, arity: int, order: int, terms=None):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_shape(arity, order)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         pair = _pair_of({bytes(w): Fraction(c) for w, c in (terms or {}).items()})
@@ -163,6 +167,7 @@ class _SparseSeries:
 
     @classmethod
     def zero(cls, arity, order):
+        _check_shape(arity, order)
         return cls._make(arity, order, {})
 
     @property

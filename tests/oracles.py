@@ -34,7 +34,12 @@ each shifted factorization forward again; ``univariate_coboundary`` is the
 former body of ``verify._bernoulli_side``, which relabelled the one-letter
 series and substituted the join with ``univariate_substitute``;
 ``leading_witnesses`` is the former witness route of ``verify.report_zero``,
-degrees read off the words and one ``sorted_items`` pass per failing degree; and
+degrees read off the words and one ``sorted_items`` pass per failing degree;
+``dynkin_split`` is the first-letter split of ``solver.factorize`` on tuple
+words, and ``mirror`` is e(-y, -x) written with ``Fraction`` coefficients;
+``two_sided_canonical_solution`` is the former route of
+``solver.canonical_solution``, which factorized the defect for both first
+letters and transported each factor with its own kernel; and
 ``random_assoc_series`` draws seeded inputs for the property suites.
 """
 
@@ -43,14 +48,15 @@ import math
 import random
 from fractions import Fraction
 
-from kvquad.lie import LieElement, apply_operator_series, assoc_to_lie, kernel_series
+from kvquad.lie import LieElement, _ad_ints, apply_operator_series, assoc_to_lie, kernel_series
 from kvquad.lyndon import _commutator_ints, bracket_expansion, is_lyndon, standard_factorization
 from kvquad.sampling import random_rational
-from kvquad.solver import ab_to_AB
+from kvquad.solver import ab_to_AB, kv_rhs
 from kvquad.tangential import quadratic_trace_tuple
 from kvquad.traces import QuadTraceSeries, TraceSeries, canonical_rotation, quad_canonical, trace_pairing
 from kvquad.verify import Witness
-from kvquad.words import AssocSeries, RationalUnivariateSeries, univariate_substitute, word_to_str
+from kvquad.words import (AssocSeries, RationalUnivariateSeries, _linear_sum, univariate_substitute,
+                          word_to_str)
 
 Word = tuple[int, ...]
 
@@ -678,6 +684,36 @@ def inverse_route_gauge_family(s, pairs) -> list:
         shift_a, shift_b = quadratic_trace_tuple(p)
         family.append(ab_to_AB(base_a + shift_a, base_b + shift_b, method=f"{s.method}+gauge"))
     return family
+
+
+def dynkin_split(r: LieElement) -> list[dict]:
+    """Side w_0 gets coeff(w)/|w| * [w_1, [..., w_last]] for every word w of r, on tuple words."""
+    sides = [{}, {}]
+    for w, c in to_word_dict(r.expand()).items():
+        sides[w[0]] = oadd(sides[w[0]], oscale(right_nested(w[1:]), Fraction(c, len(w))))
+    return sides
+
+
+def mirror(e: LieElement) -> LieElement:
+    """e(-y, -x) for a two-letter series: each word's letters exchanged, times (-1)^|w|."""
+    return LieElement.from_words(AssocSeries(2, e.order, {
+        bytes(1 - letter for letter in w): c * (-1) ** len(w) for w, c in e.expand().terms.items()}))
+
+
+def two_sided_canonical_solution(order: int):
+    """The defect split by first and last letter, one nested-ad computation per group for
+    both first letters, and a transported by t/(1-e^{-t}), b by t/(e^t-1)."""
+    numerators, d = kv_rhs(order + 1).expand()._pair
+    lengths = math.lcm(*range(2, order + 2))
+    groups = {}
+    for w, n in numerators.items():
+        groups.setdefault((w[0], w[-1]), {})[w[1:-1]] = n * (lengths // len(w))
+    sides = [[], []]
+    for (first, last), middles in groups.items():
+        sides[first].append((1, _ad_ints(middles, {bytes([last]): 1}, order), d * lengths))
+    a, b = (LieElement.from_words(AssocSeries._make(2, order, *_linear_sum(parts)))
+            for parts in sides)
+    return ab_to_AB(a, b, method="dynkin-first-letter")
 
 
 def univariate_coboundary(h: RationalUnivariateSeries, join: AssocSeries) -> AssocSeries:

@@ -32,7 +32,7 @@ from kvquad import (
     standard_gauge_pairs,
     verify_prop_last,
 )
-from kvquad.tangential import ch_defect
+from kvquad.tangential import TangentialDerivation, ch_defect
 from kvquad.sampling import random_lie_element, random_rational
 
 from oracles import (
@@ -84,6 +84,15 @@ def test_not_lie_error_degree_matches_left_normed_oracle():
                 named = re.search(r"word '([a-z]+)' obstructs Lie membership", str(err.value))
                 assert named and len(named[1]) == expected
     assert lie_inputs > 30 and non_lie_inputs > 30
+
+
+@pytest.mark.parametrize("cls", SERIES_CLASSES + (RationalUnivariateSeries, TangentialDerivation),
+                         ids=lambda c: c.__name__)
+def test_zero_refuses_what_the_constructor_refuses(cls):
+    assert cls.zero(1, 0).is_zero()
+    for arity, order in ((0, 3), (-1, 3), (1, -1), (2, -1)):
+        with pytest.raises(ValueError, match="arity must be >= 1" if arity < 1 else "order must be >= 0"):
+            cls.zero(arity, order)
 
 
 @pytest.mark.parametrize("cls", SERIES_CLASSES, ids=lambda c: c.__name__)

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import kvquad.sampling
+import kvquad.solver
 from kvquad import (
     KVSolution,
     LieElement,
     RationalUnivariateSeries,
     TraceSeries,
     ab_to_AB,
+    bch_multi,
     bracket,
     canonical_solution,
     factorize,
@@ -28,18 +30,21 @@ from kvquad import (
     verify_theorem,
     word_from_str,
 )
+from kvquad.lie import without_letters
 from kvquad.linalg import _reduced_rows
 from kvquad.lyndon import lyndon_words
 from kvquad.sampling import random_gauge_pairs, random_lie_element, random_lie_pairs
 
 from oracles import (
     dynkin_bch,
+    dynkin_split,
     inverse_route_gauge_family,
     inverse_transport,
+    mirror,
     oadd,
     oscale,
-    right_nested,
     to_word_dict,
+    two_sided_canonical_solution,
 )
 
 
@@ -133,6 +138,21 @@ def test_factorize_rejects_low_degrees():
         factorize(generator(2, 0, 3))
 
 
+def test_factorize_refuses_three_letters():
+    with pytest.raises(ValueError, match="two letters"):
+        factorize(without_letters(bch_multi(3, 4), range(3)))
+
+
+def test_factorize_refuses_one_letter():
+    with pytest.raises(ValueError, match="two letters"):
+        factorize(LieElement.zero(1, 4))
+
+
+def test_factorize_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        factorize(kv_rhs(5), -1)
+
+
 def test_factorize_random_lie_inputs():
     rng = random.Random(501)
     for _ in range(15):
@@ -140,14 +160,6 @@ def test_factorize_random_lie_inputs():
         a, b = factorize(r)
         assert a.order == 7 and b.order == 7
         assert bracket_identity(a, b, r)
-
-
-def dynkin_split(r: LieElement) -> list[dict]:
-    """Side w_0 gets coeff(w)/|w| * [w_1, [..., w_last]] for every word w of r, on tuple words."""
-    sides = [{}, {}]
-    for w, c in to_word_dict(r.expand()).items():
-        sides[w[0]] = oadd(sides[w[0]], oscale(right_nested(w[1:]), Fraction(c, len(w))))
-    return sides
 
 
 def test_factorize_matches_right_nested_dynkin_split():
@@ -159,6 +171,45 @@ def test_factorize_matches_right_nested_dynkin_split():
         a, b = factorize(r)
         assert a.order == b.order == r.order - 1
         assert [to_word_dict(a.expand()), to_word_dict(b.expand())] == dynkin_split(r)
+
+
+def test_factorize_splits_once_for_an_antisymmetric_input_and_twice_otherwise(monkeypatch):
+    """r - r(-y, -x) takes the mirror path; one added top-degree bracket, whose mirror is
+    not its negative, takes the general one.  Both agree with the Dynkin split."""
+    mirrored, original = [], kvquad.solver._mirror
+    monkeypatch.setattr(kvquad.solver, "_mirror",
+                        lambda e: mirrored.append(e) or original(e))
+    rng = random.Random(504)
+    for _ in range(20):
+        order = rng.randint(3, 8)
+        r = random_lie_element(rng, 2, order, terms=6, min_degree=2)
+        antisymmetric = r - mirror(r)
+        top = lyndon(order, {"a" * (order - 1) + "b": rng.choice([1, -2, Fraction(3, 5)])})
+        for s, path in ((antisymmetric, 1), (antisymmetric + top, 0)):
+            mirrored.clear()
+            a, b = factorize(s)
+            assert len(mirrored) == path
+            assert [to_word_dict(a.expand()), to_word_dict(b.expand())] == dynkin_split(s)
+
+
+def test_kv_rhs_is_antisymmetric_under_the_mirror():
+    for n in range(2, 13):
+        r = kv_rhs(n)
+        assert mirror(r).expand()._pair == (-r).expand()._pair
+
+
+def test_canonical_B_is_the_mirror_of_A():
+    for n in range(1, 13):
+        s = canonical_solution(n)
+        assert s.B.expand()._pair == mirror(s.A).expand()._pair
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_canonical_solution_matches_the_two_sided_route(order):
+    s, former = canonical_solution(order), two_sided_canonical_solution(order)
+    for name in ("A", "B"):
+        assert getattr(s, name).expand()._pair == getattr(former, name).expand()._pair
+    assert s.to_json_dict() == former.to_json_dict()
 
 
 def test_ab_to_AB_zero():
