@@ -202,6 +202,8 @@ def _cmd_verify(args) -> int:
         residual_report = verify_kv1(solution2 if order2 >= order3 else solution3)
         reports.append(residual_report)
         residual_ok = residual_report.passed
+    # propLast reads the full-order U; built first, it is the one propU reads from the memo
+    U = simplicial_combination(solution3) if residual_ok and "propLast" in suites else None
 
     for suite in suites:
         if suite == "homo":
@@ -223,7 +225,7 @@ def _cmd_verify(args) -> int:
         elif suite == "propU":
             reports.append(verify_prop_U(solution3))
         elif suite == "propLast":
-            instances = [simplicial_combination(solution3), TangentialDerivation.zero(3, order3)]
+            instances = [U, TangentialDerivation.zero(3, order3)]
             reports.append(verify_prop_last(instances))
         elif suite == "cocycle":
             reports.append(verify_cocycle_equation(solution3))

@@ -162,15 +162,19 @@ def ch_defect(u: TangentialDerivation) -> AssocSeries:
     coordinate, with the same value: the defect vanishes in a degree exactly
     when these coefficients do, and they name the same leading witness.
     The splice is pulled at those words alone (``_splice_at``); a derivation
-    without images lists none.  u is immutable, so the memo never goes stale.
+    without images lists none.  An image [x_i, a_i] has no word shorter than
+    two letters (a_i is Lie, with no constant term), so a target of n letters
+    pulls words of ch of n - 1 letters at most: ch is built through
+    u.order - 1, and the a_i are read through u.order - 1 too (the bracket
+    drops their top degree).  u is immutable, so the memo never goes stale.
     """
     try:
         return u._ch_defect
     except AttributeError:
         images, d = _images(u, u.order)
         ints = {}
-        if images:
-            ch, dc = bch_multi(u.arity, u.order).expand()._pair
+        if images:  # then u.order >= 2
+            ch, dc = bch_multi(u.arity, u.order - 1).expand()._pair
             ints = _splice_at(ch, images, lyndon_words(u.arity, u.order))
             d *= dc
         object.__setattr__(u, "_ch_defect", AssocSeries._make(u.arity, u.order, ints, d))

@@ -174,29 +174,48 @@ def check_full_trace_equation(s: KVSolution) -> VerificationReport:
     return report_zero("full-trace", lhs - rhs, gating=False)
 
 
-def simplicial_combination(s: KVSolution) -> TangentialDerivation:
-    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B), memoized on s.
+def _combination(u: TangentialDerivation, order: int) -> TangentialDerivation:
+    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for a two-letter u, declared at ``order``.
 
     The four embeddings are summed as integer word maps, which are the
     components' stored words: ``act`` reads them, and nothing here peels them.
+    An ``order`` above u.order declares the sum a polynomial with no words
+    beyond u.order.
+    """
+    sums: list[list] = [[], [], []]
+    for pattern, sign in _FACES.items():
+        for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
+            parts.append((sign, ints, d))
+    return TangentialDerivation(
+        [LieElement.from_words(AssocSeries._make(3, order, *_linear_sum(parts)))
+         for parts in sums])
+
+
+def simplicial_combination(s: KVSolution) -> TangentialDerivation:
+    """u^{1,2} + u^{12,3} - u^{1,23} - u^{2,3} for the derivation of (A, B), memoized on s.
+
     U is stored in the solution's memo directly: ``_linear`` adds coefficientwise.
     """
     if "U" not in s._memo:
-        u = s.derivation()
-        sums: list[list] = [[], [], []]
-        for pattern, sign in _FACES.items():
-            for parts, (ints, d) in zip(sums, simplicial_words(u, pattern)):
-                parts.append((sign, ints, d))
-        s._memo["U"] = TangentialDerivation(
-            [LieElement.from_words(AssocSeries._make(3, u.order, *_linear_sum(parts)))
-             for parts in sums])
+        s._memo["U"] = _combination(s.derivation(), s.order)
     return s._memo["U"]
 
 
 def verify_prop_U(s: KVSolution) -> VerificationReport:
-    """The simplicial combination annihilates the three-letter CH series."""
+    """The simplicial combination annihilates the three-letter CH series.
+
+    The defect through degree n reads U only through degree n - 1
+    (``ch_defect``), and U's words of degree k read only those of (A, B)
+    and ch(x, y) through k.  So, unless the solution already holds U, the
+    faces are built from (A, B) cut at n - 1 and summed at order n with no
+    degree-n words; that U is used here alone and never stored.
+    """
     _require_solution(s)
-    return report_zero("propU", ch_defect(simplicial_combination(s)))
+    U = s._memo.get("U")
+    if U is None:
+        cut = max(s.order - 1, 1)  # ch(x, y) has no build at order 0
+        U = _combination(TangentialDerivation([s.A.truncated(cut), s.B.truncated(cut)]), s.order)
+    return report_zero("propU", ch_defect(U))
 
 
 def verify_prop_last(instances) -> VerificationReport:

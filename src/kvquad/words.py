@@ -492,6 +492,9 @@ def _unpack(packed: dict, stride: int, count: int) -> list[dict[bytes, int]]:
     return out
 
 
+_ONE_LETTER = "a univariate series has one letter: arity 1 and words of letter 0"
+
+
 class RationalUnivariateSeries(AssocSeries):
     """Truncated power series in one variable t with exact rational coefficients.
 
@@ -514,8 +517,16 @@ class RationalUnivariateSeries(AssocSeries):
     def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
         """coeff * t^len(w) for a word made only of letter 0, over one letter."""
         if arity != 1 or any(w):
-            raise ValueError("a univariate series has one letter: arity 1 and words of letter 0")
+            raise ValueError(_ONE_LETTER)
         return cls(order, {len(w): coeff})
+
+    @classmethod
+    def zero(cls, arity, order):
+        """The zero series; the word series' checks first, then any arity but 1 refused."""
+        series = super().zero(arity, order)
+        if arity != 1:
+            raise ValueError(_ONE_LETTER)
+        return series
 
     def with_arity(self, arity: int):
         """Itself over one letter; over more letters a plain word series in letter 0."""

@@ -93,6 +93,10 @@ def test_zero_refuses_what_the_constructor_refuses(cls):
     for arity, order in ((0, 3), (-1, 3), (1, -1), (2, -1)):
         with pytest.raises(ValueError, match="arity must be >= 1" if arity < 1 else "order must be >= 0"):
             cls.zero(arity, order)
+    if cls is RationalUnivariateSeries:  # one letter: from_word's refusal at any other arity
+        for arity in (2, 3):
+            with pytest.raises(ValueError, match="a univariate series has one letter"):
+                cls.zero(arity, 3)
 
 
 @pytest.mark.parametrize("cls", SERIES_CLASSES, ids=lambda c: c.__name__)

@@ -298,6 +298,70 @@ def test_perturbed_combination_witness_is_pinned():
         {"degree": 6, "item": "aaaabb", "delta": "1/84"}]
 
 
+def perturbed_pairs(order):
+    """Seeded (A + shift, B) off the canonical pair, each shift a Lie polynomial in one degree:
+    order - 1 (read at degree ``order``), ``order`` (read by no route of propU) and a low one."""
+    rng = random.Random(3200 + order)
+    s = canonical_solution(order)
+    pairs = []
+    for degree in sorted({order - 1, order, max(order - 3, 1)} - {0}):
+        basis = [w for w in lyndon_words(2, order) if len(w) == degree]
+        terms = {w: random_rational(rng) or 1 for w in rng.sample(basis, min(2, len(basis)))}
+        pairs.append((degree, KVSolution(s.A + LieElement(2, order, terms), s.B)))
+    return pairs
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_prop_U_through_the_cut_faces_matches_the_full_action(order, monkeypatch):
+    # without a stored U, propU sums the faces of (A, B) cut at order - 1; the oracle acts
+    # by the full-order U on the full ch(x, y, z), and a stored U is read as it is
+    monkeypatch.setattr(verify, "_require_solution", lambda s: None)
+    failed_at_top = 0
+    for degree, s in perturbed_pairs(order):
+        cut = verify_prop_U(s).to_json_lines()
+        assert "U" not in s._memo
+        expected = report_zero("propU", act(simplicial_combination(s), bch_multi(3, order)))
+        assert cut == expected.to_json_lines()
+        assert verify_prop_U(s).to_json_lines() == cut  # now through the stored U
+        statuses = [line["status"] for line in cut]
+        if degree == order:  # a top-degree shift is invisible through the order
+            assert statuses == ["pass"] * (order + 1)
+        elif degree == order - 1 and order >= 3:
+            assert statuses[order] == "fail"
+            failed_at_top += 1
+    assert failed_at_top == (order >= 3)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_ch_defect_ignores_the_top_degree(order):
+    # the images drop it, and ch(x_1..x_k) is read through order - 1: linear components
+    # have images in degree 2, which meet ch's words of degree order - 1
+    rng = random.Random(3300 + order)
+    linear = TangentialDerivation([random_lie_element(rng, 3, order, terms=3)
+                                   + generator(3, (i + 1) % 3, order) for i in range(3)])
+    full_action = report_zero("propU", act(linear, bch_multi(3, order)))
+    assert report_zero("propU", ch_defect(linear)).to_json_lines() == full_action.to_json_lines()
+    assert not full_action.passed
+    for u in defect_instances(order) + [linear]:
+        top_dropped = TangentialDerivation(
+            [a.truncated(order - 1).with_order(order) for a in u.components])
+        cut, full = ch_defect(top_dropped), ch_defect(u)
+        assert (cut.order, cut._pair) == (full.order, full._pair)
+
+
+@pytest.mark.parametrize("order", [3, 5, 6])
+def test_prop_U_builds_ch_and_the_faces_below_the_order(order, monkeypatch, cold_caches):
+    built, face_orders = [], []
+    build, faces = lie._ch_words, verify.simplicial_words
+    monkeypatch.setattr(lie, "_ch_words",
+                        lambda arity, n: built.append((arity, n)) or build(arity, n))
+    monkeypatch.setattr(verify, "simplicial_words",
+                        lambda u, pattern: face_orders.append(u.order) or faces(u, pattern))
+    assert cli.main(["verify", "--suite", "propU", "--order", str(order)]) == 0
+    assert [b for b in built if b[0] == 3] == [(3, order - 1)]
+    assert face_orders == [order - 1] * len(_FACES)
+
+
 def test_verify_cocycle_equation(sol6):
     assert verify_cocycle_equation(sol6).passed
 
