@@ -4,12 +4,15 @@ A derivation is identified with its tuple (a_1, ..., a_n) of Lie series.  The
 tuple is normalized on construction by dropping the x_i-linear term of a_i,
 which never changes the action since [x_i, x_i] = 0; with that convention the
 tuple determines the derivation uniquely.  The module also provides the four
-signed simplicial faces of two-letter word maps in three letters and the
-embeddings built on them, the one-letter coboundary h(x) + h(y) - h(join),
-the divergence valued in cyclic words (plain and signed-reversal quotients),
-the induced action on trace series, and the correspondence from a quadratic
-trace expression to its tuple with zero bracket sum.
+signed simplicial faces of two-letter word maps in three letters, their
+signed sum when x + y joins the letters, the embeddings built on them, the
+one-letter coboundary h(x) + h(y) - h(join), the divergence valued in cyclic
+words (plain and signed-reversal quotients), the induced action on trace
+series, and the correspondence from a quadratic trace expression to its
+tuple with zero bracket sum.
 """
+
+from itertools import product
 
 from .lie import (
     LieElement,
@@ -183,20 +186,43 @@ def ch_defect(u: TangentialDerivation) -> AssocSeries:
 
 _FACES = {"1,2": 1, "2,3": -1, "12,3": 1, "1,23": -1}  # signs: u^{1,2}+u^{12,3}-u^{1,23}-u^{2,3}
 _YZ = bytes([1, 2]) + bytes(range(2, 256))  # bytes.translate table: letters x, y become y, z
+_PLUS_CHOICES = {"12,3": ((0, 1), (2,)), "1,23": ((0,), (1, 2))}  # x, y -> x + y, z; x, y + z
 
 
-def _face_words(maps, pattern: str, order: int, join=None) -> list[tuple[dict, int]]:
+def _additive_face_sum(ints: dict[bytes, int]) -> dict[bytes, int]:
+    """The signed sum of the four faces of an integer two-letter word map, joined by x + y.
+
+    1,2 keeps the words and 2,3 relabels them onto y, z.  The images of 12,3
+    and 1,23 are linear, so a word's image is the sum of the words made by
+    choosing one letter per position from its letter's image, and distinct
+    choices make distinct words: no substitution is run.  The signs are
+    ``_FACES``'s; zeros are dropped.
+    """
+    out: dict[bytes, int] = {}
+    for face, sign in _FACES.items():
+        choices = _PLUS_CHOICES.get(face)
+        for w, n in ints.items():
+            if choices is None:
+                images = (w if face == "1,2" else w.translate(_YZ),)
+            else:
+                images = map(bytes, product(*[choices[letter] for letter in w]))
+            for v in images:
+                out[v] = out.get(v, 0) + sign * n
+    return {w: n for w, n in out.items() if n}
+
+
+def _face_words(maps, pattern: str, order: int) -> list[tuple[dict, int]]:
     """Two-letter word maps, as (integers, denominator), sent into x, y, z along one face.
 
     1,2 keeps x, y and 2,3 relabels them onto y, z; 12,3 and 1,23 substitute
-    (join, z) and (x, join relabelled onto y, z) into every map in one
-    ``_substitute_ints`` pass.  The join is ch(x, y) unless given (x + y for homo).
+    (ch(x, y), z) and (x, ch(y, z)) into every map in one ``_substitute_ints``
+    pass, from the two-letter CH series (relabelled onto y, z for 1,23).
     """
     if pattern == "1,2":
         return list(maps)
     if pattern == "2,3":
         return [({w.translate(_YZ): n for w, n in ints.items()}, d) for ints, d in maps]
-    join = bch_multi(2, order).expand()._pair if join is None else join
+    join = bch_multi(2, order).expand()._pair
     if pattern == "12,3":
         images = [join, ({b"\x02": 1}, 1)]
     else:

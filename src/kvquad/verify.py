@@ -7,7 +7,8 @@ is the equation itself refuse to run on a pair with nonzero residual; the
 residual has its own report so that corrupted inputs surface as ordinary
 failures rather than usage errors.  The three-letter checks share the simplicial
 faces of :mod:`kvquad.tangential`: propU and propLast act by their signed sum U,
-and cocycle and homo sum the faces of trace classes (``_face_sum``).
+cocycle sums the faces of trace classes (``_face_sum``), and homo sums the
+faces joined by x + y (``tangential._additive_face_sum``).
 """
 
 import functools
@@ -17,8 +18,8 @@ from .lie import LieElement, RationalUnivariateSeries, kernel_series
 from .linalg import rational_kernel
 from .lyndon import lyndon_words
 from .solver import KVSolution, kv1_residual
-from .tangential import (_FACES, TangentialDerivation, _coboundary, _face_words, ch_defect,
-                         div_quad, divergence_words, simplicial_words)
+from .tangential import (_FACES, TangentialDerivation, _additive_face_sum, _coboundary,
+                         _face_words, ch_defect, div_quad, divergence_words, simplicial_words)
 from .traces import QuadTraceSeries, quad_canonical, tr, tr_quad
 from .words import AssocSeries, _linear_sum, _Record, format_rational, word_to_str
 
@@ -244,9 +245,9 @@ def verify_prop_last(instances) -> VerificationReport:
     return VerificationReport("propLast", order, tuple(results))
 
 
-def _face_sum(pair, order: int, join=None) -> QuadTraceSeries:
+def _face_sum(pair, order: int) -> QuadTraceSeries:
     """The signed faces of a two-letter map (``_face_words``), summed, then projected once."""
-    parts = [(sign, *_face_words([pair], face, order, join)[0]) for face, sign in _FACES.items()]
+    parts = [(sign, *_face_words([pair], face, order)[0]) for face, sign in _FACES.items()]
     return tr_quad(AssocSeries._make(3, order, *_linear_sum(parts)))
 
 
@@ -278,7 +279,7 @@ def _quad_class_basis(arity: int, degree: int) -> list[bytes]:
     return sorted(reps)
 
 
-_X_PLUS_Y = ({b"\x00": 1, b"\x01": 1}, 1)  # the join of homo's faces and coboundaries
+_X_PLUS_Y = ({b"\x00": 1, b"\x01": 1}, 1)  # the join of homo's coboundaries
 
 
 def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]:
@@ -293,6 +294,8 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     its own negative), so the coboundaries are the multiples of one class,
     zero at odd n, and one ratio test certifies both.
     """
+    if not isinstance(degree, int):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree < 2:
         raise ValueError("degree must be >= 2")
     n = degree
@@ -301,7 +304,8 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     # image of the j-th class at column j (integer faces of an integer map lie over 1)
     rows: dict[bytes, dict[int, int]] = {}
     for j, rep in enumerate(basis2):
-        for w, c in _face_sum(({rep: 1}, 1), n, _X_PLUS_Y)._pair[0].items():
+        faces = tr_quad(AssocSeries._make(3, n, _additive_face_sum({rep: 1})))
+        for w, c in faces._pair[0].items():
             rows.setdefault(w, {})[j] = c
     kernel = rational_kernel(list(rows.values()), len(basis2)) if basis2 else []
     vectors = [QuadTraceSeries(2, n, {basis2[j]: v for j, v in vec.items()}) for vec in kernel]

@@ -528,6 +528,21 @@ class RationalUnivariateSeries(AssocSeries):
             raise ValueError(_ONE_LETTER)
         return series
 
+    @classmethod
+    def unit(cls, arity, order):
+        """The series 1; any arity but 1 refused."""
+        if arity != 1:
+            raise ValueError(_ONE_LETTER)
+        return super().unit(arity, order)
+
+    @classmethod
+    def letter(cls, arity, index, order):
+        """The series t; the word series' checks first, then any arity but 1 refused."""
+        series = super().letter(arity, index, order)
+        if arity != 1:
+            raise ValueError(_ONE_LETTER)
+        return series
+
     def with_arity(self, arity: int):
         """Itself over one letter; over more letters a plain word series in letter 0."""
         if arity == 1:

@@ -258,6 +258,20 @@ def test_univariate_from_word_takes_powers_of_the_one_letter():
             RationalUnivariateSeries.from_word(arity, 3, word)
 
 
+def test_univariate_unit_and_letter_take_the_one_letter():
+    unit, t = RationalUnivariateSeries.unit(1, 3), RationalUnivariateSeries.letter(1, 0, 3)
+    assert unit == RationalUnivariateSeries(3, {0: 1}) and t == RationalUnivariateSeries(3, {1: 1})
+    assert all(type(s) is RationalUnivariateSeries and s.arity == 1 for s in (unit, t))
+    for arity in (2, 3):
+        with pytest.raises(ValueError, match="a univariate series has one letter"):
+            RationalUnivariateSeries.unit(arity, 3)
+        for index in range(arity):
+            with pytest.raises(ValueError, match="a univariate series has one letter"):
+                RationalUnivariateSeries.letter(arity, index, 3)
+    with pytest.raises(ValueError, match="letter 1 out of range for arity 1"):
+        RationalUnivariateSeries.letter(1, 1, 3)
+
+
 def test_univariate_with_arity_widens_to_a_word_series():
     s = RationalUnivariateSeries(3, {0: 1, 2: Fraction(-1, 2)})
     assert s.with_arity(1) is s

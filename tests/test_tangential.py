@@ -38,8 +38,9 @@ from kvquad import (
 from kvquad.sampling import (random_lie_element, random_lie_pairs, random_rational,
                              random_tangential_derivation)
 from kvquad.solver import canonical_solution
-from kvquad.tangential import _FACES, _coboundary, _face_words, divergence_words, simplicial_words
-from kvquad.words import _fractions
+from kvquad.tangential import (_FACES, _additive_face_sum, _coboundary, _face_words,
+                                divergence_words, simplicial_words)
+from kvquad.words import _fractions, _linear_sum, _substitute_ints
 
 from oracles import lyndon_image_substitute, random_assoc_series, univariate_coboundary
 
@@ -180,26 +181,58 @@ PLUS = ({b"\x00": 1, b"\x01": 1}, 1)  # x + y, the join of the additive faces
 
 @pytest.mark.parametrize("order", range(1, 8))
 def test_faces_match_the_substitution_route(order):
-    """Every face, under both joins, equals substituting its letter images into nonzero
-    trace series (``trace_substitute``) and Lie series (``substitute``), all in one call."""
+    """Every face with the CH join, and the signed sum of the faces with the join x + y
+    (``_additive_face_sum``), equal substituting the letter images into nonzero trace
+    series (``trace_substitute``) and Lie series (``substitute``); the CH faces of all
+    four maps come from one call."""
     rng = random.Random(2600 + order)
     x, y, z = (generator(3, i, order) for i in range(3))
     g = tr(random_assoc_series(rng, 2, order, terms=10))
     gq = tr_quad(random_assoc_series(rng, 2, order, terms=10))
     A, B = (random_lie_element(rng, 2, order, terms=5) for _ in range(2))
     assert not any(series.is_zero() for series in (g, gq, A, B))
+    maps = [g._pair, gq._pair, A.expand()._pair, B.expand()._pair]
     ch = bch(order)
-    for join, (j_xy, j_yz) in ((None, (substitute(ch, (x, y)), substitute(ch, (y, z)))),
-                               (PLUS, (x + y, y + z))):
-        args = {"1,2": (x, y), "2,3": (y, z), "12,3": (j_xy, z), "1,23": (x, j_yz)}
-        for pattern in _FACES:
-            maps = [g._pair, gq._pair, A.expand()._pair, B.expand()._pair]
-            got = [AssocSeries._make(3, order, *m)
-                   for m in _face_words(maps, pattern, order, join)]
-            assert tr(got[0]) == trace_substitute(g, args[pattern])
-            assert tr_quad(got[1]) == trace_substitute(gq, args[pattern])
-            assert got[2] == substitute(A, args[pattern]).expand()
-            assert got[3] == substitute(B, args[pattern]).expand()
+    args = {"1,2": (x, y), "2,3": (y, z),
+            "12,3": (substitute(ch, (x, y)), z), "1,23": (x, substitute(ch, (y, z)))}
+    for pattern in _FACES:
+        got = [AssocSeries._make(3, order, *m) for m in _face_words(maps, pattern, order)]
+        assert tr(got[0]) == trace_substitute(g, args[pattern])
+        assert tr_quad(got[1]) == trace_substitute(gq, args[pattern])
+        assert got[2] == substitute(A, args[pattern]).expand()
+        assert got[3] == substitute(B, args[pattern]).expand()
+    plus = {"1,2": (x, y), "2,3": (y, z), "12,3": (x + y, z), "1,23": (x, y + z)}
+
+    def face_sum(face):
+        first, *rest = (face(plus[pattern]) * sign for pattern, sign in _FACES.items())
+        return sum(rest, first)
+
+    got = [AssocSeries._make(3, order, _additive_face_sum(ints), d) for ints, d in maps]
+    assert tr(got[0]) == face_sum(lambda images: trace_substitute(g, images))
+    assert tr_quad(got[1]) == face_sum(lambda images: trace_substitute(gq, images))
+    assert got[2] == face_sum(lambda images: substitute(A, images)).expand()
+    assert got[3] == face_sum(lambda images: substitute(B, images)).expand()
+    assert order < 3 or not any(series.is_zero() for series in got)
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_additive_face_sum_matches_the_substituted_faces(degree):
+    """On seeded integer two-letter maps, words of every length through ``degree`` and one
+    of that length, ``_additive_face_sum`` equals word for word, before any projection,
+    ``_linear_sum`` of the four ``_substitute_ints`` faces with the letter images (x, y),
+    (y, z), (x+y, z) and (x, y+z), signed by ``_FACES``."""
+    rng = random.Random(3300 + degree)
+    x, y, z = (({bytes([i]): 1}, 1) for i in range(3))
+    images = {"1,2": [x, y], "2,3": [y, z],
+              "12,3": [PLUS, z], "1,23": [x, ({b"\x01": 1, b"\x02": 1}, 1)]}
+    for _ in range(5):
+        ints = {bytes(rng.randrange(2) for _ in range(rng.randint(0, degree))):
+                rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(8)}
+        ints[bytes(rng.randrange(2) for _ in range(degree))] = rng.randint(1, 9)
+        expected, d = _linear_sum((sign, *_substitute_ints((ints, 1), images[face], degree))
+                                  for face, sign in _FACES.items())
+        assert d == 1 and expected
+        assert _additive_face_sum(ints) == expected
 
 
 @pytest.mark.parametrize("order", range(1, 11))

@@ -411,7 +411,8 @@ def test_cocycle_faces_of_the_plain_class():
     # the face path of verify_cocycle_equation and homo_kernel on g = [xy]: zero with the
     # additive join, and 1/6 at [aabc] in degree 4 with the Campbell-Hausdorff join
     g = QuadTraceSeries(2, 4, {word_from_str("ab"): 1})
-    assert verify._face_sum(g._pair, 4, ({b"\x00": 1, b"\x01": 1}, 1)).is_zero()
+    ints, d = g._pair
+    assert tr_quad(AssocSeries._make(3, 4, tangential._additive_face_sum(ints), d)).is_zero()
     combo = verify._face_sum(g._pair, 4)
     assert combo.homogeneous_part(3).is_zero()
     assert combo.homogeneous_part(4).coefficient(word_from_str("aabc")) == Fraction(1, 6)
@@ -456,6 +457,22 @@ def test_homo_kernel_builds_no_campbell_hausdorff_series(monkeypatch):
 
     monkeypatch.setattr(tangential, "bch_multi", no_ch)
     assert all(homo_kernel(n)[1].passed for n in range(2, 8))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8])
+def test_homo_kernel_substitutes_only_its_coboundary(monkeypatch, n):
+    # the faces of every class come from letter choices (``_additive_face_sum``): the only
+    # substitutions are the coboundary's three, however many classes there are
+    calls = []
+
+    def counting(terms, images, order):
+        calls.append(order)
+        return substitute_ints(terms, images, order)
+
+    substitute_ints = tangential._substitute_ints
+    monkeypatch.setattr(tangential, "_substitute_ints", counting)
+    assert homo_kernel(n)[1].passed
+    assert calls == [n] * 3
 
 
 def test_homo_kernel_dimensions():
@@ -518,6 +535,12 @@ def test_homo_failure_witnesses_are_pinned(monkeypatch, fault):
 def test_homo_kernel_rejects_degree_below_two():
     with pytest.raises(ValueError):
         homo_kernel(1)
+
+
+@pytest.mark.parametrize("degree", [2.0, 4.5, Fraction(4), "4", None])
+def test_homo_kernel_refuses_a_non_integer_degree(degree):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        homo_kernel(degree)
 
 
 def test_verify_series_identities(sol8):
