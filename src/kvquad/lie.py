@@ -191,10 +191,8 @@ def _peel(words: AssocSeries) -> tuple[dict[bytes, int], int]:
 
 
 def generator(arity: int, index: int, order: int) -> LieElement:
-    """The generator x_index as a LieElement."""
-    if not 0 <= index < arity:
-        raise ValueError(f"generator {index} out of range for arity {arity}")
-    return LieElement._make(arity, order, {bytes([index]): 1})
+    """The generator x_index as a LieElement: ``LieElement.letter``."""
+    return LieElement.letter(arity, index, order)
 
 
 def assoc_to_lie(a: AssocSeries) -> LieElement:

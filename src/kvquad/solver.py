@@ -39,10 +39,10 @@ from .lie import (
 )
 from .tangential import TangentialDerivation, _trace_slots, act
 from .traces import trace_pairing
-from .words import AssocSeries, _SparseSeries, _linear_sum
+from .words import AssocSeries, _Frozen, _SparseSeries, _check_json_object, _linear_sum
 
 
-class KVSolution:
+class KVSolution(_Frozen):
     """A candidate solution pair (A, B) at a common truncation order.
 
     Instances produced by :func:`ab_to_AB` from a factorization of the
@@ -66,11 +66,6 @@ class KVSolution:
         object.__setattr__(self, "order", A.order)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("KVSolution is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return KVSolution, (self.A, self.B, self.method)
@@ -116,11 +111,7 @@ class KVSolution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "KVSolution":
         """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"solution JSON must be an object, got {type(data).__name__}")
-        missing = [key for key in ("A", "B") if key not in data]
-        if missing:
-            raise ValueError(f"solution JSON lacks {', '.join(map(repr, missing))}")
+        _check_json_object(data, "solution", ("A", "B"))
         method = data.get("method", "unspecified")
         if not isinstance(method, str):
             raise ValueError("solution JSON 'method' must be a string")

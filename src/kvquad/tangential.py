@@ -26,6 +26,7 @@ from .words import (
     ArityMismatchError,
     AssocSeries,
     Rational,
+    _Frozen,
     _common_denominator,
     _linear_sum,
     _splice_at,
@@ -34,7 +35,7 @@ from .words import (
 )
 
 
-class TangentialDerivation:
+class TangentialDerivation(_Frozen):
     """Arity-n tuple of Lie series a_i acting by x_i -> [x_i, a_i]."""
 
     __slots__ = ("arity", "order", "components", "_ch_defect")  # defect: filled on first use
@@ -58,11 +59,6 @@ class TangentialDerivation:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "components", tuple(normalized))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("TangentialDerivation is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return TangentialDerivation, (self.components,)

@@ -106,24 +106,38 @@ def _canonical(ints: dict) -> list[bytes]:
     return sorted(ints, key=lambda w: (len(w), w))
 
 
-def _check_shape(arity: int, order: int):
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+def _check_json_object(data, name: str, required=()):
+    """ValueError unless ``data`` is a JSON object holding every key of ``required``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{name} JSON lacks {', '.join(map(repr, missing))}")
 
 
-class _SparseSeries:
+class _Frozen:
+    """Base of the immutable value types: their slots are set once, by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class _SparseSeries(_Frozen):
     """Immutable sparse map from words to nonzero rationals, truncated at ``order``.
 
     The shared core of word, Lie and cyclic-trace series: subclasses decide
-    what a key denotes (a word, a Lyndon bracketing, a cyclic class) through
-    ``_check_key``, and how it prints through ``_name``.  The coefficients
-    live in one slot, ``_pair``: integer numerators by key over one positive
-    denominator, in lowest terms (``_normal``).  Two series compare equal
-    when they have the same type and arity and agree coefficientwise up to
-    the smaller of the two truncation orders; binary operations truncate to
-    the smaller order.
+    which shapes exist through ``_check_shape``, what a key denotes (a word,
+    a Lyndon bracketing, a cyclic class) through ``_check_key``, and how it
+    prints through ``_name``; every public constructor applies both checks.
+    The coefficients live in one slot, ``_pair``: integer numerators by key
+    over one positive denominator, in lowest terms (``_normal``).  Two series
+    compare equal when they have the same type and arity and agree
+    coefficientwise up to the smaller of the two truncation orders; binary
+    operations truncate to the smaller order.
     """
 
     __slots__ = ("arity", "order", "_pair")
@@ -132,7 +146,7 @@ class _SparseSeries:
     _tag_required = True
 
     def __init__(self, arity: int, order: int, terms=None):
-        _check_shape(arity, order)
+        self._check_shape(arity, order)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "order", order)
         pair = _pair_of({bytes(w): Fraction(c) for w, c in (terms or {}).items()})
@@ -147,10 +161,13 @@ class _SparseSeries:
             raise ValueError(
                 f"{self._key_kind} {_word_name(w)} uses letters beyond arity {self.arity}")
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
+    @classmethod
+    def _check_shape(cls, arity: int, order: int):
+        """The shape rule of the constructor and of every named constructor."""
+        if arity < 1:
+            raise ValueError("arity must be >= 1")
+        if order < 0:
+            raise ValueError("order must be >= 0")
 
     def __reduce__(self):
         # pickle and copy rebuild the pair through _make, which never sets a memo slot
@@ -167,8 +184,26 @@ class _SparseSeries:
 
     @classmethod
     def zero(cls, arity, order):
-        _check_shape(arity, order)
+        cls._check_shape(arity, order)
         return cls._make(arity, order, {})
+
+    @classmethod
+    def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
+        """coeff times the one key w, refused as the constructor refuses it."""
+        cls._check_shape(arity, order)
+        coeff = Fraction(coeff)
+        series = cls._make(arity, order, {bytes(w): coeff.numerator}, coeff.denominator)
+        for key in series._pair[0]:
+            series._check_key(key)
+        return series
+
+    @classmethod
+    def letter(cls, arity, index, order):
+        """The length-1 word x_index as a series."""
+        cls._check_shape(arity, order)
+        if not 0 <= index < arity:
+            raise ValueError(f"letter {index} out of range for arity {arity}")
+        return cls.from_word(arity, order, bytes([index]))
 
     @property
     def terms(self):
@@ -278,11 +313,7 @@ class _SparseSeries:
     def from_json_dict(cls, data: dict):
         """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
         name = cls.__name__
-        if not isinstance(data, dict):
-            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
-        missing = [key for key in ("arity", "order", "terms") if key not in data]
-        if missing:
-            raise ValueError(f"{name} JSON lacks {', '.join(map(repr, missing))}")
+        _check_json_object(data, name, ("arity", "order", "terms"))
         for key in ("arity", "order"):
             if type(data[key]) is not int:
                 raise ValueError(f"{name} JSON {key!r} must be an integer")
@@ -319,18 +350,7 @@ class AssocSeries(_SparseSeries):
 
     @classmethod
     def unit(cls, arity, order):
-        return cls._make(arity, order, {b"": 1})
-
-    @classmethod
-    def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
-        return cls(arity, order, {bytes(w): Fraction(coeff)})
-
-    @classmethod
-    def letter(cls, arity, index, order):
-        """The length-1 word x_index as a series."""
-        if not 0 <= index < arity:
-            raise ValueError(f"letter {index} out of range for arity {arity}")
-        return cls._make(arity, order, {bytes([index]): 1})
+        return cls.from_word(arity, order, b"")
 
     @property
     def constant_term(self) -> Fraction:
@@ -514,34 +534,11 @@ class RationalUnivariateSeries(AssocSeries):
         super().__init__(1, order, terms)
 
     @classmethod
-    def from_word(cls, arity, order, w: bytes, coeff: Rational = 1):
-        """coeff * t^len(w) for a word made only of letter 0, over one letter."""
-        if arity != 1 or any(w):
-            raise ValueError(_ONE_LETTER)
-        return cls(order, {len(w): coeff})
-
-    @classmethod
-    def zero(cls, arity, order):
-        """The zero series; the word series' checks first, then any arity but 1 refused."""
-        series = super().zero(arity, order)
+    def _check_shape(cls, arity: int, order: int):
+        """The word series' checks first, then any arity but 1 refused."""
+        super()._check_shape(arity, order)
         if arity != 1:
             raise ValueError(_ONE_LETTER)
-        return series
-
-    @classmethod
-    def unit(cls, arity, order):
-        """The series 1; any arity but 1 refused."""
-        if arity != 1:
-            raise ValueError(_ONE_LETTER)
-        return super().unit(arity, order)
-
-    @classmethod
-    def letter(cls, arity, index, order):
-        """The series t; the word series' checks first, then any arity but 1 refused."""
-        series = super().letter(arity, index, order)
-        if arity != 1:
-            raise ValueError(_ONE_LETTER)
-        return series
 
     def with_arity(self, arity: int):
         """Itself over one letter; over more letters a plain word series in letter 0."""
@@ -599,8 +596,7 @@ class RationalUnivariateSeries(AssocSeries):
     def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":
         """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
         name = cls.__name__
-        if not isinstance(data, dict):
-            raise ValueError(f"{name} JSON must be an object, got {type(data).__name__}")
+        _check_json_object(data, name)
         if type(data.get("order")) is not int:
             raise ValueError(f"{name} JSON 'order' must be an integer")
         coeffs = data.get("coeffs")
@@ -650,7 +646,7 @@ def tau(a: AssocSeries) -> AssocSeries:
         a.arity, a.order, {w[::-1]: n if len(w) % 2 == 0 else -n for w, n in ints.items()}, d)
 
 
-class _Record:
+class _Record(_Frozen):
     """Immutable record whose fields are its ``__slots__``, in order.
 
     It is built from positional or keyword arguments, ``_defaults`` filling the
@@ -692,12 +688,6 @@ class _Record:
     def __repr__(self):
         body = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, key, value):
-        raise AttributeError(f"cannot assign to field {key!r}")
-
-    def __delattr__(self, key):
-        raise AttributeError(f"cannot delete field {key!r}")
 
     def __reduce__(self):
         return type(self), self._fields()

@@ -614,6 +614,11 @@ def test_lie_element_json_roundtrip():
     data["basis"] = "hall"
     with pytest.raises(ValueError):
         LieElement.from_json_dict(data)
+    # the loader's messages, which `verify --solution` prints after "error:"
+    with pytest.raises(ValueError, match=r"^LieElement JSON must be an object, got list$"):
+        LieElement.from_json_dict([])
+    with pytest.raises(ValueError, match=r"^LieElement JSON lacks 'order', 'terms'$"):
+        LieElement.from_json_dict({"arity": 2})
 
 
 def test_apply_single_ad():
@@ -691,6 +696,9 @@ def test_univariate_series_ops():
     for bad in ("1/0", "1e4000000"):
         with pytest.raises(ValueError):
             RationalUnivariateSeries.from_json_dict({**data, "coeffs": [bad]})
+    with pytest.raises(ValueError,
+                       match=r"^RationalUnivariateSeries JSON must be an object, got str$"):
+        RationalUnivariateSeries.from_json_dict("t")
     with pytest.raises(ValueError):
         RationalUnivariateSeries(5, {1: 1}).inverse()
 

@@ -32,6 +32,7 @@ from kvquad import (
     standard_gauge_pairs,
     verify_prop_last,
 )
+from kvquad.lie import generator
 from kvquad.tangential import TangentialDerivation, ch_defect
 from kvquad.sampling import random_lie_element, random_rational
 
@@ -86,9 +87,38 @@ def test_not_lie_error_degree_matches_left_normed_oracle():
     assert lie_inputs > 30 and non_lie_inputs > 30
 
 
+def constructed(make, cls=None):
+    """What a constructor call gives: (arity, order, terms) of its series, which must be
+    of class ``cls`` when one is given, or the message it is refused with."""
+    try:
+        series = make()
+    except ValueError as exc:
+        return str(exc)
+    assert cls is None or type(series) is cls
+    return series.arity, series.order, dict(series.terms)
+
+
+def by_constructor(cls, arity, order, terms):
+    """The constructor's outcome; the univariate class's is the word series' over its one
+    letter, and once the shape is valid any other arity is refused."""
+    if cls is RationalUnivariateSeries:
+        if arity > 1 and order >= 0:
+            return "a univariate series has one letter: arity 1 and words of letter 0"
+        cls = AssocSeries
+    return constructed(lambda: cls(arity, order, terms))
+
+
+# among them the shapes of AssocSeries.unit(0, -1), AssocSeries.letter(2, 1, 0),
+# generator(2, 0, 0) and generator(2, 1, -1)
+SHAPES = ((0, 3), (-1, 3), (0, -1), (1, -1), (2, -1), (1, 0), (2, 0), (1, 2), (2, 2), (3, 1))
+KEYS = (b"", b"\x00", b"\x01", b"\x02", b"\x00\x01", b"\x01\x00", b"\x00\x00\x01")
+
+
 @pytest.mark.parametrize("cls", SERIES_CLASSES + (RationalUnivariateSeries, TangentialDerivation),
                          ids=lambda c: c.__name__)
 def test_zero_refuses_what_the_constructor_refuses(cls):
+    """zero, and for series unit, letter, from_word and generator, refuse what the
+    constructor refuses, with its message, and build the series it builds."""
     assert cls.zero(1, 0).is_zero()
     for arity, order in ((0, 3), (-1, 3), (1, -1), (2, -1)):
         with pytest.raises(ValueError, match="arity must be >= 1" if arity < 1 else "order must be >= 0"):
@@ -97,6 +127,27 @@ def test_zero_refuses_what_the_constructor_refuses(cls):
         for arity in (2, 3):
             with pytest.raises(ValueError, match="a univariate series has one letter"):
                 cls.zero(arity, 3)
+    if cls is TangentialDerivation:
+        return
+    letters = (cls.letter, generator) if cls is LieElement else (cls.letter,)
+    for arity, order in SHAPES:
+        shape = by_constructor(cls, arity, order, {})
+        assert constructed(lambda: cls.zero(arity, order), cls) == shape
+        if hasattr(cls, "unit"):
+            assert constructed(lambda: cls.unit(arity, order), cls) == by_constructor(
+                cls, arity, order, {b"": 1})
+        for w in KEYS:
+            assert constructed(lambda: cls.from_word(arity, order, w, Fraction(-2, 3)), cls) == (
+                by_constructor(cls, arity, order, {w: Fraction(-2, 3)})), (arity, order, w)
+        for index in (-1, 0, 1, 2, 3):
+            if 0 <= index < arity:
+                expected = by_constructor(cls, arity, order, {bytes([index]): 1})
+            else:
+                expected = shape if isinstance(shape, str) else (
+                    f"letter {index} out of range for arity {arity}")
+            for letter in letters:
+                assert constructed(lambda: letter(arity, index, order), cls) == expected, (
+                    arity, order, index)
 
 
 @pytest.mark.parametrize("cls", SERIES_CLASSES, ids=lambda c: c.__name__)

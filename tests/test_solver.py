@@ -499,6 +499,11 @@ def test_solution_json_roundtrip(sol6):
     loaded = KVSolution.from_json_dict(data)
     assert loaded == sol6
     assert loaded.method == sol6.method
+    # the loader's messages, which `verify --solution` prints after "error:"
+    with pytest.raises(ValueError, match=r"^solution JSON must be an object, got list$"):
+        KVSolution.from_json_dict([data])
+    with pytest.raises(ValueError, match=r"^solution JSON lacks 'B'$"):
+        KVSolution.from_json_dict({"A": data["A"]})
 
 
 # --- the residual memo -------------------------------------------------------

@@ -75,9 +75,9 @@ def test_records_behave_as_frozen_dataclasses():
     for record in (witness, report, parts):
         for dup in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(dup) is type(record) and dup == record
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
             record.order = 0
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
             del record.order
     for bad in (lambda: Witness(1, "a"), lambda: Witness(1, "a", 0, 0),
                 lambda: Witness(1, "a", degree=1), lambda: Witness(1, "a", 0, colour=0)):
