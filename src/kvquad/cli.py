@@ -11,9 +11,14 @@ The verify pipeline always certifies the equation residual first; when that
 fails, the hypothesis-gated suites are skipped and the run exits 1 with the
 residual witness.  A solution can be loaded from a JSON file (``--solution``)
 to audit stored or externally produced pairs.
+
+Output has one writer, ``_indented_json``: the text of ``json.dumps(payload,
+indent=2)``, in which every series leaf (``bch``'s series, a solution's A and
+B) writes its own text from its integer pair, so no per-term dict is built.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -35,6 +40,7 @@ from .verify import (
     verify_series_identities,
     verify_theorem,
 )
+from .words import _SparseSeries
 
 SUITES = ("theorem", "propU", "propLast", "cocycle", "homo", "series", "all")
 DEFAULT_TWO_LETTER_ORDER = 8
@@ -76,14 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; ``parse_args`` reads it and never
+    mutates it, so threads may share it."""
+    return build_parser()
+
+
 def _append_json(value, pad: str, pieces: list):
     """Append the text of ``json.dumps(value, indent=2)`` at indent ``pad`` to ``pieces``.
 
     With an indent, ``json.dumps`` runs its pure-Python generator encoder.  This
     writer gives the same text: strings, keys among them, go through the C escaper
-    that encoder calls, and the caller joins the pieces once.
+    that encoder calls, and the caller joins the pieces once.  A series leaf stands
+    for its ``to_json_dict()`` and writes its own text from its integer pair.
     """
-    if isinstance(value, str):
+    if isinstance(value, _SparseSeries):
+        pieces.append(value._json_text(pad))
+    elif isinstance(value, str):
         pieces.append(encode_basestring_ascii(value))
     elif isinstance(value, dict) and value:
         inner = pad + "  "
@@ -106,13 +122,14 @@ def _append_json(value, pad: str, pieces: list):
 
 
 def _indented_json(payload) -> str:
-    """``json.dumps(payload, indent=2)`` for payloads with string keys, joined once."""
+    """``json.dumps(payload, indent=2)`` for payloads with string keys, joined once; a series
+    leaf is written as its ``to_json_dict()``."""
     pieces: list[str] = []
     _append_json(payload, "", pieces)
     return "".join(pieces)
 
 
-def _emit(payload: dict, out: str | None):
+def _emit(payload, out: str | None):
     text = _indented_json(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -141,7 +158,7 @@ def _cmd_bch(args) -> int:
     if args.order < 1:
         raise ValueError("order must be >= 1")
     _check_word_count("bch", args.arity, args.order)
-    _emit(bch_multi(args.arity, args.order).to_json_dict(), args.out)
+    _emit(bch_multi(args.arity, args.order), args.out)
     return 0
 
 
@@ -155,9 +172,9 @@ def _cmd_solve(args) -> int:
     if args.gauge:
         pairs = standard_gauge_pairs(args.gauge, args.order)
         family = gauge_family(solution, pairs)
-        _emit({"family": [member.to_json_dict() for member in family]}, args.out)
+        _emit({"family": [member._json_form() for member in family]}, args.out)
     else:
-        _emit(solution.to_json_dict(), args.out)
+        _emit(solution._json_form(), args.out)
     return 0
 
 
@@ -239,9 +256,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

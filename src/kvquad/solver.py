@@ -20,7 +20,6 @@ characterization used as a cross-check.
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
 from .lie import (
@@ -49,11 +48,13 @@ class KVSolution(_Frozen):
     Campbell-Hausdorff defect have exactly zero residual through their order;
     :func:`kv1_residual` certifies that.  Deserialized instances are taken as
     given and must be re-certified.  A member of :func:`gauge_family` keeps
-    its base solution and its shift; its checks and coordinates are summed.
+    its base solution and its shift; its checks are summed, and its A and B
+    are its base's plus its shift's, added on Lyndon coordinates on first read.
     """
 
     # _memo is filled on first use, one entry per name: the residual, U and the values
-    # of ``_linear`` by key; _gauge is set by gauge_family: (base solution, shift)
+    # of ``_linear`` by key; _gauge is set by gauge_family: (base solution, shift), and
+    # a member's A and B slots stay unset until read
     __slots__ = ("A", "B", "order", "method", "_memo", "_gauge")
 
     def __init__(self, A: LieElement, B: LieElement, method: str = "unspecified"):
@@ -66,6 +67,26 @@ class KVSolution(_Frozen):
         object.__setattr__(self, "order", A.order)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _shifted(cls, base: "KVSolution", shift: "KVSolution") -> "KVSolution":
+        """The gauge member base + shift, with neither A nor B formed yet."""
+        self = object.__new__(cls)
+        for name, value in (("order", min(base.order, shift.order)),
+                            ("method", f"{base.method}+gauge"), ("_memo", {}),
+                            ("_gauge", (base, shift))):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __getattr__(self, name):
+        # reached only for a slot never filled: a gauge member's A or B, summed by the core
+        # on coordinates (Lie series add by coordinates) and published by one assignment
+        if name not in ("A", "B"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        base, shift = self._gauge
+        value = _SparseSeries.__add__(getattr(base, name), getattr(shift, name))
+        object.__setattr__(self, name, value)
+        return value
 
     def __reduce__(self):
         return KVSolution, (self.A, self.B, self.method)
@@ -96,17 +117,22 @@ class KVSolution(_Frozen):
 
     def _linear(self, key, of):
         """``of(self)``, a series linear in (A, B), memoized per ``key``.  A gauge member's
-        is its base's plus its shift's, added by the core coefficientwise: Lie series add
-        by coordinates, and the member's own words are never peeled."""
+        is its base's plus its shift's, added by the core coefficientwise, so the member's
+        own A and B are never formed."""
         if key not in self._memo:
             gauge = getattr(self, "_gauge", None)
             self._memo[key] = of(self) if gauge is None else _SparseSeries.__add__(
                 gauge[0]._linear(key, of), of(gauge[1]))
         return self._memo[key]
 
+    def _json_form(self) -> dict:
+        """``to_json_dict`` with A and B left as series, for a writer that formats series."""
+        return {"order": self.order, "A": self.A, "B": self.B, "method": self.method}
+
     def to_json_dict(self) -> dict:
-        A, B = (self._linear(name, operator.attrgetter(name)).to_json_dict() for name in "AB")
-        return {"order": self.order, "A": A, "B": B, "method": self.method}
+        data = self._json_form()
+        data["A"], data["B"] = self.A.to_json_dict(), self.B.to_json_dict()
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KVSolution":
@@ -278,10 +304,7 @@ def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     for left, right, *paired in pairs:
         p = paired[0] if paired else trace_pairing(left.with_order(s.order + 1),
                                                     right.with_order(s.order + 1))
-        shift = ab_to_AB(*_trace_slots(p))
-        member = KVSolution(s.A + shift.A, s.B + shift.B, method=f"{s.method}+gauge")
-        object.__setattr__(member, "_gauge", (s, shift))
-        family.append(member)
+        family.append(KVSolution._shifted(s, ab_to_AB(*_trace_slots(p))))
     return family
 
 

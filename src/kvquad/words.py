@@ -33,12 +33,13 @@ class ArityMismatchError(ValueError):
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTERS = _ALPHABET.encode("ascii").ljust(256, b"?")  # bytes.translate table: index i -> 'a' + i
+_BEYOND_Z = "letter index beyond 'z' cannot be serialized"
 
 
 def word_to_str(w: bytes) -> str:
     """Encode a word as a string, letter index 0 -> 'a', 1 -> 'b', ..."""
     if w and max(w) >= 26:
-        raise ValueError("letter index beyond 'z' cannot be serialized")
+        raise ValueError(_BEYOND_Z)
     return w.translate(_LETTERS).decode("ascii")
 
 
@@ -309,6 +310,29 @@ class _SparseSeries(_Frozen):
                          for w in _canonical(ints)]
         return data
 
+    def _json_text(self, pad: str = "") -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)`` written at indent ``pad``.
+
+        The text is formatted from the pair, one fixed template per term, and no
+        per-term dict is built: a word is letters a-z, a coefficient is '-0-9/'
+        and the tag is a plain name, so nothing needs a JSON escape.  A letter
+        beyond 'z' is refused once for the series, with ``word_to_str``'s message.
+        """
+        ints, d = self._pair
+        if max(b"".join(ints), default=0) >= len(_ALPHABET):
+            raise ValueError(_BEYOND_Z)
+        p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
+        head = f'{{\n{p2}"arity": {self.arity},\n{p2}"order": {self.order},\n{p2}'
+        if self._tag is not None:
+            head += '"%s": "%s",\n%s' % (*self._tag, p2)
+        if not ints:
+            return f'{head}"terms": []\n{pad}}}'
+        item = "{\n" + p6 + '"word": "%s",\n' + p6 + '"coeff": "%d/%d"\n' + p4 + "}"
+        terms = (",\n" + p4).join([item % (w.translate(_LETTERS).decode("ascii"), n // g, d // g)
+                                   for w in _canonical(ints)
+                                   for n in (ints[w],) for g in (math.gcd(n, d),)])
+        return f'{head}"terms": [\n{p4}{terms}\n{p2}]\n{pad}}}'
+
     @classmethod
     def from_json_dict(cls, data: dict):
         """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
@@ -525,6 +549,7 @@ class RationalUnivariateSeries(AssocSeries):
     __slots__ = ()
 
     def __init__(self, order: int, coeffs=None):  # coeffs: a dict or a list keyed by exponent
+        self._check_shape(1, order)
         items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs or ())
         terms = {}
         for k, c in items:
@@ -591,6 +616,14 @@ class RationalUnivariateSeries(AssocSeries):
         return {"order": self.order,
                 "coeffs": ["%d/%d" % _ratio(ints.get(b"\x00" * k, 0), d)
                            for k in range(self.order + 1)]}
+
+    def _json_text(self, pad: str = "") -> str:
+        """``json.dumps(self.to_json_dict(), indent=2)`` at indent ``pad``: the exponent layout."""
+        ints, d = self._pair
+        p2, p4 = pad + "  ", pad + "    "
+        coeffs = (",\n" + p4).join(['"%d/%d"' % _ratio(ints.get(b"\x00" * k, 0), d)
+                                    for k in range(self.order + 1)])  # order >= 0: never empty
+        return f'{{\n{p2}"order": {self.order},\n{p2}"coeffs": [\n{p4}{coeffs}\n{p2}]\n{pad}}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,22 @@ import kvquad.lie
 import kvquad.sampling
 import kvquad.solver
 import kvquad.verify
-from kvquad import KVSolution, LieElement, TraceSeries, bch_multi, kv1_residual
-from kvquad.cli import BCH_WORD_CEILING, main
+from kvquad import (
+    AssocSeries,
+    KVSolution,
+    LieElement,
+    QuadTraceSeries,
+    RationalUnivariateSeries,
+    TraceSeries,
+    bch_multi,
+    kv1_residual,
+    tr,
+    tr_quad,
+)
+from kvquad.cli import BCH_WORD_CEILING, build_parser, main
+from kvquad.words import _SparseSeries
+
+from oracles import random_assoc_series
 
 
 def run(capsys, *argv):
@@ -323,9 +339,89 @@ EDGE_JSON_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("payload", _cli_payloads() + EDGE_JSON_VALUES)
+SERIES_CLASSES = (AssocSeries, LieElement, TraceSeries, QuadTraceSeries, RationalUnivariateSeries)
+
+
+def _series_payloads():
+    """(id, payload) pairs whose leaves are series of every class, which the writer formats."""
+    rng = random.Random(3500)
+    words = random_assoc_series(rng, 2, 5, terms=12)  # a constant term, signs, denominators
+    coords = {b"\x00": Fraction(-7, 3), b"\x00\x01": 5, b"\x00\x00\x01": Fraction(1, 12)}
+    held_as_words = LieElement.from_words(LieElement(2, 4, coords).expand())
+    held_as_coordinates = LieElement(2, 4, coords)
+    solution = kvquad.solver.canonical_solution(5)
+    family = kvquad.solver.gauge_family(solution, kvquad.solver.standard_gauge_pairs(4, 5))
+    return [
+        ("assoc", words),
+        ("assoc-integers", AssocSeries(3, 3, {b"\x02\x00": -4, b"\x01": 9})),
+        ("lie-held-as-words", held_as_words),
+        ("lie-held-as-coordinates", held_as_coordinates),
+        ("trace", tr(words)),
+        ("quad-trace", tr_quad(words)),
+        ("univariate", RationalUnivariateSeries(5, {0: Fraction(-1, 2), 3: 7, 4: Fraction(5, 9)})),
+        ("univariate-order-0", RationalUnivariateSeries(0, [Fraction(-3, 4)])),
+        *((f"empty-{cls.__name__}", cls.zero(1, 3)) for cls in SERIES_CLASSES),
+        ("empty-at-order-0", AssocSeries.zero(2, 0)),
+        ("arity-27-through-z", AssocSeries(27, 3, {b"\x19\x00": Fraction(-1, 9), b"\x03": 2})),
+        ("nested", {"x": [words, {"y": (held_as_coordinates, [])}], "z": tr(words), "w": 1}),
+        ("solution", solution._json_form()),
+        ("gauge-family", {"family": [member._json_form() for member in family]}),
+        ("bch", bch_multi(3, 4)),
+    ]
+
+
+def _as_dicts(value):
+    """The payload with every series leaf replaced by its ``to_json_dict()``."""
+    if isinstance(value, _SparseSeries):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {key: _as_dicts(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_as_dicts(item) for item in value)
+    return value
+
+
+@pytest.mark.parametrize("payload", _cli_payloads() + EDGE_JSON_VALUES + [
+    pytest.param(payload, id=name) for name, payload in _series_payloads()])
 def test_indented_json_writer_matches_json_dumps(payload):
-    assert kvquad.cli._indented_json(payload) == json.dumps(payload, indent=2)
+    assert kvquad.cli._indented_json(payload) == json.dumps(_as_dicts(payload), indent=2)
+
+
+@pytest.mark.parametrize("cls", SERIES_CLASSES[:-1], ids=lambda c: c.__name__)
+def test_indented_json_writer_refuses_a_letter_beyond_z_as_to_json_dict_does(cls):
+    """A key holding letter 26 is refused with ``word_to_str``'s ValueError; 25 is written."""
+    keys = {AssocSeries: b"\x19\x1a", LieElement: b"\x19\x1a", TraceSeries: b"\x00\x1a",
+            QuadTraceSeries: b"\x00\x01\x1a"}
+    series = cls(27, 3, {keys[cls]: Fraction(-2, 5), b"\x00\x19": 1})
+    with pytest.raises(ValueError) as by_dicts:
+        series.to_json_dict()
+    with pytest.raises(ValueError) as by_text:
+        kvquad.cli._indented_json({"series": [series]})
+    assert str(by_text.value) == str(by_dicts.value) == (
+        "letter index beyond 'z' cannot be serialized")
+    below = cls(27, 3, {b"\x00\x19": Fraction(-1, 3)})
+    assert kvquad.cli._indented_json(below) == json.dumps(below.to_json_dict(), indent=2)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """Two runs share one parser, and a usage error after a good run still exits 2 with
+    argparse's own message; ``build_parser`` still returns a fresh parser."""
+    assert build_parser() is not build_parser()
+    built = []
+    monkeypatch.setattr(kvquad.cli, "build_parser", lambda: built.append(1) or build_parser())
+    kvquad.cli._parser.cache_clear()
+    try:
+        assert run(capsys, "solve-kv", "--order", "3")[0] == 0
+        assert run(capsys, "bch", "--order", "3")[0] == 0
+        code, out, err = run(capsys, "solve-kv", "--gauge", "1")
+        assert len(built) == 1
+    finally:
+        kvquad.cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as fresh:
+        build_parser().parse_args(["solve-kv", "--gauge", "1"])
+    assert (code, out) == (fresh.value.code, "") == (2, "")
+    assert err == capsys.readouterr().err
+    assert "error: the following arguments are required: --order" in err
 
 
 @pytest.mark.parametrize("argv", [["bch", "--arity", "3", "--order", "3"],

@@ -9,8 +9,9 @@ for the results of those functions, that the memo is a plain
 also when the input words are a ``RationalUnivariateSeries``, whose series
 compare unequal to plain ones.  They also check that an element built
 lazily from words agrees with the eager peel in every reading, under
-threads and through copies, that a gauge member's coordinates are its
-base's plus its shift's, and how many peels the CLI makes: ``verify
+threads and through copies, that a gauge member's A and B are its base's
+plus its shift's coordinates, formed only when read, and how many peels
+the CLI makes: ``verify
 --suite propU`` peels no three-letter series, ``--suite series`` none, and a
 second ``solve-kv`` at one order peels only its gauge shifts.
 """
@@ -53,6 +54,7 @@ from kvquad import (
     simplicial,
     substitute_many,
     trace_pairing,
+    verify_theorem,
 )
 from kvquad.cli import main
 from kvquad.lie import log_exp_product, without_letters
@@ -201,25 +203,52 @@ def test_lazy_words_that_are_not_lie_raise_at_the_same_degree(arity, order):
         assert str(eager.value) == str(read.value)
 
 
+def unexpanded(element: LieElement) -> bool:
+    """No word expansion yet; this probe neither expands nor peels."""
+    try:
+        object.__getattribute__(element, "_assoc")
+    except AttributeError:
+        return True
+    return False
+
+
+def unformed(member: KVSolution) -> bool:
+    """Neither A nor B of a gauge member formed yet; this probe forms neither."""
+    for name in ("A", "B"):
+        try:
+            object.__getattribute__(member, name)
+        except AttributeError:
+            continue
+        return False
+    return True
+
+
 def test_a_gauge_member_reads_its_coordinates_as_base_plus_shift(monkeypatch):
-    """A member's JSON sums its base's and its shift's coordinates; its own words are not peeled."""
+    """A member's JSON peels its shift's words and nothing else, and it forms no member
+    word map: its A and B are its base's plus its shift's coordinates."""
     order = 7
     pairs = random_gauge_pairs(random.Random(1750), order, 2)
     base, *members = gauge_family(canonical_solution(order), pairs)
-    own = [words for member in members for words in (member.A.expand(), member.B.expand())]
-    assert not [words for words in own if words in (base.A.expand(), base.B.expand())]
+    base.A.terms, base.B.terms  # the base's own peel, shared by every member, made first
+    assert all(unformed(member) for member in members)
+    shifts = [words for member in members for words in
+              (member._gauge[1].A.expand(), member._gauge[1].B.expand())]
     seen = []
     peel = kvquad.lie._peel
     monkeypatch.setattr(kvquad.lie, "_peel", lambda words: seen.append(words) or peel(words))
     got = [member.to_json_dict() for member in members]
-    assert seen and not [words for words in seen if words in own]
     monkeypatch.setattr(kvquad.lie, "_peel", peel)
+    assert len(seen) == len(shifts) and all(a is b for a, b in zip(seen, shifts))
+    assert all(unexpanded(member.A) and unexpanded(member.B) for member in members)
     for member, json_dict in zip(members, got):
+        shift = member._gauge[1]
+        assert member.A.expand() == base.A.expand() + shift.A.expand()
+        assert member.B.expand() == base.B.expand() + shift.B.expand()
         fresh = KVSolution(assoc_to_lie(member.A.expand()), assoc_to_lie(member.B.expand()),
                            member.method)
         assert json_dict == fresh.to_json_dict()
 
-    # the base's first coordinate read, raced by eight threads through a member
+    # the member's first read of A and B, raced by eight threads
     racing = gauge_family(canonical_solution(order), pairs)[1]
     barrier = threading.Barrier(8)
 
@@ -235,6 +264,18 @@ def test_a_gauge_member_reads_its_coordinates_as_base_plus_shift(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [got[0]] * 8
+    assert racing.A == members[0].A and racing.B == members[0].B
+
+
+def test_verify_theorem_on_gauge_members_forms_no_member_a_or_b():
+    """The theorem and the residual of a member are summed from its base and its shift."""
+    order = 7
+    family = gauge_family(canonical_solution(order),
+                          random_gauge_pairs(random.Random(1760), order, 3))
+    for member in family[1:]:
+        assert verify_theorem(member).passed
+        assert kv1_residual(member).is_zero()
+        assert unformed(member)
 
 
 def test_first_coordinate_read_under_threads():

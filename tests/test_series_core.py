@@ -127,6 +127,9 @@ def test_zero_refuses_what_the_constructor_refuses(cls):
         for arity in (2, 3):
             with pytest.raises(ValueError, match="a univariate series has one letter"):
                 cls.zero(arity, 3)
+        for coeffs in ([1], {0: 1}):  # the shape rule comes before the exponent check
+            with pytest.raises(ValueError, match="^order must be >= 0$"):
+                cls(-1, coeffs)
     if cls is TangentialDerivation:
         return
     letters = (cls.letter, generator) if cls is LieElement else (cls.letter,)
