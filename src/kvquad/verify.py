@@ -286,7 +286,9 @@ def homo_kernel(degree: int) -> tuple[list[QuadTraceSeries], VerificationReport]
     """Exact kernel of the additive four-term equation in fixed degree.
 
     Solves g(x,y) + g(x+y,z) - g(x,y+z) - g(y,z) = 0 on the degree-n
-    component of two-letter quadratic trace classes by exact elimination.
+    component of two-letter quadratic trace classes, exactly.  Each row (one
+    three-letter class) ties at most two classes, so ``rational_kernel`` reads
+    the kernel by weighted union-find rather than elimination.
     The report asserts the kernel dimension (1 for even n, 0 for odd n),
     that every kernel vector is a coboundary h(x) + h(z) - h(x+z) of a
     one-letter class, and that an even-degree kernel is spanned by one.

@@ -420,7 +420,7 @@ def test_cocycle_faces_of_the_plain_class():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_homo_rows_match_the_substitution_route(monkeypatch, n):
-    """The four-term rows handed to the elimination, one per three-letter class, equal the
+    """The four-term rows handed to the kernel, one per three-letter class, equal the
     signed sums of ``trace_substitute`` at (x, y), (x+y, z), (x, y+z) and (y, z)."""
     seen = []
 
@@ -500,7 +500,7 @@ def dimension(found, expected):
 
 
 def wrong_kernels():
-    """Faults the elimination could hand homo, with the witnesses each must give at degree n:
+    """Faults the kernel could hand homo, with the witnesses each must give at degree n:
     no vectors, a stray unit vector beside the true kernel, and the true kernel zeroed."""
     return [
         (lambda true: [],
@@ -523,7 +523,7 @@ def test_homo_failure_witnesses_are_pinned(monkeypatch, fault):
     monkeypatch.setattr(verify, "rational_kernel", lambda rows, cols: wrong(kernel(rows, cols)))
     for n in range(2, 10):
         report = homo_kernel(n)[1]
-        if n in (3, 5):  # no nonzero two-letter class: nothing reaches the elimination
+        if n in (3, 5):  # no nonzero two-letter class: nothing reaches the kernel
             assert report.passed
             continue
         witnesses = [(r.witness.item, r.witness.delta) for r in report.results if r.witness]
