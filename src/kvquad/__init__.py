@@ -74,6 +74,7 @@ from .solver import (
     gauge_family,
     kv1_residual,
     kv_rhs,
+    standard_family,
     standard_gauge_pairs,
 )
 from .verify import (

@@ -25,7 +25,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .sampling import random_gauge_pairs
-from .solver import KVSolution, canonical_solution, gauge_family, standard_gauge_pairs
+from .solver import KVSolution, canonical_solution, gauge_family, standard_family
 from .tangential import TangentialDerivation
 from .lie import bch_multi
 from .verify import (
@@ -168,13 +168,11 @@ def _cmd_solve(args) -> int:
     if args.gauge < 0:
         raise ValueError("gauge count must be >= 0")
     _check_word_count("solve-kv", 2, args.order + 1)
-    solution = canonical_solution(args.order)
     if args.gauge:
-        pairs = standard_gauge_pairs(args.gauge, args.order)
-        family = gauge_family(solution, pairs)
+        family = standard_family(args.order, args.gauge)
         _emit({"family": [member._json_form() for member in family]}, args.out)
     else:
-        _emit(solution._json_form(), args.out)
+        _emit(canonical_solution(args.order)._json_form(), args.out)
     return 0
 
 

@@ -308,6 +308,20 @@ def gauge_family(s: KVSolution, pairs) -> list[KVSolution]:
     return family
 
 
+@functools.lru_cache(maxsize=4)
+def standard_family(order: int, count: int) -> tuple[KVSolution, ...]:
+    """``gauge_family`` of ``canonical_solution(order)`` along the first ``count`` catalog pairs.
+
+    Cached per (order, count) like ``canonical_solution``.  The family is a
+    tuple of immutable members, so no caller can change the shared value, and
+    the members' summed A and B and their shifts' coordinates and memos serve
+    every later caller.  The catalog is read first, so a count beyond it is
+    refused before anything is built.
+    """
+    pairs = standard_gauge_pairs(count, order)
+    return tuple(gauge_family(canonical_solution(order), pairs))
+
+
 def standard_gauge_pairs(count: int, order: int) -> list[tuple[LieElement, LieElement]]:
     """A deterministic catalog of Lie pairs for gauge shifts, in an order golden outputs pin.
 

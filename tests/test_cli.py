@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -29,6 +30,7 @@ from kvquad.cli import BCH_WORD_CEILING, build_parser, main
 from kvquad.words import _SparseSeries
 
 from oracles import random_assoc_series
+from test_golden_cli import GOLDEN
 
 
 def run(capsys, *argv):
@@ -123,6 +125,29 @@ def test_solve_kv_roundtrip(tmp_path, capsys):
     loaded = KVSolution.from_json_dict(json.loads(out_file.read_text()))
     assert loaded.order == 5
     assert kv1_residual(loaded).is_zero()
+
+
+def test_solve_kv_refuses_an_over_catalog_gauge_before_building(capsys, monkeypatch,
+                                                               cold_caches):
+    built = []
+    solution = kvquad.solver.canonical_solution
+    for module in (kvquad.cli, kvquad.solver):
+        monkeypatch.setattr(module, "canonical_solution",
+                            lambda order: built.append(order) or solution(order))
+    code, out, err = run(capsys, "solve-kv", "--order", "12", "--gauge", "11")
+    assert (code, out, err) == (2, "", "error: catalog provides at most 10 pairs\n")
+    assert built == []
+
+
+def test_a_warm_solve_kv_gauge_run_reads_the_cached_family(capsys, cold_caches):
+    """The second run at one (order, count) reads the first one's family and prints its bytes."""
+    argv = ("solve-kv", "--order", "7", "--gauge", "4")
+    digest = {args: pinned for args, _, pinned in GOLDEN}[argv]
+    for hits in range(2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        info = kvquad.solver.standard_family.cache_info()
+        assert (info.hits, info.misses) == (hits, 1)
 
 
 def test_solve_kv_gauge_family(capsys):

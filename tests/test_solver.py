@@ -24,6 +24,7 @@ from kvquad import (
     kv1_residual,
     kv_rhs,
     quadratic_trace_tuple,
+    standard_family,
     standard_gauge_pairs,
     trace_pairing,
     verify_kv1,
@@ -418,6 +419,44 @@ def test_standard_gauge_pairs_catalog():
     assert len(pairs) == 5
     with pytest.raises(ValueError):
         standard_gauge_pairs(99, 6)
+
+
+def fields(member: KVSolution) -> tuple:
+    return member.A, member.B, member.order, member.method
+
+
+@pytest.mark.parametrize("order", [5, 8])
+@pytest.mark.parametrize("count", [1, 4, 10])
+def test_standard_family_is_the_gauge_family_of_the_catalog(order, count, cold_caches):
+    family = standard_family(order, count)
+    assert type(family) is tuple and len(family) == count + 1
+    built = gauge_family(canonical_solution.__wrapped__(order), standard_gauge_pairs(count, order))
+    assert [fields(member) for member in family] == [fields(member) for member in built]
+    assert family[0] is canonical_solution(order)
+    assert standard_family(order, count) is family
+
+
+def test_standard_family_serves_racing_threads(cold_caches):
+    """Eight threads ask for an uncached family at once; each gets the sequential members."""
+    order, count = 7, 4
+    expected = [fields(member) for member in
+                gauge_family(canonical_solution.__wrapped__(order),
+                             standard_gauge_pairs(count, order))]
+    barrier = threading.Barrier(8)
+
+    def build():
+        barrier.wait(timeout=60)
+        return [fields(member) for member in standard_family(order, count)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [future.result(timeout=120) for future in [pool.submit(build) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    assert standard_family(order, count) is standard_family(order, count)
 
 
 @pytest.mark.parametrize("order", [7, 9])

@@ -358,7 +358,7 @@ def test_prop_U_builds_ch_and_the_faces_below_the_order(order, monkeypatch, cold
     monkeypatch.setattr(verify, "simplicial_words",
                         lambda u, pattern: face_orders.append(u.order) or faces(u, pattern))
     assert cli.main(["verify", "--suite", "propU", "--order", str(order)]) == 0
-    assert [b for b in built if b[0] == 3] == [(3, order - 1)]
+    assert [b for b in built if b[0] == 3] == [(3, order - 2)]
     assert face_orders == [order - 1] * len(_FACES)
 
 
