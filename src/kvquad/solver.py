@@ -315,8 +315,8 @@ def standard_family(order: int, count: int) -> tuple[KVSolution, ...]:
     Cached per (order, count) like ``canonical_solution``.  The family is a
     tuple of immutable members, so no caller can change the shared value, and
     the members' summed A and B and their shifts' coordinates and memos serve
-    every later caller.  The catalog is read first, so a count beyond it is
-    refused before anything is built.
+    every later caller.  The catalog is read first, so a negative count or one
+    beyond the catalog is refused before anything is built.
     """
     pairs = standard_gauge_pairs(count, order)
     return tuple(gauge_family(canonical_solution(order), pairs))
@@ -326,7 +326,10 @@ def standard_gauge_pairs(count: int, order: int) -> list[tuple[LieElement, LieEl
     """A deterministic catalog of Lie pairs for gauge shifts, in an order golden outputs pin.
 
     Entries 1, 2, 4, 5 and 8 are (u, [u, v]); tr(u [u, v]) = 0 by invariance, so they give s again.
+    A negative count is refused before any generator is built.
     """
+    if count < 0:
+        raise ValueError(f"catalog count must be >= 0, got {count}")
     x, y = generator(2, 0, order), generator(2, 1, order)
     xy = bracket(x, y)
     xxy = bracket(x, xy)

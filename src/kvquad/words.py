@@ -141,7 +141,8 @@ class _SparseSeries(_Frozen):
     operations truncate to the smaller order.
     """
 
-    __slots__ = ("arity", "order", "_pair")
+    # _text: the JSON text memo, (pad, text) of the last indent written; unset until then
+    __slots__ = ("arity", "order", "_pair", "_text")
     _key_kind = "word"
     _tag: tuple[str, str] | None = None  # (key, value) written after "order" in JSON
     _tag_required = True
@@ -171,7 +172,7 @@ class _SparseSeries(_Frozen):
             raise ValueError("order must be >= 0")
 
     def __reduce__(self):
-        # pickle and copy rebuild the pair through _make, which never sets a memo slot
+        # pickle and copy rebuild the pair through _make, which sets no memo slot (_text)
         return type(self)._make, (self.arity, self.order, *self._pair)
 
     @classmethod
@@ -313,10 +314,27 @@ class _SparseSeries(_Frozen):
     def _json_text(self, pad: str = "") -> str:
         """``json.dumps(self.to_json_dict(), indent=2)`` written at indent ``pad``.
 
-        The text is formatted from the pair, one fixed template per term, and no
-        per-term dict is built: a word is letters a-z, a coefficient is '-0-9/'
-        and the tag is a plain name, so nothing needs a JSON escape.  A letter
-        beyond 'z' is refused once for the series, with ``word_to_str``'s message.
+        Formatted by ``_format_json`` on the first call at ``pad`` and memoized with
+        it: the finished (pad, text) pair is published by one assignment, so racing
+        threads only format twice, and a call at another pad formats and replaces
+        it.  A refusal is never stored.  A copy (``__reduce__``) carries no memo.
+        """
+        try:
+            at, text = self._text
+        except AttributeError:
+            at = None
+        if at != pad:
+            text = self._format_json(pad)
+            object.__setattr__(self, "_text", (pad, text))
+        return text
+
+    def _format_json(self, pad: str) -> str:
+        """The text of ``_json_text``, formatted from the pair.
+
+        One fixed template per term, and no per-term dict is built: a word is
+        letters a-z, a coefficient is '-0-9/' and the tag is a plain name, so
+        nothing needs a JSON escape.  A letter beyond 'z' is refused once for
+        the series, with ``word_to_str``'s message.
         """
         ints, d = self._pair
         if max(b"".join(ints), default=0) >= len(_ALPHABET):
@@ -617,8 +635,8 @@ class RationalUnivariateSeries(AssocSeries):
                 "coeffs": ["%d/%d" % _ratio(ints.get(b"\x00" * k, 0), d)
                            for k in range(self.order + 1)]}
 
-    def _json_text(self, pad: str = "") -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)`` at indent ``pad``: the exponent layout."""
+    def _format_json(self, pad: str) -> str:
+        """The text of ``_json_text`` in the exponent layout of ``to_json_dict``."""
         ints, d = self._pair
         p2, p4 = pad + "  ", pad + "    "
         coeffs = (",\n" + p4).join(['"%d/%d"' % _ratio(ints.get(b"\x00" * k, 0), d)

@@ -3,7 +3,8 @@ import pytest
 import kvquad.lie
 import kvquad.solver
 import kvquad.verify
-from kvquad import canonical_solution
+from kvquad import RationalUnivariateSeries, canonical_solution
+from kvquad.words import _SparseSeries
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,15 @@ def cold_caches():
     clear()
     yield
     clear()
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The series that each call of the JSON formatting step (``_format_json``, behind
+    the ``_json_text`` memo) formats, in call order."""
+    calls = []
+    for cls in (_SparseSeries, RationalUnivariateSeries):
+        step = cls.__dict__["_format_json"]
+        monkeypatch.setattr(cls, "_format_json",
+                            lambda self, pad, step=step: calls.append(self) or step(self, pad))
+    return calls

@@ -13,7 +13,8 @@ threads and through copies, that a gauge member's A and B are its base's
 plus its shift's coordinates, formed only when read, and how many peels
 the CLI makes: ``verify
 --suite propU`` peels no three-letter series, ``--suite series`` none, and a
-second ``solve-kv`` at one order and gauge count peels nothing.
+second ``solve-kv`` at one order and gauge count peels nothing; a second
+``solve-kv`` or ``bch`` formats no JSON text either.
 """
 
 import copy
@@ -380,4 +381,20 @@ def test_a_warm_solve_kv_reuses_the_canonical_solution(peel_letters, capsys, mon
         outputs.append(capsys.readouterr().out)
         counts.append((len(factorize_calls) - done[0], len(peel_letters) - done[1]))
     assert counts == [(1, 40), (0, 0)]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, series", [(["solve-kv", "--order", "6", "--gauge", "3"], 8),
+                                          (["bch", "--order", "6"], 1)], ids=["solve-kv", "bch"])
+def test_a_warm_run_formats_no_json_text(argv, series, capsys, formatted, cold_caches):
+    """The first run formats each series it writes once (A and B of four members, or one
+    CH series); the second writes the same cached series, reads every stored text,
+    formats none and prints the same bytes."""
+    counts, outputs = [], []
+    for _ in range(2):
+        done = len(formatted)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        counts.append(len(formatted) - done)
+    assert counts == [series, 0]
     assert outputs[0] == outputs[1]

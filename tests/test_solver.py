@@ -421,6 +421,18 @@ def test_standard_gauge_pairs_catalog():
         standard_gauge_pairs(99, 6)
 
 
+@pytest.mark.parametrize("count", [-1, -3, -10])
+def test_a_negative_catalog_count_is_refused_before_building(count, monkeypatch, cold_caches):
+    """A negative count is no slice end: both readers of the catalog refuse it, build no
+    generator and cache no family."""
+    built = []
+    monkeypatch.setattr(kvquad.solver, "generator", lambda *args: built.append(args))
+    for read in (lambda: standard_gauge_pairs(count, 5), lambda: standard_family(5, count)):
+        with pytest.raises(ValueError, match=f"catalog count must be >= 0, got {count}"):
+            read()
+    assert built == [] and standard_family.cache_info().currsize == 0
+
+
 def fields(member: KVSolution) -> tuple:
     return member.A, member.B, member.order, member.method
 
