@@ -14,7 +14,8 @@ to audit stored or externally produced pairs.
 
 Output has one writer, ``_indented_json``: the text of ``json.dumps(payload,
 indent=2)``, in which every series leaf (``bch``'s series, a solution's A and
-B) writes its own text from its integer pair, so no per-term dict is built.
+B) writes the text it stores, ``json.dumps`` of its ``to_json_dict()`` formatted
+once per indent, so a repeated write formats nothing.
 """
 
 import argparse
@@ -95,7 +96,7 @@ def _append_json(value, pad: str, pieces: list):
     With an indent, ``json.dumps`` runs its pure-Python generator encoder.  This
     writer gives the same text: strings, keys among them, go through the C escaper
     that encoder calls, and the caller joins the pieces once.  A series leaf stands
-    for its ``to_json_dict()`` and writes its own text from its integer pair.
+    for its ``to_json_dict()`` and writes its stored text (``_json_text``).
     """
     if isinstance(value, _SparseSeries):
         pieces.append(value._json_text(pad))

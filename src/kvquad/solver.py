@@ -141,8 +141,13 @@ class KVSolution(_Frozen):
         method = data.get("method", "unspecified")
         if not isinstance(method, str):
             raise ValueError("solution JSON 'method' must be a string")
-        return cls(LieElement.from_json_dict(data["A"]),
-                   LieElement.from_json_dict(data["B"]), method)
+        solution = cls(LieElement.from_json_dict(data["A"]),
+                       LieElement.from_json_dict(data["B"]), method)
+        order = data.get("order", solution.order)
+        if type(order) is not int or order != solution.order:
+            raise ValueError(f"solution JSON 'order' must be {solution.order}, "
+                             f"the order of A and B, got {order!r}")
+        return solution
 
 
 @functools.lru_cache(maxsize=4)

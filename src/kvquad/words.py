@@ -19,6 +19,7 @@ expansion, brackets, nested ad and peel in :mod:`kvquad.lyndon` and
 first-letter Horner recursion, ``_horner``, runs substitution and nested ad.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -329,27 +330,8 @@ class _SparseSeries(_Frozen):
         return text
 
     def _format_json(self, pad: str) -> str:
-        """The text of ``_json_text``, formatted from the pair.
-
-        One fixed template per term, and no per-term dict is built: a word is
-        letters a-z, a coefficient is '-0-9/' and the tag is a plain name, so
-        nothing needs a JSON escape.  A letter beyond 'z' is refused once for
-        the series, with ``word_to_str``'s message.
-        """
-        ints, d = self._pair
-        if max(b"".join(ints), default=0) >= len(_ALPHABET):
-            raise ValueError(_BEYOND_Z)
-        p2, p4, p6 = pad + "  ", pad + "    ", pad + "      "
-        head = f'{{\n{p2}"arity": {self.arity},\n{p2}"order": {self.order},\n{p2}'
-        if self._tag is not None:
-            head += '"%s": "%s",\n%s' % (*self._tag, p2)
-        if not ints:
-            return f'{head}"terms": []\n{pad}}}'
-        item = "{\n" + p6 + '"word": "%s",\n' + p6 + '"coeff": "%d/%d"\n' + p4 + "}"
-        terms = (",\n" + p4).join([item % (w.translate(_LETTERS).decode("ascii"), n // g, d // g)
-                                   for w in _canonical(ints)
-                                   for n in (ints[w],) for g in (math.gcd(n, d),)])
-        return f'{head}"terms": [\n{p4}{terms}\n{p2}]\n{pad}}}'
+        """The text of ``_json_text``: ``to_json_dict`` written by ``json.dumps``."""
+        return json.dumps(self.to_json_dict(), indent=2).replace("\n", "\n" + pad)
 
     @classmethod
     def from_json_dict(cls, data: dict):
@@ -635,14 +617,6 @@ class RationalUnivariateSeries(AssocSeries):
                 "coeffs": ["%d/%d" % _ratio(ints.get(b"\x00" * k, 0), d)
                            for k in range(self.order + 1)]}
 
-    def _format_json(self, pad: str) -> str:
-        """The text of ``_json_text`` in the exponent layout of ``to_json_dict``."""
-        ints, d = self._pair
-        p2, p4 = pad + "  ", pad + "    "
-        coeffs = (",\n" + p4).join(['"%d/%d"' % _ratio(ints.get(b"\x00" * k, 0), d)
-                                    for k in range(self.order + 1)])  # order >= 0: never empty
-        return f'{{\n{p2}"order": {self.order},\n{p2}"coeffs": [\n{p4}{coeffs}\n{p2}]\n{pad}}}'
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalUnivariateSeries":
         """Inverse of ``to_json_dict``; any malformed input raises ValueError."""
@@ -653,6 +627,10 @@ class RationalUnivariateSeries(AssocSeries):
         coeffs = data.get("coeffs")
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
             raise ValueError(f"{name} JSON 'coeffs' must be a list of strings")
+        cls._check_shape(1, data["order"])
+        if len(coeffs) != data["order"] + 1:
+            raise ValueError(f"{name} JSON 'coeffs' must list order + 1 = {data['order'] + 1} "
+                             f"coefficients, one per exponent, got {len(coeffs)}")
         return cls(data["order"], [parse_rational(c) for c in coeffs])
 
 

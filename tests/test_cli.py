@@ -294,6 +294,21 @@ def test_solution_with_an_exponent_coefficient_is_refused_at_once(tmp_path, caps
                                 "--solution", str(out_file)))
 
 
+@pytest.mark.parametrize("order", [99, "x"])
+def test_solution_whose_order_disagrees_with_its_series_is_usage_error(tmp_path, capsys, order):
+    out_file = tmp_path / "solution.json"
+    run(capsys, "solve-kv", "--order", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    out_file.write_text(json.dumps({**data, "order": order}))
+    code, out, err = run(capsys, "verify", "--solution", str(out_file), "--suite", "theorem")
+    _assert_one_error_line(code, out, err)
+    assert err == (f"error: solution JSON 'order' must be 4, the order of A and B, "
+                   f"got {order!r}\n")
+    del data["order"]
+    out_file.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--solution", str(out_file), "--suite", "theorem")[0] == 0
+
+
 def test_verify_without_any_check_is_usage_error(capsys):
     _assert_one_error_line(*run(capsys, "verify", "--suite", "homo", "--order", "1"))
 

@@ -4,8 +4,9 @@
 call at ``pad`` and stores the (pad, text) pair in the ``_text`` slot; a later
 call at that pad returns the stored string, and a call at another pad formats
 again and replaces it.  These tests check the stored text against ``json.dumps``
-at several indents for every kind of series the CLI writes, that a refusal is
-never stored, that copies carry no memo, and that racing threads agree.
+at several indents for every kind of series the CLI writes, and against texts
+written out by hand, that a refusal is never stored, that copies carry no memo,
+and that racing threads agree.
 """
 
 import copy
@@ -22,7 +23,9 @@ import pytest
 from kvquad import (
     AssocSeries,
     LieElement,
+    QuadTraceSeries,
     RationalUnivariateSeries,
+    TraceSeries,
     canonical_solution,
     gauge_family,
     standard_gauge_pairs,
@@ -88,6 +91,133 @@ def test_the_text_is_json_dumps_at_each_pad_and_stored_per_pad(make, formatted):
     assert len(formatted) == len(PADS)
     assert series._json_text(PADS[0]) == expected  # back at the first pad: formatted again
     assert len(formatted) == len(PADS) + 1
+
+
+# (id, factory, text at pad "", text at pad "  "), written out by hand: they pin the
+# layout itself, which the comparison with json.dumps(to_json_dict()) above does not
+LAYOUTS = [
+    ("assoc", lambda: AssocSeries(2, 2, {b"": 1, b"\x01\x00": Fraction(-3, 4)}), """{
+  "arity": 2,
+  "order": 2,
+  "terms": [
+    {
+      "word": "",
+      "coeff": "1/1"
+    },
+    {
+      "word": "ba",
+      "coeff": "-3/4"
+    }
+  ]
+}""", """{
+    "arity": 2,
+    "order": 2,
+    "terms": [
+      {
+        "word": "",
+        "coeff": "1/1"
+      },
+      {
+        "word": "ba",
+        "coeff": "-3/4"
+      }
+    ]
+  }"""),
+    ("lie", lambda: LieElement(2, 2, {b"\x00\x01": Fraction(1, 2)}), """{
+  "arity": 2,
+  "order": 2,
+  "basis": "lyndon",
+  "terms": [
+    {
+      "word": "ab",
+      "coeff": "1/2"
+    }
+  ]
+}""", """{
+    "arity": 2,
+    "order": 2,
+    "basis": "lyndon",
+    "terms": [
+      {
+        "word": "ab",
+        "coeff": "1/2"
+      }
+    ]
+  }"""),
+    ("trace", lambda: TraceSeries(2, 3, {b"\x00\x01": 2}), """{
+  "arity": 2,
+  "order": 3,
+  "space": "tr",
+  "terms": [
+    {
+      "word": "ab",
+      "coeff": "2/1"
+    }
+  ]
+}""", """{
+    "arity": 2,
+    "order": 3,
+    "space": "tr",
+    "terms": [
+      {
+        "word": "ab",
+        "coeff": "2/1"
+      }
+    ]
+  }"""),
+    ("quad-trace", lambda: QuadTraceSeries(2, 4, {b"\x00\x00\x01\x01": Fraction(-1, 6)}), """{
+  "arity": 2,
+  "order": 4,
+  "space": "trquad",
+  "terms": [
+    {
+      "word": "aabb",
+      "coeff": "-1/6"
+    }
+  ]
+}""", """{
+    "arity": 2,
+    "order": 4,
+    "space": "trquad",
+    "terms": [
+      {
+        "word": "aabb",
+        "coeff": "-1/6"
+      }
+    ]
+  }"""),
+    ("univariate", lambda: RationalUnivariateSeries(2, {0: Fraction(1, 3), 2: -1}), """{
+  "order": 2,
+  "coeffs": [
+    "1/3",
+    "0/1",
+    "-1/1"
+  ]
+}""", """{
+    "order": 2,
+    "coeffs": [
+      "1/3",
+      "0/1",
+      "-1/1"
+    ]
+  }"""),
+    ("empty", lambda: AssocSeries.zero(2, 3), """{
+  "arity": 2,
+  "order": 3,
+  "terms": []
+}""", """{
+    "arity": 2,
+    "order": 3,
+    "terms": []
+  }"""),
+]
+
+
+@pytest.mark.parametrize("make, flush, padded", [layout[1:] for layout in LAYOUTS],
+                         ids=[layout[0] for layout in LAYOUTS])
+def test_the_text_has_the_documented_layout(make, flush, padded):
+    assert make()._json_text("") == flush
+    assert make()._json_text("  ") == padded
 
 
 def test_an_unpeeled_element_is_peeled_by_its_first_write():

@@ -704,8 +704,11 @@ def test_univariate_series_ops():
 
 
 @pytest.mark.parametrize("data", [{"coeffs": []}, {"order": 2, "coeffs": ["1", 2]},
-                                  [2, ["1", "0", "1"]]],
-                         ids=["no-order", "int-coeff", "list"])
+                                  [2, ["1", "0", "1"]],
+                                  {"order": 1, "coeffs": ["1", "0", "0", "0"]},
+                                  {"order": 3, "coeffs": ["1"]}],
+                         ids=["no-order", "int-coeff", "list", "too-many-coeffs",
+                              "too-few-coeffs"])
 def test_univariate_series_json_rejects_malformed_shapes(data):
     with pytest.raises(ValueError):
         RationalUnivariateSeries.from_json_dict(data)

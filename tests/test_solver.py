@@ -557,6 +557,16 @@ def test_solution_json_roundtrip(sol6):
         KVSolution.from_json_dict({"A": data["A"]})
 
 
+@pytest.mark.parametrize("order", [99, 5, "x", "6", 6.0, None, True])
+def test_solution_json_order_must_be_the_order_of_its_series(sol6, order):
+    data = sol6.to_json_dict()
+    with pytest.raises(ValueError, match=r"^solution JSON 'order' must be 6, the order of A "
+                                         r"and B, got "):
+        KVSolution.from_json_dict({**data, "order": order})
+    del data["order"]  # a file without "order" reads it from A and B
+    assert KVSolution.from_json_dict(data) == sol6
+
+
 # --- the residual memo -------------------------------------------------------
 
 def test_residual_memo_is_per_solution(sol6):
